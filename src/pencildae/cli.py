@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -133,7 +134,24 @@ def load_config(path: str) -> dict:
         first = errors[0]
         where = "/".join(str(p) for p in first.absolute_path) or "<root>"
         raise ConfigError(f"config field '{where}': {first.message}")
+    for where, value in _numbers(config):
+        if not math.isfinite(value):
+            raise ConfigError(f"config field '{where}': non-finite number {value}")
     return config
+
+
+def _numbers(node, where: str = ""):
+    """(path, value) of every float in a parsed JSON document.
+
+    Python's json module reads NaN, Infinity and out-of-range literals such as
+    1e400 as non-finite floats; the schema's "number" type accepts them.
+    """
+    if isinstance(node, float):
+        yield where or "<root>", node
+    elif isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _numbers(child, f"{where}/{key}" if where else str(key))
 
 
 def _build_inline_model(model_spec: dict) -> model_library.ModelPreset:
@@ -208,6 +226,8 @@ def _mesh(config: dict) -> Mesh:
     if "mesh" not in config:
         raise ConfigError("config field 'mesh' is required for this command")
     m = config["mesh"]
+    if config.get("method") == "method2" and m["n_steps"] < 2:
+        raise ConfigError("config field 'mesh/n_steps': method2 needs at least 2 steps")
     try:
         return Mesh(t0=float(m["t0"]), t_end=float(m["t_end"]), n_steps=int(m["n_steps"]))
     except ValueError as exc:
@@ -238,28 +258,31 @@ def _output_paths(config: dict, out_dir: str | None):
     return csv_path, json_path
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_trajectory_csv(path: Path, traj) -> None:
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + \
         ",z_norm,u_norm,constraint_residual"
-    z_norms = np.linalg.norm(traj.z_history, axis=1)
-    u_norms = np.linalg.norm(traj.u_history, axis=1)
+    table = np.column_stack((traj.times, traj.states,
+                             np.linalg.norm(traj.z_history, axis=1),
+                             np.linalg.norm(traj.u_history, axis=1), traj.residuals))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i in range(len(traj)):
-            row = [_fmt(traj.times[i])]
-            row += [_fmt(v) for v in traj.states[i]]
-            row += [_fmt(z_norms[i]), _fmt(u_norms[i]), _fmt(traj.residuals[i])]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def _finite_or_none(node):
+    """``node`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {key: _finite_or_none(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_finite_or_none(value) for value in node]
+    return node
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_none(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -8,6 +8,7 @@ part given the differential one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +27,7 @@ __all__ = [
     "jacobian",
     "check_jacobian",
     "consistent_initialize",
+    "X2Newton",
 ]
 
 RhsFunc = Callable[[float, np.ndarray], np.ndarray]
@@ -146,15 +148,75 @@ def _in_subspace(vec: np.ndarray, projector: np.ndarray, tol: float) -> bool:
     return np.abs(projector @ vec - vec).max() <= tol * (1.0 + np.abs(vec).max())
 
 
+class X2Newton:
+    """The restricted Newton correction of the algebraic part u = N c.
+
+    With ``basis`` N of X2 and ``coeff`` W = N^T Ginv Q2, one correction is
+    c <- c - [I - W f_x N]^-1 (c - W f(t, z + N c)), the Newton step on the
+    constraint u = Ginv Q2 f(t, z + u) written in the k coordinates of X2 (the
+    full-space operator is singular on X1).  Consistent initialization and the
+    u-update of both integration schemes are this one routine.
+    """
+
+    def __init__(self, decomp: SpectralDecomposition):
+        self.basis = decomp.x2_basis
+        self.k = self.basis.shape[1]
+        self.coeff = self.basis.T @ (decomp.g_inv @ decomp.q2)
+        self._eye = np.eye(self.k)
+
+    def correct(self, f: RhsFunc, jac: JacFunc, t: float, z: np.ndarray,
+                c: np.ndarray, tol: float | None = None, max_updates: int = 1):
+        """Correct the coordinates ``c`` at (t, z); returns ``(c, error)``.
+
+        With ``tol=None`` exactly one correction is made.  Otherwise corrections
+        repeat until ||c - W f|| <= ``tol``, at most ``max_updates`` times.
+        ``error`` is None on success; on failure it is the exception, not
+        raised, that describes it: SingularNewtonMatrixError for a singular
+        matrix or a non-finite step, NoConvergenceError when ``tol`` is missed.
+        """
+        if not self.k:
+            return c, None
+        basis = self.basis
+        coeff = self.coeff.dot
+        updates = 0
+        while True:
+            x = z + basis.dot(c)
+            r = c - coeff(f(t, x))
+            if tol is not None:
+                last = math.sqrt(r.dot(r))
+                if last <= tol:
+                    return c, None
+                if updates == max_updates:
+                    return c, NoConvergenceError(
+                        f"restricted Newton stalled at residual {last:.3e} "
+                        f"after {max_updates} corrections", last_residual=last)
+            newton = self._eye - coeff(jac(t, x).dot(basis))
+            if self.k == 1:  # a division costs a tenth of np.linalg.solve
+                pivot = float(newton[0, 0])
+                step = r / pivot if pivot != 0.0 and math.isfinite(pivot) else None
+            else:
+                try:
+                    step = np.linalg.solve(newton, r)
+                except np.linalg.LinAlgError:
+                    step = None
+            # per-entry math.isfinite is cheaper than np.isfinite for k-vectors
+            if step is None or not all(map(math.isfinite, step.tolist())):
+                return c, SingularNewtonMatrixError(
+                    f"restricted Newton step singular or non-finite at t={t}")
+            c = c - step
+            if tol is None:
+                return c, None
+            updates += 1
+
+
 def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
                           t0: float, z0, u_guess=None, tol: float = 1e-12,
                           max_iter: int = 50) -> np.ndarray:
     """Solve the consistency condition B u = Q2 f(t0, z0 + u) for u in X2.
 
-    Newton iteration on F(u) = u - Ginv Q2 f(t0, z0 + u), expressed in
-    ``x2_basis`` coordinates so that each update is a k x k solve (the
-    full-space operator is singular on X1).  The returned root depends on
-    ``u_guess`` if the constraint admits several solutions.
+    Newton iteration on F(u) = u - Ginv Q2 f(t0, z0 + u) by
+    :meth:`X2Newton.correct`.  The returned root depends on ``u_guess`` if
+    the constraint admits several solutions.
 
     Raises
     ------
@@ -166,44 +228,16 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
     z0 = np.asarray(z0, dtype=float)
     if not _in_subspace(z0, decomp.p1, 1e-8):
         raise ValueError("z0 must lie in X1 (apply P1 first)")
-    basis = decomp.x2_basis
-    k = basis.shape[1]
-    if k == 0:
+    newton = X2Newton(decomp)
+    if newton.k == 0:
         return np.zeros(decomp.n)
     if u_guess is None:
         u_guess = np.zeros(decomp.n)
     u_guess = np.asarray(u_guess, dtype=float)
     if not _in_subspace(u_guess, decomp.p2, 1e-8):
         raise ValueError("u_guess must lie in X2 (apply P2 first)")
-
-    ginv_q2 = decomp.g_inv @ decomp.q2
-    coeff_map = basis.T @ ginv_q2  # k x n, coordinates of Ginv Q2 (.) in x2_basis
-    c = basis.T @ u_guess
-    eye_k = np.eye(k)
-    last = np.inf
-    for _ in range(max_iter):
-        x = z0 + basis @ c
-        fval = c - coeff_map @ dae.f(t0, x)
-        last = float(np.linalg.norm(fval))
-        if last <= tol:
-            return basis @ c
-        newton = eye_k - coeff_map @ (jacobian(dae, t0, x) @ basis)
-        try:
-            delta = np.linalg.solve(newton, fval)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNewtonMatrixError(
-                f"restricted Newton matrix singular at t0={t0}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularNewtonMatrixError(
-                f"restricted Newton step non-finite at t0={t0}")
-        c = c - delta
-    # accept a final iterate that already satisfies the tolerance
-    x = z0 + basis @ c
-    fval = c - coeff_map @ dae.f(t0, x)
-    last = float(np.linalg.norm(fval))
-    if last <= tol:
-        return basis @ c
-    raise NoConvergenceError(
-        f"consistency Newton stalled at residual {last:.3e} after {max_iter} iterations",
-        last_residual=last,
-    )
+    c, error = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t0, z0,
+                              newton.basis.T @ u_guess, tol=tol, max_updates=max_iter)
+    if error is not None:
+        raise error
+    return newton.basis @ c

@@ -15,12 +15,13 @@ problem objects and may run concurrently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .dae_model import SemilinearDAE, SingularNewtonMatrixError, jacobian
+from .dae_model import SemilinearDAE, X2Newton, jacobian
 from .pencil import SpectralDecomposition
 
 __all__ = [
@@ -169,11 +170,12 @@ class Trajectory:
         return self.states[-1]
 
 
-def _corrector_params(corrector: Corrector) -> tuple[bool, float, int]:
+def _corrector_params(corrector: Corrector) -> tuple[float | None, int]:
+    """(tol, max_updates) of :meth:`X2Newton.correct` for a corrector."""
     if isinstance(corrector, IterateToTol):
-        return True, corrector.tol, corrector.max_iter
+        return corrector.tol, corrector.max_iter
     if isinstance(corrector, SingleStep):
-        return False, 0.0, 1
+        return None, 1
     raise TypeError(f"unknown corrector {corrector!r}")
 
 
@@ -187,42 +189,54 @@ def algebraic_update(dae: SemilinearDAE, decomp: SpectralDecomposition,
     iterate mode repeats it until the fixed-point residual meets the
     tolerance.  Affine constraints are solved exactly in one step.
     """
-    z_next = np.asarray(z_next, dtype=float)
-    u_prev = np.asarray(u_prev, dtype=float)
-    basis = decomp.x2_basis
-    k = basis.shape[1]
-    if k == 0:
-        return np.zeros(decomp.n)
-    coeff_map = basis.T @ (decomp.g_inv @ decomp.q2)
-    iterate, tol, max_iter = _corrector_params(corrector)
-    c = basis.T @ u_prev
-    eye_k = np.eye(k)
-    updates = 0
-    while True:
-        x_eval = z_next + basis @ c
-        f_coords = c - coeff_map @ np.asarray(dae.f(t_next, x_eval), dtype=float)
-        if iterate and float(np.linalg.norm(f_coords)) <= tol:
-            break
-        if updates >= max_iter:
-            if iterate:
-                raise SingularNewtonMatrixError(
-                    f"u-update did not reach tol={tol:g} in {max_iter} corrections"
-                )
-            break
-        newton = eye_k - coeff_map @ (jacobian(dae, t_next, x_eval) @ basis)
-        try:
-            delta = np.linalg.solve(newton, f_coords)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNewtonMatrixError(
-                f"restricted Newton matrix singular at t={t_next}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularNewtonMatrixError(
-                f"restricted Newton step non-finite at t={t_next}")
-        c = c - delta
-        updates += 1
-        if not iterate:
-            break
-    return basis @ c
+    newton = X2Newton(decomp)
+    c, error = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next,
+                              np.asarray(z_next, dtype=float),
+                              newton.basis.T @ np.asarray(u_prev, dtype=float),
+                              *_corrector_params(corrector))
+    if error is not None:
+        raise error
+    return newton.basis @ c
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """The constant matrices of one solve with step h, built once per solve.
+
+    ``euler`` = I - h Ginv B and ``drive`` = h Ginv Q1 make the Euler z-step
+    (method 1 and the method-2 starter); ``leap_drive`` = 2h Ginv Q1 and
+    ``leap_decay`` = 2h Ginv B make the leapfrog z-step; ``newton`` corrects u.
+    """
+
+    euler: np.ndarray
+    drive: np.ndarray
+    leap_drive: np.ndarray
+    leap_decay: np.ndarray
+    newton: X2Newton
+
+    @classmethod
+    def build(cls, b: np.ndarray, decomp: SpectralDecomposition, h: float) -> "StepPlan":
+        ginv_b = decomp.g_inv @ b
+        drive = h * (decomp.g_inv @ decomp.q1)
+        return cls(euler=np.eye(decomp.n) - h * ginv_b, drive=drive,
+                   leap_drive=2.0 * drive, leap_decay=(2.0 * h) * ginv_b,
+                   newton=X2Newton(decomp))
+
+
+# what a model's f or Jacobian raises where it cannot be evaluated (overflow,
+# a pole, a math domain error)
+_MODEL_ERRORS = (ArithmeticError, ValueError)
+
+
+def _node_residuals(b: np.ndarray, q2: np.ndarray, states: np.ndarray,
+                    f_values: np.ndarray) -> np.ndarray:
+    """Constraint residuals ||Q2 (B x_i - f_i)|| of a block of nodes.
+
+    Stacked matrix-vector and dot products round each node as the single
+    products would.
+    """
+    r = np.matmul(q2, np.matmul(b, states[:, :, None]) - f_values[:, :, None])
+    return np.sqrt(np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0])
 
 
 def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
@@ -237,166 +251,88 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
 
     b_mat = dae.pencil.b
     q2 = decomp.q2
-    norm_b = np.linalg.norm(b_mat, 2)
     f = dae.f
-
-    # consistency of the initial point
-    res0_vec = q2 @ (b_mat @ x0 - np.asarray(f(mesh.t0, x0), dtype=float))
-    res0 = float(np.linalg.norm(res0_vec))
-    init_tol = init_residual_rtol * (1.0 + norm_b) * (1.0 + float(np.linalg.norm(x0)))
-    if res0 > init_tol:
-        raise InconsistentInitialStateError(
-            f"initial constraint residual {res0:.3e} exceeds tolerance {init_tol:.3e}"
-        )
-
-    h = mesh.h
-    t0 = mesh.t0
+    if dae.jac_f is not None:  # a non-finite Jacobian fails the Newton step itself
+        jac = dae.jac_f
+    else:
+        def jac(t, x):
+            return jacobian(dae, t, x)
     n_steps = mesh.n_steps
-    thr2 = config.blow_up_threshold ** 2
-    iterate, iter_tol, max_corrections = _corrector_params(config.corrector)
+    # squared once; capped so that an infinite state still fails the test
+    thr2 = min(config.blow_up_threshold * config.blow_up_threshold, sys.float_info.max)
+    tol, max_updates = _corrector_params(config.corrector)
+    plan = StepPlan.build(b_mat, decomp, mesh.h)
+    euler, drive = plan.euler.dot, plan.drive.dot
+    leap_drive, leap_decay = plan.leap_drive.dot, plan.leap_decay.dot
+    newton = plan.newton
+    correct, basis = newton.correct, newton.basis.dot
 
-    ginv = decomp.g_inv
-    ginv_b = ginv @ b_mat
-    step_mat = np.eye(n) - h * ginv_b          # Euler propagator for z
-    h_ginv_q1 = h * (ginv @ decomp.q1)
-    two_h_ginv_q1 = 2.0 * h_ginv_q1
-    two_h_ginv_b = (2.0 * h) * ginv_b
-
-    basis = decomp.x2_basis
-    k = basis.shape[1]
-    coeff_map = basis.T @ (ginv @ q2) if k else None   # k x n
-    scalar_update = k == 1
-    if scalar_update:
-        coeff_row = coeff_map[0]
-        basis_col = basis[:, 0]
-    eye_k = np.eye(k) if k > 1 else None
-
-    times = np.empty(n_steps + 1)
+    times = mesh.times()
+    node_t = times.tolist()
     states = np.empty((n_steps + 1, n))
     z_hist = np.empty((n_steps + 1, n))
-    u_hist = np.empty((n_steps + 1, n))
-    residuals = np.empty(n_steps + 1)
+    coords = np.empty((n_steps + 1, newton.k))   # u_i = N c_i
+    f_values = np.empty((n_steps + 1, n))        # f(t_i, x_i) of the z-steps
 
     z = decomp.p1 @ x0
-    if k:
-        c = basis.T @ (decomp.p2 @ x0)
-        u = basis @ c
-    else:
-        u = np.zeros(n)
-    times[0] = t0
-    z_hist[0] = z
-    u_hist[0] = u
-    states[0] = z + u
-    residuals[0] = res0
+    c = newton.basis.T @ (decomp.p2 @ x0)
+    x = z + basis(c)
+    states[0], z_hist[0], coords[0] = x, z, c
+
+    # the split initial point must lie on the constraint manifold
+    fi = f_values[0] = f(mesh.t0, x)
+    res0 = float(_node_residuals(b_mat, q2, x[None], f_values[:1])[0])
+    init_tol = init_residual_rtol * (1.0 + np.linalg.norm(b_mat, 2)) * \
+        (1.0 + float(np.linalg.norm(x0)))
+    if not res0 <= init_tol:
+        raise InconsistentInitialStateError(
+            f"initial constraint residual {res0:.3e} exceeds tolerance {init_tol:.3e}")
+
+    status = SolveStatus(SolveOutcome.COMPLETED)
+    last = n_steps                                # the last node computed
+    known = 1                                     # leading nodes with their f stored
     z_prev = None
-
-    def truncated(upto: int, status: SolveStatus) -> Trajectory:
-        return Trajectory(times=times[:upto + 1].copy(), states=states[:upto + 1].copy(),
-                          z_history=z_hist[:upto + 1].copy(),
-                          u_history=u_hist[:upto + 1].copy(),
-                          residuals=residuals[:upto + 1].copy(), status=status, mesh=mesh)
-
-    def guarded_residual(t: float, x: np.ndarray) -> float:
-        # f may overflow at an exploded state; the residual is then unbounded
-        try:
-            v = q2 @ (b_mat @ x - np.asarray(f(t, x), dtype=float))
-            return float(np.sqrt(v @ v))
-        except (OverflowError, FloatingPointError, ValueError):
-            return float("inf")
-
-    # hot loop: the Jacobian's finiteness is guarded through the Newton step
-    # itself (NaN propagates into jn/delta), so the wrapper check is skipped
-    if dae.jac_f is not None:
-        jac_eval = dae.jac_f
-    else:
-        def jac_eval(t, x):
-            return jacobian(dae, t, x)
-
-    solve_kxk = np.linalg.solve
-    isfinite = np.isfinite
-    sqrt = np.sqrt
-    for i in range(n_steps):
-        t = t0 + i * h
-        x = states[i]
-        nrm2 = float(x @ x)
-        if not nrm2 <= thr2:  # also catches NaN states
+    try:
+        for i in range(n_steps):
+            if not x.dot(x) <= thr2:  # also catches NaN states
+                status = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[i])
+                last = i
+                break
             if i:
-                residuals[i] = guarded_residual(t, x)
-            return truncated(i, SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=t))
-        fi = f(t, x)
-        if i:  # node residual reuses the f evaluation of the z-step
-            rv = q2 @ (b_mat @ x - fi)
-            residuals[i] = sqrt(rv @ rv)
-        if leapfrog and i >= 1:
-            z_next = z_prev + two_h_ginv_q1 @ fi - two_h_ginv_b @ z
+                fi = f_values[i] = f(node_t[i], x)
+                known = i + 1
+            if leapfrog and i:
+                z_next = z_prev + leap_drive(fi) - leap_decay(z)
+            else:
+                z_next = euler(z) + drive(fi)
+            c, error = correct(f, jac, node_t[i + 1], z_next, c, tol, max_updates)
+            if error is not None:
+                status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
+                last = i
+                break
+            z_prev, z = z, z_next
+            x = z + basis(c)
+            states[i + 1], z_hist[i + 1], coords[i + 1] = x, z, c
         else:
-            z_next = step_mat @ z + h_ginv_q1 @ fi
-        t_next = t0 + (i + 1) * h
+            if not x.dot(x) <= thr2:
+                status = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[n_steps])
+    except _MODEL_ERRORS:  # f or its Jacobian could not be evaluated in step i + 1
+        status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
+        last = i
 
-        if k:
-            updates = 0
-            failed = False
-            while True:
-                x_eval = z_next + u
-                fe = f(t_next, x_eval)
-                if scalar_update:
-                    fc = c[0] - coeff_row @ fe
-                    if iterate and abs(fc) <= iter_tol:
-                        break
-                    if updates >= max_corrections:
-                        failed = iterate
-                        break
-                    jn = 1.0 - coeff_row @ (jac_eval(t_next, x_eval) @ basis_col)
-                    if jn == 0.0 or not isfinite(jn):
-                        return truncated(i, SolveStatus(SolveOutcome.CORRECTOR_FAILED,
-                                                        failed_step=i + 1))
-                    c[0] -= fc / jn
-                    u = basis_col * c[0]
-                else:
-                    fc = c - coeff_map @ fe
-                    if iterate and float(np.linalg.norm(fc)) <= iter_tol:
-                        break
-                    if updates >= max_corrections:
-                        failed = iterate
-                        break
-                    newton = eye_k - coeff_map @ (jac_eval(t_next, x_eval) @ basis)
-                    try:
-                        delta = solve_kxk(newton, fc)
-                    except np.linalg.LinAlgError:
-                        return truncated(i, SolveStatus(SolveOutcome.CORRECTOR_FAILED,
-                                                        failed_step=i + 1))
-                    if not np.all(isfinite(delta)):
-                        return truncated(i, SolveStatus(SolveOutcome.CORRECTOR_FAILED,
-                                                        failed_step=i + 1))
-                    c = c - delta
-                    u = basis @ c
-                updates += 1
-                if not iterate:
-                    break
-            if failed:
-                return truncated(i, SolveStatus(SolveOutcome.CORRECTOR_FAILED,
-                                                failed_step=i + 1))
-
-        z_prev = z
-        z = z_next
-        j = i + 1
-        times[j] = t_next
-        z_hist[j] = z
-        u_hist[j] = u
-        states[j] = z + u
-
-    xN = states[n_steps]
-    residuals[n_steps] = guarded_residual(float(times[n_steps]), xN)
-    nrm2 = float(xN @ xN)
-    if not nrm2 <= thr2:
-        return Trajectory(times=times, states=states, z_history=z_hist, u_history=u_hist,
-                          residuals=residuals,
-                          status=SolveStatus(SolveOutcome.BLOW_UP,
-                                             blow_up_time=float(times[n_steps])),
-                          mesh=mesh)
-    return Trajectory(times=times, states=states, z_history=z_hist, u_history=u_hist,
-                      residuals=residuals, status=SolveStatus(SolveOutcome.COMPLETED),
-                      mesh=mesh)
+    if known == last:
+        try:  # f may overflow at an exploded state; its residual is then inf
+            f_values[last] = f(node_t[last], states[last])
+            known += 1
+        except _MODEL_ERRORS:
+            pass
+    residuals = np.full(last + 1, np.inf)
+    residuals[:known] = _node_residuals(b_mat, q2, states[:known], f_values[:known])
+    if last < n_steps:  # truncated at the offending node, never padded
+        times, states, z_hist = (a[:last + 1].copy() for a in (times, states, z_hist))
+    return Trajectory(times=times, states=states, z_history=z_hist,
+                      u_history=np.matmul(newton.basis, coords[:last + 1, :, None])[:, :, 0],
+                      residuals=residuals, status=status, mesh=mesh)
 
 
 def method1_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,

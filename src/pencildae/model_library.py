@@ -236,14 +236,15 @@ def build_circuit_dae(params: CircuitParams, phi0: Nonlinearity, phi: Nonlineari
     psv, psd = psi.value, psi.derivative
     hcv, hcd = h_cond.value, h_cond.derivative
 
+    # plain floats: numpy scalars would double the cost of each call
     def f(t, x):
-        x1, x2, x3 = x
+        x1, x2, x3 = x.tolist()
         return np.array((e_val(t) - p0v(x1) - phv(x3),
                          -hcv(x2),
                          psv(x1 - x3) - phv(x3)))
 
     def jac(t, x):
-        x1, x2, x3 = x
+        x1, x2, x3 = x.tolist()
         dpsi = psd(x1 - x3)
         dphi = phd(x3)
         return np.array(((-p0d(x1), 0.0, -dphi),

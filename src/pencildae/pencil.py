@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "MatrixPencil",
@@ -300,6 +299,8 @@ def contour_radius(pencil: MatrixPencil, safety: float = 0.5) -> float:
     (the finite generalized eigenvalues of A v = -mu B v); 1.0 when no nonzero
     finite root exists, since then mu = 0 is the only candidate pole.
     """
+    import scipy.linalg  # lazily: the solve path never needs it
+
     mus = scipy.linalg.eig(pencil.a, -pencil.b, right=False)
     finite = mus[np.isfinite(mus)]
     if finite.size == 0:
@@ -331,6 +332,8 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
         radius = contour_radius(pencil)
     if radius <= 0.0:
         raise ValueError("radius must be positive")
+
+    import scipy.linalg  # lazily: the solve path never needs it
 
     mus = scipy.linalg.eig(pencil.a, -pencil.b, right=False)
     finite = mus[np.isfinite(mus)]

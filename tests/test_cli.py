@@ -267,3 +267,108 @@ def test_unknown_preset_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {"model": "sec5_qubic"})
     assert cli.main(["projectors", path, "--quiet"]) == 1
     assert "unknown preset" in capsys.readouterr().err
+
+
+def per_value_csv(path, traj):
+    """The trajectory CSV written one formatted value at a time."""
+    fmt = lambda value: format(float(value), ".17g")  # noqa: E731
+    n = traj.states.shape[1]
+    z_norms = np.linalg.norm(traj.z_history, axis=1)
+    u_norms = np.linalg.norm(traj.u_history, axis=1)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t," + ",".join(f"x{i + 1}" for i in range(n))
+                 + ",z_norm,u_norm,constraint_residual\n")
+        for i in range(len(traj)):
+            row = [fmt(traj.times[i])] + [fmt(v) for v in traj.states[i]]
+            row += [fmt(z_norms[i]), fmt(u_norms[i]), fmt(traj.residuals[i])]
+            fh.write(",".join(row) + "\n")
+
+
+class TestTrajectoryCsv:
+    def assert_same_bytes(self, tmp_path, traj):
+        cli._write_trajectory_csv(tmp_path / "new.csv", traj)
+        per_value_csv(tmp_path / "old.csv", traj)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_extreme_values(self, tmp_path):
+        from pencildae import Mesh, SolveOutcome, SolveStatus, Trajectory
+        states = np.array([[-1.5, 1e-300, -0.0], [1e300, -2.5e-308, 1.0 / 3.0],
+                           [-7.0, 123456789.125, -1e-17], [np.inf, -np.inf, np.nan]])
+        traj = Trajectory(times=np.array([0.0, 0.1, 0.2, 0.30000000000000004]),
+                          states=states, z_history=0.5 * states, u_history=-0.5 * states,
+                          residuals=np.array([0.0, 1e-300, 4.2e-16, np.inf]),
+                          status=SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=0.3),
+                          mesh=Mesh(0.0, 0.4, 4))
+        self.assert_same_bytes(tmp_path, traj)
+
+    def test_truncated_blow_up_run(self, tmp_path):
+        from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
+        preset = get_preset("sec6_blowup")
+        traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
+                             Mesh(0.0, 2.0, 2000), preset.x0)
+        assert not traj.status.completed and len(traj) < 2001
+        self.assert_same_bytes(tmp_path, traj)
+
+
+class TestBoundary:
+    def test_nan_initial_state_is_config_error(self, tmp_path, capsys):
+        cfg = base_solve_config(tmp_path, initial_state={"x0": [float("nan"), 0.0, 0.0]})
+        path = write_config(tmp_path, cfg)   # json.dumps writes a bare NaN
+        assert cli.main(["solve", path, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "initial_state/x0/0" in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_out_of_range_literal_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        text = json.dumps(base_solve_config(tmp_path)).replace('"t_end": 1.0', '"t_end": 1e400')
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mesh/t_end" in err
+
+    def test_infinite_inline_coefficient_is_config_error(self, tmp_path, capsys):
+        cfg = base_solve_config(
+            tmp_path, model={"a": [[1.0]], "b": [[1.0]], "f_const": [float("inf")]},
+            initial_state={"x0": [1.0]})
+        assert cli.main(["solve", write_config(tmp_path, cfg), "--quiet"]) == 1
+        assert "model/f_const/0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    def test_method2_single_step_mesh_is_config_error(self, tmp_path, capsys, command):
+        cfg = base_solve_config(tmp_path, method="method2",
+                                mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 1},
+                                study={"refinements": 3})
+        assert cli.main([command, write_config(tmp_path, cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mesh/n_steps" in err
+
+    def test_json_is_strict(self, tmp_path):
+        payload = {"max_norm": float("nan"), "final_state": [1.0, float("inf")],
+                   "nested": {"x": -float("inf"), "ok": 2.5}, "count": 3}
+        cli._write_json(tmp_path / "out.json", payload)
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        parsed = json.loads((tmp_path / "out.json").read_text(), parse_constant=refuse)
+        assert parsed == {"max_norm": None, "final_state": [1.0, None],
+                          "nested": {"x": None, "ok": 2.5}, "count": 3}
+
+
+def test_solve_does_not_import_scipy(tmp_path):
+    # scipy.linalg serves only the residue projectors; a solve must not pay for it
+    import os
+    import subprocess
+    import sys
+
+    import pencildae
+    path = write_config(tmp_path, base_solve_config(tmp_path))
+    code = ("import sys, pencildae.cli as c; "
+            f"assert c.main(['solve', {path!r}, '--quiet']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(pencildae.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,9 +5,11 @@ import pytest
 
 from pencildae import (InconsistentInitialStateError, IterateToTol, MatrixPencil,
                        Mesh, Method, SemilinearDAE, SingleStep, SolveOutcome,
-                       SolverConfig, algebraic_update, get_preset, method1_solve,
-                       method2_solve, projectors_algebraic, solve)
+                       SolverConfig, algebraic_update, consistent_initialize, get_preset,
+                       method1_solve, method2_solve, projectors_algebraic, solve)
 
+from conftest import random_index1_pencil
+from reference_stepper import reference_solve
 from test_dae_model import bisect_circuit_constraint
 
 
@@ -208,6 +210,12 @@ class TestTrajectoryInvariants:
             method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 10),
                           np.array([0.0, 1.0, 0.0]))
 
+    def test_non_finite_initial_state_rejected(self, sec5_preset, sec5_decomp):
+        # NaN compares false with any tolerance; it must not pass as consistent
+        with pytest.raises(InconsistentInitialStateError):
+            method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 10),
+                          np.array([np.nan, 0.0, 0.0]))
+
 
 class TestBlowUp:
     def test_blow_up_preset_terminates_early(self):
@@ -228,6 +236,12 @@ class TestBlowUp:
                              SolverConfig(blow_up_threshold=1e6))
         assert len(low) <= len(high)
         np.testing.assert_array_equal(low.states, high.states[:len(low)])
+
+    def test_huge_threshold(self, sec5_preset, sec5_decomp):
+        # the squared threshold overflows to inf; it is capped, not an error
+        traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100),
+                             sec5_preset.x0, SolverConfig(blow_up_threshold=1e200))
+        assert traj.status.completed
 
     def test_bounded_run_completes(self, sec5_preset, sec5_decomp):
         traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 5.0, 5000),
@@ -267,3 +281,140 @@ def test_solve_dispatches_on_method(sec5_preset, sec5_decomp):
                SolverConfig(method=Method.METHOD2))
     t2_direct = method2_solve(sec5_preset.dae, sec5_decomp, mesh, sec5_preset.x0)
     np.testing.assert_array_equal(t2.states, t2_direct.states)
+
+
+def affine_cubic_problem(seed=7, n=8, k=3):
+    """Seeded n x n index-1 pencil with f = c + F x + 0.05 x^3 (entrywise)."""
+    rng = np.random.default_rng(seed)
+    pencil, _, _, _ = random_index1_pencil(rng, n=n, k=k)
+    f_const = rng.uniform(-1.0, 1.0, n)
+    f_mat = rng.uniform(-0.2 / n, 0.2 / n, (n, n))
+    dae = SemilinearDAE(pencil=pencil,
+                        f=lambda t, x: f_const + f_mat @ x + 0.05 * x ** 3,
+                        jac_f=lambda t, x: f_mat + np.diag(0.15 * x ** 2))
+    decomp = projectors_algebraic(pencil)
+    z0 = decomp.p1 @ rng.uniform(-1.0, 1.0, n)
+    return dae, decomp, z0 + consistent_initialize(dae, decomp, 0.0, z0)
+
+
+def assert_matches_reference(traj, ref, outcome, detail=None):
+    """Every row of the kernel's trajectory agrees with the oracle's to 1e-12."""
+    times, states, zs, us, residuals, ref_outcome, ref_detail = ref
+    assert traj.status.outcome.value == ref_outcome == outcome
+    if outcome == "blow_up":
+        assert traj.status.blow_up_time == ref_detail
+    if outcome == "corrector_failed":
+        assert traj.status.failed_step == ref_detail == detail
+    assert len(traj) == len(times)
+    np.testing.assert_array_equal(traj.times, times)
+    scale = 1.0 + np.abs(states).max(axis=1)       # per row
+    for got, want in ((traj.states, states), (traj.z_history, zs), (traj.u_history, us)):
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * scale)
+    assert np.all(np.abs(traj.residuals - residuals) <= 1e-12 * (scale + residuals))
+
+
+class TestKernelEquivalence:
+    """The kernel against the plain per-step oracle in ``reference_stepper``."""
+
+    CORRECTORS = {"single": (SingleStep(), None, 1),
+                  "iterate": (IterateToTol(tol=1e-12, max_iter=20), 1e-12, 20)}
+
+    @pytest.mark.parametrize("corrector", ["single", "iterate"])
+    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
+    @pytest.mark.parametrize("problem", ["linear_index0", "sec5_cubic", "n8_k3"])
+    def test_matches_reference(self, problem, method, corrector):
+        if problem == "n8_k3":
+            dae, decomp, x0 = affine_cubic_problem()
+        else:
+            preset = get_preset(problem)
+            dae, decomp = preset.dae, projectors_algebraic(preset.dae.pencil)
+            x0 = preset.x0 if problem == "linear_index0" else np.array([0.5, -0.5, 0.25])
+        lib_corrector, tol, max_iter = self.CORRECTORS[corrector]
+        mesh = Mesh(0.0, 1.0, 400)
+        traj = solve(dae, decomp, mesh, x0, SolverConfig(method=method,
+                                                         corrector=lib_corrector))
+        ref = reference_solve(dae, decomp, mesh, x0, leapfrog=method is Method.METHOD2,
+                              tol=tol, max_iter=max_iter)
+        assert_matches_reference(traj, ref, "completed")
+
+    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
+    def test_blow_up_rows(self, method):
+        preset = get_preset("sec6_blowup")
+        decomp = projectors_algebraic(preset.dae.pencil)
+        mesh = Mesh(0.0, 2.0, 2000)
+        traj = solve(preset.dae, decomp, mesh, preset.x0, SolverConfig(method=method))
+        ref = reference_solve(preset.dae, decomp, mesh, preset.x0,
+                              leapfrog=method is Method.METHOD2)
+        assert_matches_reference(traj, ref, "blow_up")
+        assert np.all(np.isfinite(traj.residuals))
+
+    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
+    def test_corrector_failure_rows(self, method):
+        # the Jacobian turns non-finite from t = 0.5 on, so step 51 fails
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.array([[0.5, 0.0], [0.0, 1.0]]))
+
+        def jac(t, x):
+            return np.array([[0.0, 0.0], [0.3, 0.25 if t < 0.5 else np.nan]])
+
+        dae = SemilinearDAE(pencil=pencil,
+                            f=lambda t, x: np.array([math.sin(t), 0.3 * x[0] + 0.25 * x[1]
+                                                     + 0.1 * math.cos(t)]),
+                            jac_f=jac)
+        decomp = projectors_algebraic(pencil)
+        x0 = np.array([1.0, (0.3 + 0.1) / 0.75])
+        mesh = Mesh(0.0, 1.0, 100)
+        traj = solve(dae, decomp, mesh, x0, SolverConfig(method=method))
+        ref = reference_solve(dae, decomp, mesh, x0, leapfrog=method is Method.METHOD2)
+        assert_matches_reference(traj, ref, "corrector_failed", detail=50)
+        assert len(traj) == 50
+
+    def test_model_arithmetic_error_fails_the_step(self):
+        # f raises like a Python-float power that overflows; the run stops at
+        # the step whose state it was evaluated at instead of raising
+        def f(t, x):
+            if t > 0.25:
+                raise OverflowError("(34, 'Numerical result out of range')")
+            return np.array([0.0, 0.5 * x[0]])
+
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        dae = SemilinearDAE(pencil=pencil, f=f,
+                            jac_f=lambda t, x: np.array([[0.0, 0.0], [0.5, 0.0]]))
+        decomp = projectors_algebraic(pencil)
+        traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0, 0.5]))
+        assert traj.status.outcome is SolveOutcome.CORRECTOR_FAILED
+        assert traj.status.failed_step == 3   # the correction at t = 0.3 raised
+        assert len(traj) == 3
+        assert np.all(np.isfinite(traj.residuals))
+
+
+class TestEvaluationCounts:
+    @staticmethod
+    def counted(dae):
+        counts = {"f": 0, "jac": 0}
+
+        def f(t, x):
+            counts["f"] += 1
+            return dae.f(t, x)
+
+        def jac(t, x):
+            counts["jac"] += 1
+            return dae.jac_f(t, x)
+
+        return SemilinearDAE(pencil=dae.pencil, f=f, jac_f=jac), counts
+
+    def test_method1_single_step_index1(self, sec5_preset, sec5_decomp):
+        # 2 f and 1 Jacobian per step, plus f at the final node for its residual
+        dae, counts = self.counted(sec5_preset.dae)
+        n_steps = 500
+        traj = method1_solve(dae, sec5_decomp, Mesh(0.0, 1.0, n_steps),
+                             np.array([0.5, -0.5, 0.25]))
+        assert traj.status.completed
+        assert counts == {"f": 2 * n_steps + 1, "jac": n_steps}
+
+    def test_method1_index0(self):
+        preset = get_preset("linear_index0")
+        dae, counts = self.counted(preset.dae)
+        traj = method1_solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 300),
+                             preset.x0)
+        assert traj.status.completed
+        assert counts == {"f": 301, "jac": 0}
