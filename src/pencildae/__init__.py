@@ -7,20 +7,18 @@ two combined schemes (first- and second-order) integrate the pair.
 """
 
 from .dae_model import (NoConvergenceError, NonFiniteJacobianError, SemilinearDAE,
-                        SingularNewtonMatrixError, SplitState, check_jacobian,
-                        consistent_initialize, constraint_residual, jacobian,
-                        split_state)
+                        SingularNewtonMatrixError, check_jacobian, consistent_initialize,
+                        constraint_residual, jacobian)
 from .diagnostics import (ComponentOrder, DegenerateFitError, LadderSolveError,
                           LongRunVerdict, OrderEstimate, StabilityReport,
                           classify_long_run, empirical_order, stability_report,
-                          trajectory_from_states, windowed_deviation)
+                          windowed_deviation)
 from .integrators import (InconsistentInitialStateError, IterateToTol, Mesh, Method,
                           SingleStep, SolveOutcome, SolverConfig, SolveStatus,
-                          Trajectory, algebraic_update, method1_solve, method2_solve,
-                          solve)
+                          Trajectory, method1_solve, method2_solve, solve)
 from .model_library import (CircuitParams, ModelPreset, Nonlinearity, PRESET_IDS,
                             VoltageWaveform, build_circuit_dae,
-                            circuit_consistency_check, eval_waveform, get_preset)
+                            circuit_consistency_check, get_preset)
 from .pencil import (ContourSolveFailedError, DecompositionFailedError,
                      IndexTooHighError, MatrixPencil, NotRegularError, PencilIndex,
                      PoleOnContourError, SpectralDecomposition, ValidationReport,

@@ -353,7 +353,9 @@ def cmd_converge(config: dict, out_dir: str | None, quiet: bool) -> int:
             preset.dae, decomp, solver_config.method, mesh, x0,
             refinements=int(config["study"]["refinements"]), config=solver_config)
     except diagnostics.LadderSolveError as exc:
-        _say(quiet, f"converge {preset.preset_id}: ladder failed ({exc})")
+        payload["ladder_failure"] = {"h": exc.h, "status": exc.status.to_json()}
+        _write_json(json_path, payload)
+        _say(quiet, f"converge {preset.preset_id}: ladder failed ({exc}), wrote {json_path}")
         return _exit_for_status(exc.status)
     payload.update(estimate.to_json())
     _write_json(json_path, payload)

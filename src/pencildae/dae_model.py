@@ -1,6 +1,6 @@
-"""Semilinear DAE problems d/dt[A x] + B x = f(t, x) and their state splitting.
+"""Semilinear DAE problems d/dt[A x] + B x = f(t, x) and their constraint.
 
-A state is split as x = z + u with z = P1 x (differential part) and u = P2 x
+A state is x = z + u with z = P1 x (differential part) and u = P2 x
 (algebraic part).  Consistency means the point lies on the constraint manifold
 Q2[B x - f(t, x)] = 0; Newton-based initialization solves for the algebraic
 part given the differential one.
@@ -18,11 +18,9 @@ from .pencil import MatrixPencil, SpectralDecomposition
 
 __all__ = [
     "SemilinearDAE",
-    "SplitState",
     "NonFiniteJacobianError",
     "SingularNewtonMatrixError",
     "NoConvergenceError",
-    "split_state",
     "constraint_residual",
     "jacobian",
     "check_jacobian",
@@ -75,27 +73,6 @@ class SemilinearDAE:
     @property
     def analytic_jacobian(self) -> bool:
         return self.jac_f is not None
-
-
-@dataclass(frozen=True)
-class SplitState:
-    """x = z + u with z in X1 and u in X2, tagged with its time."""
-
-    z: np.ndarray
-    u: np.ndarray
-    t: float
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.z + self.u
-
-
-def split_state(decomp: SpectralDecomposition, x, t: float = 0.0) -> SplitState:
-    """Project a state onto the differential/algebraic subspaces."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (decomp.n,):
-        raise ValueError(f"state must have shape ({decomp.n},), got {x.shape}")
-    return SplitState(z=decomp.p1 @ x, u=decomp.p2 @ x, t=t)
 
 
 def constraint_residual(dae: SemilinearDAE, decomp: SpectralDecomposition,

@@ -30,7 +30,6 @@ __all__ = [
     "stability_report",
     "classify_long_run",
     "windowed_deviation",
-    "trajectory_from_states",
 ]
 
 #: errors below this are considered roundoff noise and refuse an order fit
@@ -42,11 +41,15 @@ class DegenerateFitError(Exception):
 
 
 class LadderSolveError(Exception):
-    """A refinement-ladder solve terminated early (blow-up or corrector failure)."""
+    """A refinement-ladder solve terminated early (blow-up or corrector failure).
 
-    def __init__(self, message: str, status: SolveStatus):
+    ``status`` is that solve's status and ``h`` its step size.
+    """
+
+    def __init__(self, message: str, status: SolveStatus, h: float):
         super().__init__(message)
         self.status = status
+        self.h = h
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
         if not traj.status.completed:
             raise LadderSolveError(
                 f"ladder solve at h={mesh.h:g} ended with {traj.status.outcome.value}",
-                traj.status)
+                traj.status, mesh.h)
         trajectories.append(traj)
 
     if self_referenced:
@@ -287,14 +290,3 @@ def windowed_deviation(trajectory: Trajectory, reference: Trajectory,
     diff = coarse.states[idx_coarse] - fine.states[idx_coarse * ratio]
     return float(np.abs(diff).max())
 
-
-def trajectory_from_states(mesh: Mesh, states, decomp: SpectralDecomposition) -> Trajectory:
-    """Wrap exact (or externally computed) states as a reference Trajectory."""
-    states = np.asarray(states, dtype=float)
-    if states.shape != (mesh.n_steps + 1, decomp.n):
-        raise ValueError(f"states must have shape ({mesh.n_steps + 1}, {decomp.n})")
-    z_hist = states @ decomp.p1.T
-    u_hist = states @ decomp.p2.T
-    return Trajectory(times=mesh.times(), states=states, z_history=z_hist,
-                      u_history=u_hist, residuals=np.zeros(mesh.n_steps + 1),
-                      status=SolveStatus(SolveOutcome.COMPLETED), mesh=mesh)

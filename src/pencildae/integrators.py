@@ -37,7 +37,6 @@ __all__ = [
     "method1_solve",
     "method2_solve",
     "solve",
-    "algebraic_update",
 ]
 
 
@@ -179,53 +178,12 @@ def _corrector_params(corrector: Corrector) -> tuple[float | None, int]:
     raise TypeError(f"unknown corrector {corrector!r}")
 
 
-def algebraic_update(dae: SemilinearDAE, decomp: SpectralDecomposition,
-                     t_next: float, z_next, u_prev,
-                     corrector: Corrector = SingleStep()) -> np.ndarray:
-    """One algebraic-component update shared by both methods.
-
-    Single-step mode performs exactly one linearized correction
-    u+ = u - [I - Ginv d(Q2 f)/dx]^-1 (u - Ginv Q2 f) restricted to X2;
-    iterate mode repeats it until the fixed-point residual meets the
-    tolerance.  Affine constraints are solved exactly in one step.
-    """
-    newton = X2Newton(decomp)
-    c, error = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next,
-                              np.asarray(z_next, dtype=float),
-                              newton.basis.T @ np.asarray(u_prev, dtype=float),
-                              *_corrector_params(corrector))
-    if error is not None:
-        raise error
-    return newton.basis @ c
-
-
-@dataclass(frozen=True)
-class StepPlan:
-    """The constant matrices of one solve with step h, built once per solve.
-
-    ``euler`` = I - h Ginv B and ``drive`` = h Ginv Q1 make the Euler z-step
-    (method 1 and the method-2 starter); ``leap_drive`` = 2h Ginv Q1 and
-    ``leap_decay`` = 2h Ginv B make the leapfrog z-step; ``newton`` corrects u.
-    """
-
-    euler: np.ndarray
-    drive: np.ndarray
-    leap_drive: np.ndarray
-    leap_decay: np.ndarray
-    newton: X2Newton
-
-    @classmethod
-    def build(cls, b: np.ndarray, decomp: SpectralDecomposition, h: float) -> "StepPlan":
-        ginv_b = decomp.g_inv @ b
-        drive = h * (decomp.g_inv @ decomp.q1)
-        return cls(euler=np.eye(decomp.n) - h * ginv_b, drive=drive,
-                   leap_drive=2.0 * drive, leap_decay=(2.0 * h) * ginv_b,
-                   newton=X2Newton(decomp))
-
-
 # what a model's f or Jacobian raises where it cannot be evaluated (overflow,
 # a pole, a math domain error)
 _MODEL_ERRORS = (ArithmeticError, ValueError)
+# the split initial point may miss the constraint by this much, relative to
+# (1 + ||B||)(1 + ||x0||)
+_INIT_RESIDUAL_RTOL = 1e-8
 
 
 def _node_residuals(b: np.ndarray, q2: np.ndarray, states: np.ndarray,
@@ -240,8 +198,7 @@ def _node_residuals(b: np.ndarray, q2: np.ndarray, states: np.ndarray,
 
 
 def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
-               x0, config: SolverConfig, leapfrog: bool,
-               init_residual_rtol: float = 1e-8) -> Trajectory:
+               x0, config: SolverConfig, leapfrog: bool) -> Trajectory:
     n = dae.n
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
@@ -261,10 +218,14 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     # squared once; capped so that an infinite state still fails the test
     thr2 = min(config.blow_up_threshold * config.blow_up_threshold, sys.float_info.max)
     tol, max_updates = _corrector_params(config.corrector)
-    plan = StepPlan.build(b_mat, decomp, mesh.h)
-    euler, drive = plan.euler.dot, plan.drive.dot
-    leap_drive, leap_decay = plan.leap_drive.dot, plan.leap_decay.dot
-    newton = plan.newton
+    # the Euler z-step (method 1, method-2 starter) is (I - h Ginv B) z + h Ginv Q1 f,
+    # the leapfrog step z_prev + 2h Ginv Q1 f - 2h Ginv B z
+    h = mesh.h
+    ginv_b = decomp.g_inv @ b_mat
+    drive_mat = h * (decomp.g_inv @ decomp.q1)
+    euler, drive = (np.eye(n) - h * ginv_b).dot, drive_mat.dot
+    leap_drive, leap_decay = (2.0 * drive_mat).dot, ((2.0 * h) * ginv_b).dot
+    newton = X2Newton(decomp)
     correct, basis = newton.correct, newton.basis.dot
 
     times = mesh.times()
@@ -282,7 +243,7 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     # the split initial point must lie on the constraint manifold
     fi = f_values[0] = f(mesh.t0, x)
     res0 = float(_node_residuals(b_mat, q2, x[None], f_values[:1])[0])
-    init_tol = init_residual_rtol * (1.0 + np.linalg.norm(b_mat, 2)) * \
+    init_tol = _INIT_RESIDUAL_RTOL * (1.0 + np.linalg.norm(b_mat, 2)) * \
         (1.0 + float(np.linalg.norm(x0)))
     if not res0 <= init_tol:
         raise InconsistentInitialStateError(

@@ -38,7 +38,6 @@ __all__ = [
     "sine",
     "neg_square",
     "square",
-    "custom_nonlinearity",
     "VoltageWaveform",
     "sinusoidal",
     "power_decay",
@@ -47,8 +46,6 @@ __all__ = [
     "gaussian",
     "triangular",
     "sawtooth",
-    "custom_waveform",
-    "eval_waveform",
     "CircuitParams",
     "build_circuit_dae",
     "circuit_consistency_check",
@@ -111,10 +108,6 @@ def square() -> Nonlinearity:
                         derivative=lambda x: 2.0 * x)
 
 
-def custom_nonlinearity(value, derivative, kind: str = "custom") -> Nonlinearity:
-    return Nonlinearity(kind=kind, value=value, derivative=derivative)
-
-
 @dataclass(frozen=True)
 class VoltageWaveform:
     """Input voltage e(t); ``smooth`` gates convergence-order assertions."""
@@ -160,9 +153,10 @@ def gaussian(beta: float = 1.0, alpha: float = 0.0, sigma: float = 1.0) -> Volta
 
 
 def _triangular_value(t: float) -> float:
-    # 50 - |t - 50 - 100k| on [100k, 100(k+1)]; both segment formulas agree at
-    # the boundaries, where the left-segment one is taken.
-    tau = math.fmod(t, TRIANGULAR_PERIOD)
+    # 50 - |t - 50 - 100k| on [100k, 100(k+1)] for every integer k (the
+    # floor-mod phase extends the drive to t < 0); both segment formulas agree
+    # at the boundaries, where the left-segment one is taken.
+    tau = t % TRIANGULAR_PERIOD
     return 50.0 - abs(tau - 50.0)
 
 
@@ -173,7 +167,7 @@ def triangular() -> VoltageWaveform:
 
 
 def _sawtooth_value(t: float) -> float:
-    tau = math.fmod(t, SAWTOOTH_PERIOD)
+    tau = t % SAWTOOTH_PERIOD
     if tau <= 4.0:
         return tau
     return 20.0 - 4.0 * tau
@@ -183,17 +177,6 @@ def sawtooth() -> VoltageWaveform:
     """Periodic sawtooth: rises 0 -> 4 on [0, 4], drops back to 0 on [4, 5]."""
     return VoltageWaveform(kind="sawtooth", value=_sawtooth_value,
                            smooth=False, period=SAWTOOTH_PERIOD)
-
-
-def custom_waveform(value, smooth: bool = True, kind: str = "custom",
-                    period: float | None = None) -> VoltageWaveform:
-    return VoltageWaveform(kind=kind, value=value, smooth=smooth, period=period)
-
-
-def eval_waveform(w: VoltageWaveform, t: float) -> float:
-    if t < 0.0:
-        raise ValueError("waveforms are defined for t >= 0")
-    return w.value(t)
 
 
 @dataclass(frozen=True)
@@ -279,16 +262,6 @@ class ModelPreset:
     description: str
 
 
-def _cubic() -> Nonlinearity:
-    return odd_power(1.0, 3)
-
-
-def _circuit_preset(preset_id, params, phi0, phi, psi, h_cond, e, x0, description):
-    dae = build_circuit_dae(params, phi0, phi, psi, h_cond, e)
-    return ModelPreset(preset_id=preset_id, dae=dae, x0=np.asarray(x0, dtype=float),
-                       smooth=e.smooth, description=description)
-
-
 def _linear_index0_preset() -> ModelPreset:
     a = np.array([[2.0, 0.3], [0.1, 1.0]])
     b = np.array([[0.5, -0.2], [0.1, 0.4]])
@@ -322,76 +295,51 @@ def _toy_index1_preset() -> ModelPreset:
                        smooth=True, description="2x2 index-1 problem with forced constraint")
 
 
-def _build_preset(preset_id: str) -> ModelPreset:
-    cubic = _cubic
-    if preset_id == "sec5_cubic":
-        return _circuit_preset(
-            preset_id, CircuitParams(5e-4, 5e-7, 2.0, 0.2),
-            cubic(), cubic(), cubic(), cubic(), sinusoidal(),
-            (0.0, 0.0, 0.0),
-            "cubic circuit, e = sin t, reference comparison set")
-    if preset_id == "sec5_r4_g01":
-        return _circuit_preset(
-            preset_id, CircuitParams(5e-4, 5e-7, 4.0, 0.1),
-            cubic(), cubic(), cubic(), cubic(), sinusoidal(),
-            (0.0, 0.0, 0.0),
-            "cubic circuit with doubled r and halved g (leapfrog-friendly)")
-    if preset_id == "sec6_sine_powerdecay":
-        # e(t) = (2t + 10)^-2 = 0.25 * (t + 5)^-2
-        return _circuit_preset(
-            preset_id, CircuitParams(5e-4, 5e-7, 2.0, 0.2),
-            cubic(), sine(), sine(), sine(), power_decay(0.25, 5.0, 2),
-            (10.0, -10.0, 5.0),
-            "sine nonlinearities, decaying drive, bounded solution")
-    if preset_id == "sec6_polynomial":
-        return _circuit_preset(
-            preset_id, CircuitParams(1e-3, 5e-7, 2.0, 0.3),
-            cubic(), cubic(), cubic(), cubic(), polynomial(1.0, 0.0, 2),
-            (0.0, 0.0, 0.0),
-            "e = t^2: global but unbounded solution")
-    if preset_id == "sec6_triangular":
-        return _circuit_preset(
-            preset_id, CircuitParams(5e-4, 5e-7, 2.0, 0.2),
-            cubic(), cubic(), cubic(), cubic(), triangular(),
-            (0.0, 0.0, 0.0),
-            "triangular drive (non-smooth), bounded solution")
-    if preset_id == "sec6_sawtooth":
-        return _circuit_preset(
-            preset_id, CircuitParams(1e-5, 2e-7, 55.0, 0.015),
-            cubic(), cubic(), cubic(), cubic(), sawtooth(),
-            (0.0, 0.0, 0.0),
-            "sawtooth drive (non-smooth), bounded solution")
-    if preset_id == "sec6_blowup":
-        return _circuit_preset(
-            preset_id, CircuitParams(5e-6, 5e-7, 2.0, 0.2),
-            neg_square(), cubic(), cubic(), square(), sinusoidal(beta=2.0),
-            (1.0, -6.5, 1.5),
-            "Lagrange-unstable set: finite-time blow-up")
-    if preset_id == "linear_index0":
-        return _linear_index0_preset()
-    if preset_id == "toy_index1":
-        return _toy_index1_preset()
-    raise KeyError(preset_id)
+_CUBIC = odd_power(1.0, 3)
+_SEC5 = CircuitParams(5e-4, 5e-7, 2.0, 0.2)
+_ORIGIN = (0.0, 0.0, 0.0)
 
+#: circuit presets, one row each: (params, phi0, phi, psi, h, drive, x0, description)
+_CIRCUIT_PRESETS = {
+    "sec5_cubic": (_SEC5, _CUBIC, _CUBIC, _CUBIC, _CUBIC, sinusoidal(), _ORIGIN,
+                   "cubic circuit, e = sin t, reference comparison set"),
+    "sec5_r4_g01": (CircuitParams(5e-4, 5e-7, 4.0, 0.1),
+                    _CUBIC, _CUBIC, _CUBIC, _CUBIC, sinusoidal(), _ORIGIN,
+                    "cubic circuit with doubled r and halved g (leapfrog-friendly)"),
+    # e(t) = (2t + 10)^-2 = 0.25 * (t + 5)^-2
+    "sec6_sine_powerdecay": (_SEC5, _CUBIC, sine(), sine(), sine(),
+                             power_decay(0.25, 5.0, 2), (10.0, -10.0, 5.0),
+                             "sine nonlinearities, decaying drive, bounded solution"),
+    "sec6_polynomial": (CircuitParams(1e-3, 5e-7, 2.0, 0.3),
+                        _CUBIC, _CUBIC, _CUBIC, _CUBIC, polynomial(1.0, 0.0, 2), _ORIGIN,
+                        "e = t^2: global but unbounded solution"),
+    "sec6_triangular": (_SEC5, _CUBIC, _CUBIC, _CUBIC, _CUBIC, triangular(), _ORIGIN,
+                        "triangular drive (non-smooth), bounded solution"),
+    "sec6_sawtooth": (CircuitParams(1e-5, 2e-7, 55.0, 0.015),
+                      _CUBIC, _CUBIC, _CUBIC, _CUBIC, sawtooth(), _ORIGIN,
+                      "sawtooth drive (non-smooth), bounded solution"),
+    "sec6_blowup": (CircuitParams(5e-6, 5e-7, 2.0, 0.2),
+                    neg_square(), _CUBIC, _CUBIC, square(), sinusoidal(beta=2.0),
+                    (1.0, -6.5, 1.5), "Lagrange-unstable set: finite-time blow-up"),
+}
+
+_SYNTHETIC_PRESETS = {"linear_index0": _linear_index0_preset,
+                      "toy_index1": _toy_index1_preset}
 
 _ALIASES = {"lagrange_unstable": "sec6_blowup"}
 
-PRESET_IDS = (
-    "sec5_cubic",
-    "sec5_r4_g01",
-    "sec6_sine_powerdecay",
-    "sec6_polynomial",
-    "sec6_triangular",
-    "sec6_sawtooth",
-    "sec6_blowup",
-    "linear_index0",
-    "toy_index1",
-)
+PRESET_IDS = (*_CIRCUIT_PRESETS, *_SYNTHETIC_PRESETS)
 
 
 def get_preset(preset_id: str) -> ModelPreset:
     """Resolve a preset id (or alias) to a freshly built model."""
     canonical = _ALIASES.get(preset_id, preset_id)
-    if canonical not in PRESET_IDS:
+    if canonical in _SYNTHETIC_PRESETS:
+        return _SYNTHETIC_PRESETS[canonical]()
+    if canonical not in _CIRCUIT_PRESETS:
         raise KeyError(f"unknown preset {preset_id!r}; known: {', '.join(PRESET_IDS)}")
-    return _build_preset(canonical)
+    params, phi0, phi, psi, h_cond, e, x0, description = _CIRCUIT_PRESETS[canonical]
+    return ModelPreset(preset_id=canonical,
+                       dae=build_circuit_dae(params, phi0, phi, psi, h_cond, e),
+                       x0=np.asarray(x0, dtype=float), smooth=e.smooth,
+                       description=description)

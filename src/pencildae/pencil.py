@@ -41,6 +41,8 @@ _RANK_SAFETY = 50.0
 # Smallest acceptable angle (as sigma_min of a stacked orthonormal basis)
 # between the candidate subspaces X1 and X2 before the direct sum is refused.
 _SPLIT_TOL = 1e-8
+# sigma_min/sigma_max below which a probe point counts as a root of det
+_RCOND_FLOOR = 1e-10
 
 
 class NotRegularError(Exception):
@@ -145,8 +147,7 @@ class SpectralDecomposition:
         return self.x2_basis.shape[1]
 
 
-def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0,
-                     rcond_floor: float = 1e-10) -> float:
+def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0) -> float:
     """Probabilistic regularity test: find lambda0 with det(lambda0*A + B) != 0.
 
     Evaluates the pencil at ``sample_count`` pseudo-random real points and
@@ -157,7 +158,7 @@ def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0
     Raises
     ------
     NotRegularError
-        If no sample reaches ``rcond_floor`` in sigma_min/sigma_max.
+        If no sample reaches ``_RCOND_FLOOR`` in sigma_min/sigma_max.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
@@ -172,41 +173,42 @@ def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0
         rcond = s[-1] / s[0]
         if rcond > best_rcond:
             best_lam, best_rcond = float(lam), float(rcond)
-    if best_lam is None or best_rcond <= rcond_floor:
+    if best_lam is None or best_rcond <= _RCOND_FLOOR:
         raise NotRegularError(
             f"det(lambda*A + B) numerically singular at all {sample_count} probe points"
         )
     return best_lam
 
 
-def _kernel_and_range(a: np.ndarray, rank_rtol: float | None):
-    """Orthonormal kernel basis N (n x k) and range basis Ur (n x r) of A."""
-    n = a.shape[0]
-    u, s, vt = np.linalg.svd(a)
-    rtol = rank_rtol if rank_rtol is not None else _RANK_SAFETY * n * _EPS
-    tol = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T, u[:, :rank]
+def _split(pencil: MatrixPencil):
+    """The index decision: ``(index, kernel, x1, why)``.
 
-
-def _x1_basis(pencil: MatrixPencil, kernel: np.ndarray, range_a: np.ndarray,
-              rank_rtol: float | None):
-    """Orthonormal basis of X1 = {x : B x in range(A)}, or None if its dimension
-    differs from n - dim kernel(A) (which forces index > 1)."""
+    ``kernel`` is an orthonormal basis N (n x k) of X2 = kernel(A).  ``x1`` is
+    an orthonormal basis of X1 = {x : B x in range(A)} when the index is 1 and
+    None otherwise; ``why`` says which test a higher index failed.
+    """
     n = pencil.n
-    k = kernel.shape[1]
-    proj_complement = np.eye(n) - range_a @ range_a.T
-    m = proj_complement @ pencil.b
-    u2, s2, vt2 = np.linalg.svd(m)
-    rtol = rank_rtol if rank_rtol is not None else _RANK_SAFETY * n * _EPS
-    tol = rtol * max(s2[0] if s2.size else 0.0, np.linalg.norm(pencil.b, 2))
-    rank2 = int(np.sum(s2 > tol))
-    if rank2 != k:
-        return None
-    return vt2[rank2:].T
+    rtol = _RANK_SAFETY * n * _EPS
+    u, s, vt = np.linalg.svd(pencil.a)
+    rank = int(np.sum(s > rtol * s[0]))
+    kernel = vt[rank:].T
+    if rank == n:
+        return PencilIndex.INDEX0, kernel, None, None
+    range_a = u[:, :rank]
+    m = (np.eye(n) - range_a @ range_a.T) @ pencil.b
+    _, s2, vt2 = np.linalg.svd(m)
+    rank2 = int(np.sum(s2 > rtol * max(s2[0], np.linalg.norm(pencil.b, 2))))
+    if rank2 != n - rank:
+        return (PencilIndex.INDEX_HIGHER, kernel, None,
+                "dim{x : Bx in range(A)} != n - dim ker(A)")
+    x1 = vt2[rank2:].T
+    if np.linalg.svd(np.hstack([x1, kernel]), compute_uv=False)[-1] <= _SPLIT_TOL:
+        return (PencilIndex.INDEX_HIGHER, kernel, None,
+                "kernel(A) and {x : Bx in range(A)} are not transversal")
+    return PencilIndex.INDEX1, kernel, x1, None
 
 
-def classify_index(pencil: MatrixPencil, rank_rtol: float | None = None) -> PencilIndex:
+def classify_index(pencil: MatrixPencil) -> PencilIndex:
     """Classify a regular pencil as index 0, index 1 or higher.
 
     Index 0 means A invertible.  Index 1 means A singular while
@@ -214,21 +216,10 @@ def classify_index(pencil: MatrixPencil, rank_rtol: float | None = None) -> Penc
     Total on regular pencils; a singular pencil typically lands in
     ``INDEX_HIGHER`` (run :func:`regularity_probe` first to distinguish).
     """
-    kernel, range_a = _kernel_and_range(pencil.a, rank_rtol)
-    if kernel.shape[1] == 0:
-        return PencilIndex.INDEX0
-    x1 = _x1_basis(pencil, kernel, range_a, rank_rtol)
-    if x1 is None:
-        return PencilIndex.INDEX_HIGHER
-    stacked = np.hstack([x1, kernel])
-    smin = np.linalg.svd(stacked, compute_uv=False)[-1]
-    if smin <= _SPLIT_TOL:
-        return PencilIndex.INDEX_HIGHER
-    return PencilIndex.INDEX1
+    return _split(pencil)[0]
 
 
-def projectors_algebraic(pencil: MatrixPencil,
-                         rank_rtol: float | None = None) -> SpectralDecomposition:
+def projectors_algebraic(pencil: MatrixPencil) -> SpectralDecomposition:
     """Construct the spectral projectors and G by explicit subspace bases.
 
     For index 0 the decomposition is trivial (P1 = Q1 = I, G = A).  For index 1
@@ -243,9 +234,8 @@ def projectors_algebraic(pencil: MatrixPencil,
         If rank decisions are inconsistent or G cannot be inverted.
     """
     n = pencil.n
-    kernel, range_a = _kernel_and_range(pencil.a, rank_rtol)
-    k = kernel.shape[1]
-    if k == 0:
+    index, kernel, x1, why = _split(pencil)
+    if index is PencilIndex.INDEX0:
         try:
             g_inv = np.linalg.inv(pencil.a)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rank said invertible
@@ -256,19 +246,14 @@ def projectors_algebraic(pencil: MatrixPencil,
             g=pencil.a.copy(), g_inv=g_inv, index=PencilIndex.INDEX0,
             x2_basis=np.zeros((n, 0)),
         )
-
-    x1 = _x1_basis(pencil, kernel, range_a, rank_rtol)
-    if x1 is None:
-        raise IndexTooHighError("dim{x : Bx in range(A)} != n - dim ker(A)")
-    stacked = np.hstack([x1, kernel])
-    smin = np.linalg.svd(stacked, compute_uv=False)[-1]
-    if smin <= _SPLIT_TOL:
-        raise IndexTooHighError("kernel(A) and {x : Bx in range(A)} are not transversal")
+    if index is PencilIndex.INDEX_HIGHER:
+        raise IndexTooHighError(why)
 
     # P2 maps M*c + N*d -> N*d, i.e. projection onto X2 along X1.
+    k = kernel.shape[1]
     selector = np.hstack([np.zeros((n, n - k)), kernel])
     try:
-        p2 = selector @ np.linalg.inv(stacked)
+        p2 = selector @ np.linalg.inv(np.hstack([x1, kernel]))
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailedError("X1/X2 basis matrix singular") from exc
     p1 = np.eye(n) - p2
@@ -292,24 +277,28 @@ def projectors_algebraic(pencil: MatrixPencil,
                                  index=PencilIndex.INDEX1, x2_basis=kernel)
 
 
-def contour_radius(pencil: MatrixPencil, safety: float = 0.5) -> float:
-    """Default contour radius for :func:`projectors_residue`.
-
-    Half the smallest nonzero modulus of the mu-roots of det(A + mu*B) = 0
-    (the finite generalized eigenvalues of A v = -mu B v); 1.0 when no nonzero
-    finite root exists, since then mu = 0 is the only candidate pole.
-    """
+def _eigenvalue_moduli(pencil: MatrixPencil) -> np.ndarray:
+    """Moduli of the finite mu-roots of det(A + mu*B) = 0, the finite
+    generalized eigenvalues of A v = -mu B v."""
     import scipy.linalg  # lazily: the solve path never needs it
 
     mus = scipy.linalg.eig(pencil.a, -pencil.b, right=False)
-    finite = mus[np.isfinite(mus)]
-    if finite.size == 0:
-        return 1.0
-    mags = np.abs(finite)
-    nonzero = mags[mags > 1e-12 * (1.0 + mags.max())]
-    if nonzero.size == 0:
-        return 1.0
-    return float(safety * nonzero.min())
+    return np.abs(mus[np.isfinite(mus)])
+
+
+def _radius(mags: np.ndarray, safety: float) -> float:
+    nonzero = mags[mags > 1e-12 * (1.0 + mags.max())] if mags.size else mags
+    return float(safety * nonzero.min()) if nonzero.size else 1.0
+
+
+def contour_radius(pencil: MatrixPencil, safety: float = 0.5) -> float:
+    """Default contour radius for :func:`projectors_residue`.
+
+    ``safety`` times the smallest nonzero modulus of the mu-roots of
+    det(A + mu*B) = 0; 1.0 when no nonzero finite root exists, since then
+    mu = 0 is the only candidate pole.
+    """
+    return _radius(_eigenvalue_moduli(pencil), safety)
 
 
 def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
@@ -320,7 +309,8 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
     transpose-ordered counterpart are evaluated with the trapezoidal rule on
     ``node_count`` equispaced nodes of the circle |mu| = radius, which is
     spectrally accurate for this analytic integrand.  Imaginary parts are
-    checked to be negligible and dropped.
+    checked to be negligible and dropped.  The default radius is
+    :func:`contour_radius`.
 
     Returns
     -------
@@ -328,22 +318,16 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
     """
     if node_count < 8:
         raise ValueError("node_count must be at least 8")
-    if radius is None:
-        radius = contour_radius(pencil)
-    if radius <= 0.0:
+    if radius is not None and radius <= 0.0:
         raise ValueError("radius must be positive")
-
-    import scipy.linalg  # lazily: the solve path never needs it
-
-    mus = scipy.linalg.eig(pencil.a, -pencil.b, right=False)
-    finite = mus[np.isfinite(mus)]
-    if finite.size:
-        mags = np.abs(finite)
-        near = mags[np.abs(mags - radius) < 0.1 * radius]
-        if near.size:
-            raise PoleOnContourError(
-                f"generalized eigenvalue modulus {near[0]:.6g} within 10% of radius {radius:.6g}"
-            )
+    mags = _eigenvalue_moduli(pencil)
+    if radius is None:
+        radius = _radius(mags, 0.5)
+    near = mags[np.abs(mags - radius) < 0.1 * radius]
+    if near.size:
+        raise PoleOnContourError(
+            f"generalized eigenvalue modulus {near[0]:.6g} within 10% of radius {radius:.6g}"
+        )
 
     n = pencil.n
     p_acc = np.zeros((n, n), dtype=complex)

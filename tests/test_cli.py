@@ -13,6 +13,14 @@ def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> st
     return str(path)
 
 
+def strict_json(path: Path):
+    """Parse a JSON file, refusing NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def base_solve_config(tmp_path: Path, **overrides) -> dict:
     config = {
         "model": "sec5_cubic",
@@ -228,6 +236,25 @@ class TestConverge:
         assert study["skipped_reason"] == "non-smooth input"
         assert "z" not in study
 
+    def test_failed_ladder_writes_its_json(self, tmp_path):
+        cfg = {
+            "model": "sec6_blowup",
+            "method": "method1",
+            "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50},
+            "study": {"refinements": 3},
+            "outputs": {"summary_json": str(tmp_path / "study.json")},
+        }
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["converge", path, "--quiet"]) == 3
+
+        study = strict_json(tmp_path / "study.json")
+        failure = study.pop("ladder_failure")
+        assert study == {"model": "sec6_blowup", "method": "method1", "base_h": 0.2 / 50,
+                         "refinements": 3}
+        assert failure["h"] == 0.2 / 50       # the first level already blows up
+        assert failure["status"]["outcome"] == "blow_up"
+        assert 0.0 < failure["status"]["blow_up_time"] < 0.2
+
     def test_study_required(self, tmp_path, capsys):
         path = write_config(tmp_path, base_solve_config(tmp_path))
         assert cli.main(["converge", path, "--quiet"]) == 1
@@ -349,10 +376,7 @@ class TestBoundary:
                    "nested": {"x": -float("inf"), "ok": 2.5}, "count": 3}
         cli._write_json(tmp_path / "out.json", payload)
 
-        def refuse(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        parsed = json.loads((tmp_path / "out.json").read_text(), parse_constant=refuse)
+        parsed = strict_json(tmp_path / "out.json")
         assert parsed == {"max_norm": None, "final_state": [1.0, None],
                           "nested": {"x": None, "ok": 2.5}, "count": 3}
 

@@ -3,7 +3,7 @@ import pytest
 
 from pencildae import (MatrixPencil, NonFiniteJacobianError, SemilinearDAE,
                        check_jacobian, consistent_initialize, constraint_residual,
-                       get_preset, jacobian, projectors_algebraic, split_state)
+                       get_preset, jacobian, projectors_algebraic)
 
 
 @pytest.fixture(scope="module")
@@ -24,37 +24,32 @@ class TestSplitState:
     def test_index0_split_is_trivial(self, index0_problem):
         dae, decomp = index0_problem
         x = np.array([3.0, -1.0])
-        s = split_state(decomp, x)
-        np.testing.assert_allclose(s.z, x)
-        np.testing.assert_allclose(s.u, 0.0)
+        np.testing.assert_allclose(decomp.p1 @ x, x)
+        np.testing.assert_allclose(decomp.p2 @ x, 0.0)
 
     def test_circuit_pure_algebraic_direction(self, sec5_decomp):
-        s = split_state(sec5_decomp, np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(s.u, [0.0, 0.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(s.z, 0.0, atol=1e-14)
+        x = np.array([0.0, 0.0, 1.0])
+        np.testing.assert_allclose(sec5_decomp.p2 @ x, [0.0, 0.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(sec5_decomp.p1 @ x, 0.0, atol=1e-14)
 
     def test_circuit_pure_differential_direction(self, sec5_decomp):
-        s = split_state(sec5_decomp, np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(s.z, [1.0, 0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(s.u, 0.0, atol=1e-14)
+        x = np.array([1.0, 0.0, 0.0])
+        np.testing.assert_allclose(sec5_decomp.p1 @ x, [1.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(sec5_decomp.p2 @ x, 0.0, atol=1e-14)
 
     def test_recombination_identity(self, sec5_decomp):
         rng = np.random.default_rng(0)
         for _ in range(100):
             x = rng.standard_normal(3) * rng.uniform(0.1, 100.0)
-            s = split_state(sec5_decomp, x)
-            assert np.abs(s.z + s.u - x).max() <= 1e-12 * (1.0 + np.abs(x).max())
+            z, u = sec5_decomp.p1 @ x, sec5_decomp.p2 @ x
+            assert np.abs(z + u - x).max() <= 1e-12 * (1.0 + np.abs(x).max())
 
     def test_components_stay_in_subspaces(self, sec5_decomp):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(3)
-        s = split_state(sec5_decomp, x)
-        assert np.abs(sec5_decomp.p1 @ s.z - s.z).max() < 1e-13
-        assert np.abs(sec5_decomp.p2 @ s.u - s.u).max() < 1e-13
-
-    def test_dimension_mismatch(self, sec5_decomp):
-        with pytest.raises(ValueError):
-            split_state(sec5_decomp, np.zeros(4))
+        z, u = sec5_decomp.p1 @ x, sec5_decomp.p2 @ x
+        assert np.abs(sec5_decomp.p1 @ z - z).max() < 1e-13
+        assert np.abs(sec5_decomp.p2 @ u - u).max() < 1e-13
 
 
 class TestConstraintResidual:

@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from pencildae import (DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
-                       Method, SemilinearDAE, classify_long_run, empirical_order,
-                       get_preset, method1_solve, projectors_algebraic,
-                       stability_report, trajectory_from_states, windowed_deviation)
+                       Method, SemilinearDAE, SolveOutcome, SolveStatus, Trajectory,
+                       classify_long_run, empirical_order, get_preset, method1_solve,
+                       projectors_algebraic, stability_report, windowed_deviation)
+
+
+def trajectory_from_states(mesh: Mesh, states, decomp) -> Trajectory:
+    """Wrap exact (or externally computed) states as a reference Trajectory."""
+    states = np.asarray(states, dtype=float)
+    if states.shape != (mesh.n_steps + 1, decomp.n):
+        raise ValueError(f"states must have shape ({mesh.n_steps + 1}, {decomp.n})")
+    z_hist = states @ decomp.p1.T
+    u_hist = states @ decomp.p2.T
+    return Trajectory(times=mesh.times(), states=states, z_history=z_hist,
+                      u_history=u_hist, residuals=np.zeros(mesh.n_steps + 1),
+                      status=SolveStatus(SolveOutcome.COMPLETED), mesh=mesh)
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +104,11 @@ class TestEmpiricalOrder:
     def test_ladder_blow_up_propagates(self):
         preset = get_preset("sec6_blowup")
         decomp = projectors_algebraic(preset.dae.pencil)
-        with pytest.raises(LadderSolveError):
+        with pytest.raises(LadderSolveError) as info:
             empirical_order(preset.dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 100),
                             preset.x0, refinements=3)
+        assert info.value.h == 0.01     # the first level already blows up
+        assert info.value.status.outcome is SolveOutcome.BLOW_UP
 
     def test_refinements_floor(self, scalar_decay):
         dae, decomp = scalar_decay

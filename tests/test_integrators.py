@@ -5,8 +5,10 @@ import pytest
 
 from pencildae import (InconsistentInitialStateError, IterateToTol, MatrixPencil,
                        Mesh, Method, SemilinearDAE, SingleStep, SolveOutcome,
-                       SolverConfig, algebraic_update, consistent_initialize, get_preset,
-                       method1_solve, method2_solve, projectors_algebraic, solve)
+                       SolverConfig, VoltageWaveform, consistent_initialize, get_preset,
+                       jacobian, method1_solve, method2_solve, projectors_algebraic,
+                       solve)
+from pencildae.dae_model import X2Newton
 
 from conftest import random_index1_pencil
 from reference_stepper import reference_solve
@@ -153,6 +155,15 @@ class TestIndex0Equivalence:
             assert gap <= 1e-12 * (1.0 + np.abs(x).max())
 
 
+def correct_u(dae, decomp, t_next, z_next, u_prev, tol=None, max_updates=1):
+    """The u-update of both schemes, by X2Newton.correct, in full coordinates."""
+    newton = X2Newton(decomp)
+    c, error = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
+                              newton.basis.T @ u_prev, tol, max_updates)
+    assert error is None
+    return newton.basis @ c
+
+
 class TestAlgebraicUpdate:
     def test_affine_constraint_exact_in_one_step(self, sec5_preset, sec5_decomp):
         # constant f: Newton is exact on affine maps, u+ = Ginv Q2 c
@@ -160,31 +171,30 @@ class TestAlgebraicUpdate:
         dae = SemilinearDAE(pencil=sec5_preset.dae.pencil, f=lambda t, x: c,
                             jac_f=lambda t, x: np.zeros((3, 3)))
         u_prev = sec5_decomp.p2 @ np.array([0.0, 0.0, 5.0])
-        u_next = algebraic_update(dae, sec5_decomp, 0.0, np.zeros(3), u_prev,
-                                  SingleStep())
+        u_next = correct_u(dae, sec5_decomp, 0.0, np.zeros(3), u_prev)
         expected = sec5_decomp.g_inv @ sec5_decomp.q2 @ c
         np.testing.assert_allclose(u_next, expected, atol=1e-14)
 
     def test_origin_is_fixed_point_without_drive(self, sec5_decomp):
         from pencildae import build_circuit_dae, CircuitParams
-        from pencildae.model_library import odd_power, custom_waveform
+        from pencildae.model_library import odd_power
         cubic = odd_power(1.0, 3)
         dae = build_circuit_dae(CircuitParams(5e-4, 5e-7, 2.0, 0.2),
                                 cubic, cubic, cubic, cubic,
-                                custom_waveform(lambda t: 0.0, kind="zero"))
-        u_next = algebraic_update(dae, sec5_decomp, 3.0, np.zeros(3), np.zeros(3))
+                                VoltageWaveform(kind="zero", value=lambda t: 0.0))
+        u_next = correct_u(dae, sec5_decomp, 3.0, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(u_next, 0.0, atol=1e-15)
 
     def test_iterated_update_matches_bisection_oracle(self, sec5_preset, sec5_decomp):
         z_next = sec5_decomp.p1 @ np.array([1.0, 1.0, 0.0])
-        u_next = algebraic_update(sec5_preset.dae, sec5_decomp, 0.0, z_next,
-                                  np.zeros(3), IterateToTol(tol=1e-13, max_iter=50))
+        u_next = correct_u(sec5_preset.dae, sec5_decomp, 0.0, z_next, np.zeros(3),
+                           tol=1e-13, max_updates=50)
         c_oracle = bisect_circuit_constraint(z_next)
         assert u_next[2] == pytest.approx(c_oracle, abs=1e-10)
 
     def test_index0_update_is_zero(self):
         dae, decomp = scalar_problem(1.0, 0.0, lambda t, x: x)
-        u = algebraic_update(dae, decomp, 0.0, np.array([2.0]), np.array([0.0]))
+        u = correct_u(dae, decomp, 0.0, np.array([2.0]), np.array([0.0]))
         np.testing.assert_array_equal(u, 0.0)
 
 

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from pencildae import (CircuitParams, PencilIndex, build_circuit_dae,
                        circuit_consistency_check, classify_index,
-                       constraint_residual, eval_waveform, get_preset,
-                       projectors_algebraic)
-from pencildae.model_library import (PRESET_IDS, UNIT_SCALE, custom_waveform,
-                                     exponential, gaussian, neg_square, odd_power,
-                                     polynomial, power_decay, sawtooth, sine, square,
-                                     sinusoidal, triangular)
+                       constraint_residual, get_preset, projectors_algebraic)
+from pencildae.model_library import (PRESET_IDS, UNIT_SCALE, exponential, gaussian,
+                                     neg_square, odd_power, polynomial, power_decay,
+                                     sawtooth, sine, square, sinusoidal, triangular)
 
 
 class TestNonlinearities:
@@ -55,64 +53,68 @@ class TestNonlinearities:
 class TestWaveforms:
     def test_triangular_peak_and_period(self):
         w = triangular()
-        assert eval_waveform(w, 50.0) == 50.0
-        assert eval_waveform(w, 0.0) == 0.0
-        assert eval_waveform(w, 150.0) == 50.0
+        assert w.value(50.0) == 50.0
+        assert w.value(0.0) == 0.0
+        assert w.value(150.0) == 50.0
         assert not w.smooth and w.period == 100.0
 
     def test_sawtooth_segments(self):
         w = sawtooth()
-        assert eval_waveform(w, 4.0) == 4.0
-        assert eval_waveform(w, 5.0) == 0.0   # 20*(k+1) - 4t at k=0, t=5
-        assert eval_waveform(w, 4.5) == pytest.approx(2.0)
+        assert w.value(4.0) == 4.0
+        assert w.value(5.0) == 0.0   # 20*(k+1) - 4t at k=0, t=5
+        assert w.value(4.5) == pytest.approx(2.0)
         assert not w.smooth and w.period == 5.0
 
     def test_sinusoidal(self):
         w = sinusoidal(beta=2.0, omega=1.0, theta=0.0)
-        assert eval_waveform(w, math.pi / 2) == pytest.approx(2.0)
+        assert w.value(math.pi / 2) == pytest.approx(2.0)
 
     def test_power_decay_matches_printed_form(self):
         # 0.25*(t + 5)^-2 is exactly (2t + 10)^-2
         w = power_decay(0.25, 5.0, 2)
         for t in (0.0, 0.37, 12.0, 99.0):
-            assert eval_waveform(w, t) == pytest.approx((2 * t + 10.0) ** -2, rel=1e-15)
+            assert w.value(t) == pytest.approx((2 * t + 10.0) ** -2, rel=1e-15)
 
     def test_polynomial_exponential_gaussian(self):
-        assert eval_waveform(polynomial(1.0, 0.0, 2), 3.0) == 9.0
-        assert eval_waveform(exponential(2.0, 0.5), 0.0) == 2.0
-        assert eval_waveform(gaussian(1.0, 2.0, 1.0), 2.0) == 1.0
+        assert polynomial(1.0, 0.0, 2).value(3.0) == 9.0
+        assert exponential(2.0, 0.5).value(0.0) == 2.0
+        assert gaussian(1.0, 2.0, 1.0).value(2.0) == 1.0
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            eval_waveform(triangular(), -0.1)
+    def test_periodic_drives_extend_to_negative_time(self):
+        assert triangular().value(-10.0) == 10.0
+        assert sawtooth().value(-1.0) == 4.0
+        # so a circuit driven by them sees the drive one period later
+        dae = get_preset("sec6_triangular").dae
+        x = np.array([0.1, -0.2, 0.3])
+        np.testing.assert_array_equal(dae.f(-10.0, x), dae.f(90.0, x))
 
     def test_power_decay_validation(self):
         with pytest.raises(ValueError):
             power_decay(1.0, 0.0, 2)
 
     # dyadic times make t + period exact in binary floating point, so the
-    # periodicity assertion can be exact equality
-    @given(st.integers(min_value=0, max_value=1024 * 1000))
+    # periodicity assertion can be exact equality, for t < 0 too
+    @given(st.integers(min_value=-1024 * 1000, max_value=1024 * 1000))
     @settings(max_examples=300, deadline=None)
     def test_triangular_exact_periodicity(self, k):
         t = k / 1024.0
         w = triangular()
-        assert eval_waveform(w, t + 100.0) == eval_waveform(w, t)
+        assert w.value(t + 100.0) == w.value(t)
 
-    @given(st.integers(min_value=0, max_value=1024 * 1000))
+    @given(st.integers(min_value=-1024 * 1000, max_value=1024 * 1000))
     @settings(max_examples=300, deadline=None)
     def test_sawtooth_exact_periodicity(self, k):
         t = k / 1024.0
         w = sawtooth()
-        assert eval_waveform(w, t + 5.0) == eval_waveform(w, t)
+        assert w.value(t + 5.0) == w.value(t)
 
     def test_periodicity_on_thousand_points(self):
         rng = np.random.default_rng(31)
         tri, saw = triangular(), sawtooth()
         for _ in range(1000):
             t = float(rng.integers(0, 1 << 20)) / 1024.0
-            assert eval_waveform(tri, t + 100.0) == eval_waveform(tri, t)
-            assert eval_waveform(saw, t + 5.0) == eval_waveform(saw, t)
+            assert tri.value(t + 100.0) == tri.value(t)
+            assert saw.value(t + 5.0) == saw.value(t)
 
 
 class TestCircuitModel:
@@ -185,6 +187,12 @@ class TestPresets:
         _, norm = constraint_residual(preset.dae, decomp, 0.0, preset.x0)
         assert norm <= 1e-10 * (1.0 + np.linalg.norm(preset.x0))
 
+    def test_preset_ids_keep_their_order(self):
+        # the order of the unknown-preset message and of parametrized tests
+        assert PRESET_IDS == ("sec5_cubic", "sec5_r4_g01", "sec6_sine_powerdecay",
+                              "sec6_polynomial", "sec6_triangular", "sec6_sawtooth",
+                              "sec6_blowup", "linear_index0", "toy_index1")
+
     def test_blow_up_alias(self):
         assert get_preset("lagrange_unstable").preset_id == "sec6_blowup"
 
@@ -196,7 +204,3 @@ class TestPresets:
         assert not get_preset("sec6_triangular").smooth
         assert not get_preset("sec6_sawtooth").smooth
         assert get_preset("sec5_cubic").smooth
-
-    def test_custom_waveform_wrapper(self):
-        w = custom_waveform(lambda t: 1.0 + t, smooth=True, kind="affine")
-        assert eval_waveform(w, 2.0) == 3.0
