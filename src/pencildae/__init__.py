@@ -10,9 +10,8 @@ from .dae_model import (NoConvergenceError, NonFiniteJacobianError, SemilinearDA
                         SingularNewtonMatrixError, check_jacobian, consistent_initialize,
                         constraint_residual, jacobian)
 from .diagnostics import (ComponentOrder, DegenerateFitError, LadderSolveError,
-                          LongRunVerdict, OrderEstimate, StabilityReport,
-                          classify_long_run, empirical_order, stability_report,
-                          windowed_deviation)
+                          OrderEstimate, StabilityReport, empirical_order,
+                          stability_report, windowed_deviation)
 from .integrators import (InconsistentInitialStateError, IterateToTol, Mesh, Method,
                           SingleStep, SolveOutcome, SolverConfig, SolveStatus,
                           Trajectory, method1_solve, method2_solve, solve)

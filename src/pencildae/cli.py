@@ -5,8 +5,12 @@ variables are read), so a run is reproducible from the file alone.
 Trajectories are written as CSV with 17-significant-digit floats and LF line
 endings; summaries and studies as JSON.
 
-Exit codes: 0 success, 1 config error, 2 pencil error (non-regular or index
-too high), 3 blow-up, 4 corrector failure.
+Every run ends in one row of ``_EXITS``: exit 0 writes nothing to stderr,
+any other exit exactly one line and no traceback.  Exit 1: a config error, an
+initial state off the constraint or where f cannot be evaluated, or a study
+whose errors underflow the measurable floor; 2: a pencil that is not regular,
+has index > 1, or whose algebraic or residue projectors fail; 3: blow-up;
+4: corrector failure.  Exits 3 and 4 write their outputs, then their line.
 """
 
 from __future__ import annotations
@@ -27,11 +31,43 @@ from .integrators import (InconsistentInitialStateError, IterateToTol, Mesh, Met
 
 __all__ = ["main", "load_config", "CONFIG_SCHEMA"]
 
+
+class ConfigError(Exception):
+    pass
+
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PENCIL = 2
 EXIT_BLOW_UP = 3
 EXIT_CORRECTOR = 4
+
+_NAMED = "{0.__class__.__name__}: {0}"
+# How every way a run can end is reported: (exit code, stderr line formatted
+# with the exception or the command's detail).  An exception takes the row of
+# the first class in its MRO that has one; a command that returns names its
+# solve outcome.
+_EXITS = {
+    SolveOutcome.COMPLETED: (EXIT_OK, None),
+    ConfigError: (EXIT_CONFIG, "config error: {0}"),
+    OSError: (EXIT_CONFIG, "config error: {0}"),  # an output path that cannot be written
+    InconsistentInitialStateError: (EXIT_CONFIG, "initial-state error: {0}"),
+    dae_model.NoConvergenceError: (EXIT_CONFIG, "initial-state error: {0}"),
+    dae_model.SingularNewtonMatrixError: (EXIT_CONFIG, "initial-state error: {0}"),
+    # consistent_initialize: what f or its Jacobian raised, or z0 not in X1
+    ArithmeticError: (EXIT_CONFIG, "initial-state error: " + _NAMED),
+    ValueError: (EXIT_CONFIG, "initial-state error: " + _NAMED),
+    diagnostics.DegenerateFitError: (EXIT_CONFIG, "study error: {0}"),
+    pencil.NotRegularError: (EXIT_PENCIL, "pencil error: " + _NAMED),
+    pencil.IndexTooHighError: (EXIT_PENCIL, "pencil error: " + _NAMED),
+    pencil.DecompositionFailedError: (EXIT_PENCIL, "pencil error: " + _NAMED),
+    pencil.PoleOnContourError: (EXIT_PENCIL, "pencil error: " + _NAMED),
+    pencil.ContourSolveFailedError: (EXIT_PENCIL, "pencil error: " + _NAMED),
+    SolveOutcome.BLOW_UP: (EXIT_BLOW_UP, "blow-up: {0}"),
+    SolveOutcome.CORRECTOR_FAILED: (EXIT_CORRECTOR, "corrector failure: {0}"),
+}
+_FAILURES = tuple(key for key in _EXITS if isinstance(key, type))
+_DONE = (SolveOutcome.COMPLETED, None)
 
 _MATRIX = {"type": "array", "minItems": 1,
            "items": {"type": "array", "minItems": 1, "items": {"type": "number"}}}
@@ -115,10 +151,6 @@ CONFIG_SCHEMA = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 def load_config(path: str) -> dict:
     """Read and schema-validate a config file; unknown keys are rejected."""
     try:
@@ -126,7 +158,7 @@ def load_config(path: str) -> dict:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
@@ -155,15 +187,14 @@ def _numbers(node, where: str = ""):
 
 
 def _build_inline_model(model_spec: dict) -> model_library.ModelPreset:
-    a = np.asarray(model_spec["a"], dtype=float)
-    b = np.asarray(model_spec["b"], dtype=float)
-    try:
-        pen = pencil.MatrixPencil(a=a, b=b)
+    try:  # a ragged matrix fails in asarray, a non-square one in MatrixPencil
+        pen = pencil.MatrixPencil(a=np.asarray(model_spec["a"], dtype=float),
+                                  b=np.asarray(model_spec["b"], dtype=float))
+        n = pen.n
+        f_const = np.asarray(model_spec.get("f_const", np.zeros(n)), dtype=float)
+        f_matrix = np.asarray(model_spec.get("f_matrix", np.zeros((n, n))), dtype=float)
     except ValueError as exc:
         raise ConfigError(f"inline model: {exc}") from exc
-    n = pen.n
-    f_const = np.asarray(model_spec.get("f_const", np.zeros(n)), dtype=float)
-    f_matrix = np.asarray(model_spec.get("f_matrix", np.zeros((n, n))), dtype=float)
     if f_const.shape != (n,) or f_matrix.shape != (n, n):
         raise ConfigError("inline model: f_const/f_matrix shapes must match the pencil")
 
@@ -189,21 +220,13 @@ def _resolve_model(config: dict) -> model_library.ModelPreset:
     return _build_inline_model(model_spec)
 
 
-class PencilRejected(Exception):
-    pass
-
-
 def _decompose(preset: model_library.ModelPreset, config: dict):
     pen = preset.dae.pencil
-    try:
-        pencil.regularity_probe(pen, sample_count=32, seed=int(config.get("seed", 0)))
-        return pencil.projectors_algebraic(pen)
-    except (pencil.NotRegularError, pencil.IndexTooHighError,
-            pencil.DecompositionFailedError) as exc:
-        raise PencilRejected(f"{type(exc).__name__}: {exc}") from exc
+    pencil.regularity_probe(pen, sample_count=32, seed=int(config.get("seed", 0)))
+    return pencil.projectors_algebraic(pen)
 
 
-def _initial_state(config: dict, preset, decomp) -> np.ndarray:
+def _initial_state(config: dict, preset, decomp, mesh: Mesh) -> np.ndarray:
     choice = config.get("initial_state", "preset_default")
     if choice == "preset_default":
         if preset.preset_id == "<inline>":
@@ -218,7 +241,7 @@ def _initial_state(config: dict, preset, decomp) -> np.ndarray:
     if z0.shape != (decomp.n,):
         raise ConfigError(f"initial_state/z0 must have {decomp.n} entries")
     z0 = decomp.p1 @ z0
-    u0 = dae_model.consistent_initialize(preset.dae, decomp, _mesh(config).t0, z0)
+    u0 = dae_model.consistent_initialize(preset.dae, decomp, mesh.t0, z0)
     return z0 + u0
 
 
@@ -244,6 +267,16 @@ def _solver_config(config: dict) -> SolverConfig:
                                  max_iter=int(corr_spec.get("max_iter", 50)))
     return SolverConfig(method=method, corrector=corrector,
                         blow_up_threshold=float(config.get("blow_up_threshold", 1e6)))
+
+
+def _set_up(config: dict):
+    """(preset, decomposition, mesh, solver config, x0) of a run, validated in
+    this order, so every command reports the same first error."""
+    preset = _resolve_model(config)
+    decomp = _decompose(preset, config)
+    mesh = _mesh(config)
+    solver_config = _solver_config(config)
+    return preset, decomp, mesh, solver_config, _initial_state(config, preset, decomp, mesh)
 
 
 def _output_paths(config: dict, out_dir: str | None):
@@ -286,25 +319,13 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _exit_for_status(status) -> int:
-    if status.outcome is SolveOutcome.BLOW_UP:
-        return EXIT_BLOW_UP
-    if status.outcome is SolveOutcome.CORRECTOR_FAILED:
-        return EXIT_CORRECTOR
-    return EXIT_OK
-
-
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
         print(message)
 
 
-def cmd_solve(config: dict, out_dir: str | None, quiet: bool) -> int:
-    preset = _resolve_model(config)
-    decomp = _decompose(preset, config)
-    mesh = _mesh(config)
-    solver_config = _solver_config(config)
-    x0 = _initial_state(config, preset, decomp)
+def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
+    preset, decomp, mesh, solver_config, x0 = _set_up(config)
     csv_path, json_path = _output_paths(config, out_dir)
 
     start = time.perf_counter()
@@ -325,17 +346,14 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool) -> int:
     _write_json(json_path, summary)
     _say(quiet, f"solve {preset.preset_id}: {traj.status.outcome.value}, "
                 f"max norm {traj.max_norm:.6g}, wrote {csv_path} and {json_path}")
-    return _exit_for_status(traj.status)
+    return traj.status.outcome, (f"solve {preset.preset_id} stopped at "
+                                 f"t={traj.times[-1]:.6g}, max norm {traj.max_norm:.6g}")
 
 
-def cmd_converge(config: dict, out_dir: str | None, quiet: bool) -> int:
+def cmd_converge(config: dict, out_dir: str | None, quiet: bool):
     if "study" not in config:
         raise ConfigError("config field 'study' is required for converge")
-    preset = _resolve_model(config)
-    decomp = _decompose(preset, config)
-    mesh = _mesh(config)
-    solver_config = _solver_config(config)
-    x0 = _initial_state(config, preset, decomp)
+    preset, decomp, mesh, solver_config, x0 = _set_up(config)
     _, json_path = _output_paths(config, out_dir)
 
     payload: dict = {"model": preset.preset_id, "method": solver_config.method.value,
@@ -346,7 +364,7 @@ def cmd_converge(config: dict, out_dir: str | None, quiet: bool) -> int:
         payload["skipped_reason"] = "non-smooth input"
         _write_json(json_path, payload)
         _say(quiet, f"converge {preset.preset_id}: skipped (non-smooth input)")
-        return EXIT_OK
+        return _DONE
 
     try:
         estimate = diagnostics.empirical_order(
@@ -356,15 +374,15 @@ def cmd_converge(config: dict, out_dir: str | None, quiet: bool) -> int:
         payload["ladder_failure"] = {"h": exc.h, "status": exc.status.to_json()}
         _write_json(json_path, payload)
         _say(quiet, f"converge {preset.preset_id}: ladder failed ({exc}), wrote {json_path}")
-        return _exit_for_status(exc.status)
+        return exc.status.outcome, f"converge {preset.preset_id}: {exc}"
     payload.update(estimate.to_json())
     _write_json(json_path, payload)
     _say(quiet, f"converge {preset.preset_id}: z order "
                 f"{estimate.z.asymptotic_order:.3f}, wrote {json_path}")
-    return EXIT_OK
+    return _DONE
 
 
-def cmd_projectors(config: dict, out_dir: str | None, quiet: bool) -> int:
+def cmd_projectors(config: dict, out_dir: str | None, quiet: bool):
     preset = _resolve_model(config)
     decomp = _decompose(preset, config)
     pen = preset.dae.pencil
@@ -393,12 +411,16 @@ def cmd_projectors(config: dict, out_dir: str | None, quiet: bool) -> int:
     _say(quiet, f"projectors {preset.preset_id}: index {decomp.index.value}, "
                 f"validation {'pass' if report.passed else 'FAIL'}, "
                 f"residue agreement {agreement:.3e}")
-    return EXIT_OK if passed else EXIT_PENCIL
+    if not passed:
+        raise pencil.DecompositionFailedError(
+            f"projectors of {preset.preset_id} failed their check: validation "
+            f"{'pass' if report.passed else 'FAIL'}, residue agreement {agreement:.3e}")
+    return _DONE
 
 
-def cmd_validate(config: dict, out_dir: str | None, quiet: bool) -> int:
+def cmd_validate(config: dict, out_dir: str | None, quiet: bool):
     _say(quiet, "config OK")
-    return EXIT_OK
+    return _DONE
 
 
 _COMMANDS = {
@@ -427,26 +449,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        return _COMMANDS[args.command](config, args.out_dir, args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PencilRejected as exc:
-        print(f"pencil error: {exc}", file=sys.stderr)
-        return EXIT_PENCIL
-    except (dae_model.NoConvergenceError, dae_model.SingularNewtonMatrixError,
-            InconsistentInitialStateError) as exc:
-        print(f"initial-state error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except diagnostics.DegenerateFitError as exc:
-        print(f"study error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        # overflow and invalid-value warnings would add stray stderr lines; the
+        # library's own finiteness checks decide every outcome
+        with np.errstate(all="ignore"):
+            outcome, detail = _COMMANDS[args.command](load_config(args.config),
+                                                      args.out_dir, args.quiet)
+    except _FAILURES as exc:
+        outcome = next(cls for cls in type(exc).__mro__ if cls in _EXITS)
+        detail = exc
+    code, line = _EXITS[outcome]
+    if line is not None:
+        print(line.format(detail), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "NoConvergenceError",
     "constraint_residual",
     "jacobian",
+    "jacobian_function",
     "check_jacobian",
     "consistent_initialize",
     "X2Newton",
@@ -31,8 +33,12 @@ __all__ = [
 RhsFunc = Callable[[float, np.ndarray], np.ndarray]
 JacFunc = Callable[[float, np.ndarray], np.ndarray]
 
+# what a model's f or Jacobian raises where it cannot be evaluated (overflow,
+# a pole, a math domain error, a non-finite Jacobian)
+_MODEL_ERRORS = (ArithmeticError, ValueError)
 
-class NonFiniteJacobianError(Exception):
+
+class NonFiniteJacobianError(ArithmeticError):
     """The Jacobian evaluation produced NaN or Inf entries."""
 
 
@@ -70,10 +76,6 @@ class SemilinearDAE:
     def n(self) -> int:
         return self.pencil.n
 
-    @property
-    def analytic_jacobian(self) -> bool:
-        return self.jac_f is not None
-
 
 def constraint_residual(dae: SemilinearDAE, decomp: SpectralDecomposition,
                         t: float, x) -> tuple[np.ndarray, float]:
@@ -105,6 +107,12 @@ def jacobian(dae: SemilinearDAE, t: float, x) -> np.ndarray:
     return jac
 
 
+def jacobian_function(dae: SemilinearDAE) -> JacFunc:
+    """df/dx as a callable of (t, x): ``jac_f`` itself (no added call layer),
+    else the checked forward difference of :func:`jacobian`."""
+    return dae.jac_f if dae.jac_f is not None else partial(jacobian, dae)
+
+
 def check_jacobian(dae: SemilinearDAE, t: float, xs) -> float:
     """Self-test: max entrywise gap between analytic and FD Jacobians.
 
@@ -119,10 +127,6 @@ def check_jacobian(dae: SemilinearDAE, t: float, xs) -> float:
         gap = np.abs(jacobian(dae, t, x) - jacobian(fd, t, x)).max()
         worst = max(worst, float(gap))
     return worst
-
-
-def _in_subspace(vec: np.ndarray, projector: np.ndarray, tol: float) -> bool:
-    return np.abs(projector @ vec - vec).max() <= tol * (1.0 + np.abs(vec).max())
 
 
 class X2Newton:
@@ -149,51 +153,54 @@ class X2Newton:
         repeat until ||c - W f|| <= ``tol``, at most ``max_updates`` times.
         ``error`` is None on success; on failure it is the exception, not
         raised, that describes it: SingularNewtonMatrixError for a singular
-        matrix or a non-finite step, NoConvergenceError when ``tol`` is missed.
+        matrix or a non-finite step, NoConvergenceError when ``tol`` is missed,
+        or what ``f`` or ``jac`` raised (one of ``_MODEL_ERRORS``).
         """
         if not self.k:
             return c, None
         basis = self.basis
         coeff = self.coeff.dot
         updates = 0
-        while True:
-            x = z + basis.dot(c)
-            r = c - coeff(f(t, x))
-            if tol is not None:
-                last = math.sqrt(r.dot(r))
-                if last <= tol:
+        try:
+            while True:
+                x = z + basis.dot(c)
+                r = c - coeff(f(t, x))
+                if tol is not None:
+                    last = math.sqrt(r.dot(r))
+                    if last <= tol:
+                        return c, None
+                    if updates == max_updates:
+                        return c, NoConvergenceError(
+                            f"restricted Newton stalled at residual {last:.3e} "
+                            f"after {max_updates} corrections", last_residual=last)
+                newton = self._eye - coeff(jac(t, x).dot(basis))
+                if self.k == 1:  # a division costs a tenth of np.linalg.solve
+                    pivot = float(newton[0, 0])
+                    step = r / pivot if pivot != 0.0 and math.isfinite(pivot) else None
+                else:
+                    try:
+                        step = np.linalg.solve(newton, r)
+                    except np.linalg.LinAlgError:
+                        step = None
+                # per-entry math.isfinite is cheaper than np.isfinite for k-vectors
+                if step is None or not all(map(math.isfinite, step.tolist())):
+                    return c, SingularNewtonMatrixError(
+                        f"restricted Newton step singular or non-finite at t={t}")
+                c = c - step
+                if tol is None:
                     return c, None
-                if updates == max_updates:
-                    return c, NoConvergenceError(
-                        f"restricted Newton stalled at residual {last:.3e} "
-                        f"after {max_updates} corrections", last_residual=last)
-            newton = self._eye - coeff(jac(t, x).dot(basis))
-            if self.k == 1:  # a division costs a tenth of np.linalg.solve
-                pivot = float(newton[0, 0])
-                step = r / pivot if pivot != 0.0 and math.isfinite(pivot) else None
-            else:
-                try:
-                    step = np.linalg.solve(newton, r)
-                except np.linalg.LinAlgError:
-                    step = None
-            # per-entry math.isfinite is cheaper than np.isfinite for k-vectors
-            if step is None or not all(map(math.isfinite, step.tolist())):
-                return c, SingularNewtonMatrixError(
-                    f"restricted Newton step singular or non-finite at t={t}")
-            c = c - step
-            if tol is None:
-                return c, None
-            updates += 1
+                updates += 1
+        except _MODEL_ERRORS as exc:  # f or jac could not be evaluated at x
+            return c, exc
 
 
 def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
-                          t0: float, z0, u_guess=None, tol: float = 1e-12,
+                          t0: float, z0, tol: float = 1e-12,
                           max_iter: int = 50) -> np.ndarray:
     """Solve the consistency condition B u = Q2 f(t0, z0 + u) for u in X2.
 
-    Newton iteration on F(u) = u - Ginv Q2 f(t0, z0 + u) by
-    :meth:`X2Newton.correct`.  The returned root depends on ``u_guess`` if
-    the constraint admits several solutions.
+    Newton iteration on F(u) = u - Ginv Q2 f(t0, z0 + u) from u = 0 by
+    :meth:`X2Newton.correct`.
 
     Raises
     ------
@@ -201,20 +208,17 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
         If the restricted Newton matrix is numerically singular.
     NoConvergenceError
         If ``max_iter`` iterations do not reach ``tol``.
+    ArithmeticError, ValueError
+        What ``f`` or its Jacobian raised; ValueError also if ``z0`` is not in X1.
     """
     z0 = np.asarray(z0, dtype=float)
-    if not _in_subspace(z0, decomp.p1, 1e-8):
+    if not np.abs(decomp.p1 @ z0 - z0).max() <= 1e-8 * (1.0 + np.abs(z0).max()):
         raise ValueError("z0 must lie in X1 (apply P1 first)")
     newton = X2Newton(decomp)
     if newton.k == 0:
         return np.zeros(decomp.n)
-    if u_guess is None:
-        u_guess = np.zeros(decomp.n)
-    u_guess = np.asarray(u_guess, dtype=float)
-    if not _in_subspace(u_guess, decomp.p2, 1e-8):
-        raise ValueError("u_guess must lie in X2 (apply P2 first)")
-    c, error = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t0, z0,
-                              newton.basis.T @ u_guess, tol=tol, max_updates=max_iter)
+    c, error = newton.correct(dae.f, jacobian_function(dae), t0, z0, np.zeros(newton.k),
+                              tol=tol, max_updates=max_iter)
     if error is not None:
         raise error
     return newton.basis @ c

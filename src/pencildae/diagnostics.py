@@ -1,11 +1,11 @@
-"""Empirical convergence orders, stability coefficients and long-run verdicts.
+"""Empirical convergence orders, stability coefficients and deviation metrics.
 
 These are the measurement tools that back the solver's accuracy and stability
 claims: mesh-refinement order estimation (factor-2 ladders, so coarse nodes
 are exact subsets of fine ones), the stability coefficients
 g(h) = ||I - h Ginv B|| + h M1 and 1 + 2h(||Ginv B|| + M1) of the two
-schemes, boundedness/blow-up classification, and a windowed deviation metric
-for comparing late-time oscillation against a reference run.
+schemes, and a windowed deviation metric for comparing late-time oscillation
+against a reference run.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dae_model import SemilinearDAE, jacobian
-from .integrators import (Mesh, Method, SolveOutcome, SolverConfig, SolveStatus,
-                          Trajectory, solve)
+from .integrators import Mesh, Method, SolverConfig, SolveStatus, Trajectory, solve
 from .pencil import SpectralDecomposition
 
 __all__ = [
@@ -25,10 +24,8 @@ __all__ = [
     "ComponentOrder",
     "OrderEstimate",
     "StabilityReport",
-    "LongRunVerdict",
     "empirical_order",
     "stability_report",
-    "classify_long_run",
     "windowed_deviation",
 ]
 
@@ -234,31 +231,6 @@ def stability_report(dae: SemilinearDAE, decomp: SpectralDecomposition,
         h=h,
         g_norm_part=float(np.linalg.norm(np.eye(dae.n) - h * ginv_b, 2)),
     )
-
-
-@dataclass(frozen=True)
-class LongRunVerdict:
-    kind: str  # "bounded" | "blow_up" | "inconclusive"
-    max_norm: float | None = None
-    blow_up_time: float | None = None
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.max_norm is not None:
-            out["max_norm"] = self.max_norm
-        if self.blow_up_time is not None:
-            out["blow_up_time"] = self.blow_up_time
-        return out
-
-
-def classify_long_run(trajectory: Trajectory) -> LongRunVerdict:
-    """Bounded / blow-up / inconclusive, straight from the solve status."""
-    status = trajectory.status
-    if status.outcome is SolveOutcome.BLOW_UP:
-        return LongRunVerdict(kind="blow_up", blow_up_time=status.blow_up_time)
-    if status.outcome is SolveOutcome.CORRECTOR_FAILED:
-        return LongRunVerdict(kind="inconclusive")
-    return LongRunVerdict(kind="bounded", max_norm=trajectory.max_norm)
 
 
 def windowed_deviation(trajectory: Trajectory, reference: Trajectory,

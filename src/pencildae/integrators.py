@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dae_model import SemilinearDAE, X2Newton, jacobian
+from .dae_model import _MODEL_ERRORS, SemilinearDAE, X2Newton, jacobian_function
 from .pencil import SpectralDecomposition
 
 __all__ = [
@@ -41,7 +41,8 @@ __all__ = [
 
 
 class InconsistentInitialStateError(Exception):
-    """The initial point violates the constraint manifold beyond tolerance."""
+    """The initial point violates the constraint manifold beyond tolerance, or
+    f cannot be evaluated there."""
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,6 @@ class Mesh:
     @property
     def h(self) -> float:
         return (self.t_end - self.t0) / self.n_steps
-
-    def node(self, i: int) -> float:
-        return self.t0 + i * self.h
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_steps + 1) * self.h
@@ -178,9 +176,6 @@ def _corrector_params(corrector: Corrector) -> tuple[float | None, int]:
     raise TypeError(f"unknown corrector {corrector!r}")
 
 
-# what a model's f or Jacobian raises where it cannot be evaluated (overflow,
-# a pole, a math domain error)
-_MODEL_ERRORS = (ArithmeticError, ValueError)
 # the split initial point may miss the constraint by this much, relative to
 # (1 + ||B||)(1 + ||x0||)
 _INIT_RESIDUAL_RTOL = 1e-8
@@ -209,11 +204,7 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     b_mat = dae.pencil.b
     q2 = decomp.q2
     f = dae.f
-    if dae.jac_f is not None:  # a non-finite Jacobian fails the Newton step itself
-        jac = dae.jac_f
-    else:
-        def jac(t, x):
-            return jacobian(dae, t, x)
+    jac = jacobian_function(dae)
     n_steps = mesh.n_steps
     # squared once; capped so that an infinite state still fails the test
     thr2 = min(config.blow_up_threshold * config.blow_up_threshold, sys.float_info.max)
@@ -241,7 +232,12 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     states[0], z_hist[0], coords[0] = x, z, c
 
     # the split initial point must lie on the constraint manifold
-    fi = f_values[0] = f(mesh.t0, x)
+    try:
+        fi = f_values[0] = f(mesh.t0, x)
+    except _MODEL_ERRORS as exc:
+        raise InconsistentInitialStateError(
+            f"f cannot be evaluated at the initial point: {type(exc).__name__}: {exc}"
+        ) from exc
     res0 = float(_node_residuals(b_mat, q2, x[None], f_values[:1])[0])
     init_tol = _INIT_RESIDUAL_RTOL * (1.0 + np.linalg.norm(b_mat, 2)) * \
         (1.0 + float(np.linalg.norm(x0)))
@@ -277,7 +273,7 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
         else:
             if not x.dot(x) <= thr2:
                 status = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[n_steps])
-    except _MODEL_ERRORS:  # f or its Jacobian could not be evaluated in step i + 1
+    except _MODEL_ERRORS:  # f could not be evaluated at node i
         status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
         last = i
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from pencildae import (IterateToTol, Mesh, Method, SolverConfig, classify_long_run,
+from pencildae import (IterateToTol, Mesh, Method, SolveOutcome, SolverConfig,
                        cli, empirical_order, get_preset, method1_solve,
                        method2_solve, projectors_algebraic, projectors_residue,
                        validate_decomposition, windowed_deviation)
@@ -176,17 +176,17 @@ def test_criterion_6_stability_comparison(sec5_preset, sec5_decomp):
     relaxed_decomp = projectors_algebraic(relaxed.dae.pencil)
     relaxed_traj = method2_solve(relaxed.dae, relaxed_decomp,
                                  Mesh(0.0, STABILITY_T_END, n_coarse), relaxed.x0)
-    relaxed_verdict = classify_long_run(relaxed_traj)
+    relaxed_outcome = relaxed_traj.status.outcome.value
 
     elapsed = time.perf_counter() - start
     growth_ok = dev_m2 >= 10.0 * dev_m1
     refine_ok = dev_m2_fine < dev_m1
-    relaxed_ok = relaxed_verdict.kind == "bounded"
+    relaxed_ok = relaxed_traj.status.completed
     ok = growth_ok and refine_ok and relaxed_ok
     _verdict("criterion 6 (stability comparison)", ok,
              f"late-window deviations: m1@1e-3 {dev_m1:.2e}, m2@1e-3 {dev_m2:.2e} "
              f"(ratio {dev_m2 / dev_m1:.0f}x >= 10x), m2@1e-5 {dev_m2_fine:.2e} "
-             f"(< m1 level); r=4,g=0.1 run {relaxed_verdict.kind}; {elapsed:.1f}s")
+             f"(< m1 level); r=4,g=0.1 run {relaxed_outcome}; {elapsed:.1f}s")
 
 
 @pytest.mark.slow
@@ -202,10 +202,9 @@ def test_criterion_7_qualitative_dynamics(tmp_path):
         preset = get_preset(preset_id)
         decomp = projectors_algebraic(preset.dae.pencil)
         traj = method1_solve(preset.dae, decomp, Mesh(0.0, t_end, n_steps), preset.x0)
-        verdict = classify_long_run(traj)
-        ok = ok and verdict.kind == "bounded"
-        details.append(f"{preset_id}: {verdict.kind} (max {verdict.max_norm:.3g})"
-                       if verdict.max_norm is not None else f"{preset_id}: {verdict.kind}")
+        outcome = traj.status.outcome
+        ok = ok and outcome is SolveOutcome.COMPLETED
+        details.append(f"{preset_id}: {outcome.value} (max {traj.max_norm:.3g})")
 
     poly = get_preset("sec6_polynomial")
     poly_decomp = projectors_algebraic(poly.dae.pencil)

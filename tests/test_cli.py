@@ -1,10 +1,16 @@
+import io
 import json
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pencildae import cli
+from pencildae import PRESET_IDS, cli, get_preset
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -62,6 +68,20 @@ class TestValidate:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert cli.main(["validate", str(path)]) == 1
+
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"model": "sec5_cubic\xff"}')
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_ragged_inline_matrix(self, tmp_path, capsys):
+        cfg = base_solve_config(tmp_path, model={"a": [[1.0, 0.0], [1.0]], "b": [[1.0]]},
+                                initial_state={"x0": [1.0]})
+        assert cli.main(["solve", write_config(tmp_path, cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: inline model: ") and err.count("\n") == 1
 
 
 class TestSolve:
@@ -396,3 +416,157 @@ def test_solve_does_not_import_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract: every config ends in exit 0-4, exit 0 with nothing
+# on stderr, any other exit with exactly one stderr line, never a traceback
+
+PRESETS = (*PRESET_IDS, "lagrange_unstable")
+PRESET_DIMS = {preset_id: get_preset(preset_id).dae.n for preset_id in PRESETS}
+STATE_VALUES = (0.0, 1.0, -1.0, 1e50, 1e103, -1e103, 1e154, 1e200, 1e300, -1e300)
+PENCIL_ENTRIES = (0.0, 1.0, -1.0, 2.0, 1e-14, 1e14)
+F_ENTRIES = (*PENCIL_ENTRIES, 1e150, -1e300, 1e300)
+
+
+def run_cli(command: str, config: dict, out_dir: Path) -> tuple[int, str]:
+    """(exit code, stderr) of one run; a warning would be a stray stderr line."""
+    path = write_config(out_dir, config)
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main([command, path, "--out-dir", str(out_dir)])
+    return code, err.getvalue()
+
+
+def assert_contract(code: int, err: str, out_dir: Path) -> None:
+    assert code in range(5)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    for path in out_dir.glob("*.json"):
+        if path.name != "config.json":
+            strict_json(path)
+
+
+@st.composite
+def cli_runs(draw):
+    """(command, config) over presets, inline pencils, meshes, states, correctors."""
+    pick = lambda values: draw(st.sampled_from(values))  # noqa: E731
+    command = pick(("solve", "converge", "projectors", "validate"))
+    if draw(st.booleans()):
+        model = pick(PRESETS)
+        n = PRESET_DIMS[model]
+    else:
+        n = draw(st.integers(1, 3))
+
+        def matrix(entries):
+            return [[pick(entries) for _ in range(n)] for _ in range(n)]
+
+        model = {"a": matrix(PENCIL_ENTRIES), "b": matrix(PENCIL_ENTRIES)}
+        if draw(st.booleans()):
+            model["f_const"] = [pick(F_ENTRIES) for _ in range(n)]
+        if draw(st.booleans()):
+            model["f_matrix"] = matrix(F_ENTRIES)
+    config = {"model": model, "method": pick(("method1", "method2"))}
+    if command != "projectors" or draw(st.booleans()):
+        config["mesh"] = {"t0": pick((0.0, -5.0, 1e300)), "t_end": pick((0.5, 1.0, 1e301)),
+                          "n_steps": draw(st.integers(1, 8))}
+    state = pick(("default", "x0", "z0", "absent"))
+    if state == "default":
+        config["initial_state"] = "preset_default"
+    elif state != "absent":
+        size = n + draw(st.sampled_from((0, 0, 0, 1)))   # now and then the wrong length
+        config["initial_state"] = {state: [pick(STATE_VALUES) for _ in range(size)]}
+    if draw(st.booleans()):
+        config["corrector"] = {"mode": "iterate", "tol": pick((1e-300, 1e-12, 1e-3)),
+                               "max_iter": draw(st.integers(1, 5))}
+    else:
+        config["corrector"] = {"mode": "single_step"}
+    if draw(st.booleans()):
+        config["blow_up_threshold"] = pick((1e-3, 1e6, 1e300))
+    if not draw(st.integers(0, 19)):   # now and then a non-finite number
+        config["blow_up_threshold"] = pick((float("nan"), float("inf")))
+    if command == "converge" and draw(st.integers(0, 9)):
+        config["study"] = {"refinements": 3}
+    return command, config
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_runs())
+def test_exit_code_contract(run):
+    command, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_cli(command, config, Path(tmp))
+        assert_contract(code, err, Path(tmp))
+
+
+MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
+
+
+@pytest.mark.parametrize("command, config, code, prefix", [
+    # f overflows at the initial point
+    ("solve", {"model": "sec5_cubic", "mesh": MESH, "initial_state": {"x0": [1e200, 0, 0]}},
+     1, "initial-state error: f cannot be evaluated at the initial point: OverflowError"),
+    # f overflows inside the consistent initialisation
+    ("solve", {"model": "sec5_cubic", "mesh": MESH, "initial_state": {"z0": [1e200, 0, 0]}},
+     1, "initial-state error: OverflowError"),
+    # the drive (2t + 10)^-2 has its pole at t0
+    ("solve", {"model": "sec6_sine_powerdecay",
+               "mesh": {"t0": -5.0, "t_end": 1.0, "n_steps": 2}},
+     1, "initial-state error: f cannot be evaluated at the initial point: ZeroDivisionError"),
+    # t^2 overflows at t0
+    ("solve", {"model": "sec6_polynomial",
+               "mesh": {"t0": 1e300, "t_end": 1e301, "n_steps": 2}},
+     1, "initial-state error: f cannot be evaluated at the initial point: OverflowError"),
+    # an ill-conditioned P1 leaves P1 z0 outside X1
+    ("solve", {"model": {"a": [[2, 1e14], [0, 0]], "b": [[-1, 1e-14], [3, -1]]}, "mesh": MESH,
+               "initial_state": {"z0": [1e50, -3]}},
+     1, "initial-state error: ValueError: z0 must lie in X1"),
+    # the residue quadrature's resolvent solve is singular
+    ("projectors", {"model": {"a": [[0, 2], [0, 1e-14]], "b": [[1, 3], [1, 3]]}},
+     2, "pencil error: ContourSolveFailedError: "),
+    # the algebraic projectors fail their identity or residue check
+    ("projectors", {"model": {"a": [[1, -1, -1], [2, 0, 1e-14], [-1, 2, 0]],
+                              "b": [[1e14, 2, 0], [1e-14, 2, 0], [0, 2, 1]]}},
+     2, "pencil error: DecompositionFailedError: projectors of <inline> failed their check"),
+    # the errors of a study from the origin underflow the measurable floor
+    ("converge", {"model": "sec5_cubic", "method": "method2",
+                  "mesh": {"t0": 0.0, "t_end": 0.5, "n_steps": 50},
+                  "study": {"refinements": 3}},
+     1, "study error: errors "),
+    ("solve", {"model": "sec6_blowup", "mesh": {"t0": 0.0, "t_end": 2.0, "n_steps": 2000}},
+     3, "blow-up: solve sec6_blowup stopped at t=0.083, max norm 2.4711e+07"),
+    ("solve", {"model": "sec6_blowup", "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 2000},
+               "corrector": {"mode": "iterate", "tol": 1e-10, "max_iter": 50}},
+     4, "corrector failure: solve sec6_blowup stopped at t=0.0799, max norm 10139.1"),
+    ("converge", {"model": "sec6_blowup", "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50},
+                  "study": {"refinements": 3}},
+     3, "blow-up: converge sec6_blowup: ladder solve at h=0.004 ended with blow_up"),
+])
+def test_failure_ends_in_one_stderr_line(tmp_path, command, config, code, prefix):
+    got, err = run_cli(command, config, tmp_path)
+    assert got == code
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert_contract(got, err, tmp_path)
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    cfg = base_solve_config(tmp_path, outputs={
+        "trajectory_csv": str(tmp_path / "missing" / "traj.csv")})
+    assert cli.main(["solve", write_config(tmp_path, cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [Errno 2] No such file or directory")
+    assert err.count("\n") == 1
+
+
+def test_failure_line_is_written_without_quiet_too(tmp_path, capsys):
+    cfg = base_solve_config(tmp_path, model="sec6_blowup",
+                            mesh={"t0": 0.0, "t_end": 2.0, "n_steps": 2000})
+    assert cli.main(["solve", write_config(tmp_path, cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("solve sec6_blowup: blow_up, max norm")
+    assert err.startswith("blow-up: ") and err.count("\n") == 1

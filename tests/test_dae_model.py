@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from pencildae import (MatrixPencil, NonFiniteJacobianError, SemilinearDAE,
                        check_jacobian, consistent_initialize, constraint_residual,
                        get_preset, jacobian, projectors_algebraic)
+from pencildae.dae_model import X2Newton, jacobian_function
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +114,17 @@ class TestJacobian:
                             jac_f=lambda t, x: np.array([[np.nan]]))
         with pytest.raises(NonFiniteJacobianError):
             jacobian(dae, 0.0, np.zeros(1))
+        # a non-finite Jacobian is an arithmetic failure of the model
+        assert issubclass(NonFiniteJacobianError, ArithmeticError)
+
+    def test_jacobian_function(self, sec5_preset):
+        # the analytic Jacobian is used as is; without one, the checked forward
+        # difference of jacobian()
+        assert jacobian_function(sec5_preset.dae) is sec5_preset.dae.jac_f
+        fd_only = SemilinearDAE(pencil=sec5_preset.dae.pencil, f=sec5_preset.dae.f)
+        x = np.array([1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(jacobian_function(fd_only)(0.7, x),
+                                      jacobian(fd_only, 0.7, x))
 
     def test_check_jacobian_needs_analytic(self, index0_problem):
         dae, _ = index0_problem
@@ -196,8 +210,33 @@ class TestConsistentInitialize:
             consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0,
                                   np.array([0.0, 0.0, 1.0]))
 
-    def test_rejects_u_guess_outside_x2(self, sec5_preset, sec5_decomp):
-        z0 = sec5_decomp.p1 @ np.array([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0,
-                                  u_guess=np.array([1.0, 0.0, 0.0]))
+    def test_model_error_is_raised(self):
+        # f overflows like a Python-float power; the error reaches the caller
+        def f(t, x):
+            return np.array([0.0, x[1] + math.exp(1000.0 * x[0])])
+
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        dae = SemilinearDAE(pencil=pencil, f=f)
+        decomp = projectors_algebraic(pencil)
+        with pytest.raises(OverflowError):
+            consistent_initialize(dae, decomp, 0.0, np.array([1.0, 0.0]))
+
+
+class TestX2Newton:
+    @pytest.mark.parametrize("raising", ["f", "jac"])
+    def test_model_error_is_returned(self, raising):
+        # what f or the Jacobian raises is the correction's error, as a
+        # singular step is; the coordinates stay where they were
+        def f(t, x):
+            if raising == "f":
+                raise ZeroDivisionError("pole")
+            return np.array([0.0, 0.5 * x[1]])
+
+        def jac(t, x):
+            raise ValueError("math domain error")
+
+        decomp = projectors_algebraic(MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2)))
+        c0 = np.array([0.25])
+        c, error = X2Newton(decomp).correct(f, jac, 0.0, np.array([1.0, 0.0]), c0)
+        assert c is c0
+        assert isinstance(error, ZeroDivisionError if raising == "f" else ValueError)

@@ -5,7 +5,7 @@ import pytest
 
 from pencildae import (DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
                        Method, SemilinearDAE, SolveOutcome, SolveStatus, Trajectory,
-                       classify_long_run, empirical_order, get_preset, method1_solve,
+                       empirical_order, get_preset, method1_solve,
                        projectors_algebraic, stability_report, windowed_deviation)
 
 
@@ -157,48 +157,6 @@ class TestStabilityReport:
         traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]))
         payload = stability_report(dae, decomp, traj, 0.1).to_json()
         assert set(payload) == {"h", "norm_ginv_b", "m1_estimate", "g_of_h", "ghat_norm"}
-
-
-class TestClassifyLongRun:
-    def test_bounded(self, sec5_preset, sec5_decomp):
-        traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 1000),
-                             sec5_preset.x0)
-        verdict = classify_long_run(traj)
-        assert verdict.kind == "bounded"
-        assert verdict.max_norm == pytest.approx(traj.max_norm)
-
-    def test_blow_up(self):
-        preset = get_preset("sec6_blowup")
-        decomp = projectors_algebraic(preset.dae.pencil)
-        traj = method1_solve(preset.dae, decomp, Mesh(0.0, 2.0, 2000), preset.x0)
-        verdict = classify_long_run(traj)
-        assert verdict.kind == "blow_up"
-        assert verdict.blow_up_time is not None
-
-    def test_zero_problem_bounded_at_zero(self):
-        pencil = MatrixPencil(a=np.eye(2), b=np.zeros((2, 2)))
-        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.zeros(2),
-                            jac_f=lambda t, x: np.zeros((2, 2)))
-        decomp = projectors_algebraic(pencil)
-        traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.zeros(2))
-        verdict = classify_long_run(traj)
-        assert verdict.kind == "bounded"
-        assert verdict.max_norm == 0.0
-
-    def test_inconclusive_on_corrector_failure(self):
-        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
-        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.array([0.0, x[1]]),
-                            jac_f=lambda t, x: np.array([[0.0, 0.0], [0.0, 1.0]]))
-        decomp = projectors_algebraic(pencil)
-        traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0, 0.0]))
-        assert classify_long_run(traj).kind == "inconclusive"
-
-    def test_deterministic(self, sec5_preset, sec5_decomp):
-        traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100),
-                             sec5_preset.x0)
-        a = classify_long_run(traj)
-        b = classify_long_run(traj)
-        assert a == b
 
 
 class TestWindowedDeviation:

@@ -258,6 +258,15 @@ class TestBlowUp:
                              sec5_preset.x0)
         assert traj.status.completed
 
+    def test_zero_problem_completes_at_zero(self):
+        pencil = MatrixPencil(a=np.eye(2), b=np.zeros((2, 2)))
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.zeros(2),
+                            jac_f=lambda t, x: np.zeros((2, 2)))
+        decomp = projectors_algebraic(pencil)
+        traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.zeros(2))
+        assert traj.status.completed
+        assert traj.max_norm == 0.0
+
 
 class TestCorrectorFailure:
     def test_singular_restricted_newton_truncates(self):
@@ -395,6 +404,32 @@ class TestKernelEquivalence:
         assert traj.status.failed_step == 3   # the correction at t = 0.3 raised
         assert len(traj) == 3
         assert np.all(np.isfinite(traj.residuals))
+
+    def test_non_finite_forward_difference_fails_the_step(self):
+        # without jac_f the forward difference of f overflows at x1 = 700; the
+        # run ends as corrector_failed, as a non-finite analytic Jacobian does
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.array(
+            [10.0 * x[0], 0.5 * x[1] + 1e-300 * np.exp(x[0])]))
+        decomp = projectors_algebraic(pencil)
+        x0 = np.array([700.0, 2e-300 * np.exp(700.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 50), x0,
+                                 SolverConfig(blow_up_threshold=1e308))
+        assert traj.status.outcome is SolveOutcome.CORRECTOR_FAILED
+        assert traj.status.failed_step == 1
+        assert len(traj) == 1
+
+    def test_model_error_at_the_initial_point_is_inconsistent(self):
+        # f has a pole at t = 0; the initial point cannot be checked
+        def f(t, x):
+            return np.array([0.0, x[1] + 1.0 / t])
+
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        decomp = projectors_algebraic(pencil)
+        with pytest.raises(InconsistentInitialStateError, match="ZeroDivisionError"):
+            method1_solve(SemilinearDAE(pencil=pencil, f=f), decomp, Mesh(0.0, 1.0, 4),
+                          np.array([1.0, 0.0]))
 
 
 class TestEvaluationCounts:
