@@ -2,15 +2,20 @@
 
 All behaviour is determined by a single JSON config file (no environment
 variables are read), so a run is reproducible from the file alone.
-Trajectories are written as CSV with 17-significant-digit floats and LF line
-endings; summaries and studies as JSON.
+``load_config`` holds its whole input contract, the walk ``_CONFIG`` plus one
+cross-field rule: it refuses, naming the field, a wrong type or range, an
+unknown key, a non-finite number (over-range integers too), a negative seed or
+a method-2 mesh under 2 steps.  Trajectories are written as CSV with
+17-significant-digit floats and LF line endings; summaries and studies as JSON.
 
 Every run ends in one row of ``_EXITS``: exit 0 writes nothing to stderr,
-any other exit exactly one line and no traceback.  Exit 1: a config error, an
-initial state off the constraint or where f cannot be evaluated, or a study
-whose errors underflow the measurable floor; 2: a pencil that is not regular,
-has index > 1, or whose algebraic or residue projectors fail; 3: blow-up;
-4: corrector failure.  Exits 3 and 4 write their outputs, then their line.
+any other exit exactly one line and no traceback.  Exit 1: a config error (the
+contract, a non-finite mesh step, a mesh too large to allocate), an initial
+state off the constraint or where f cannot be evaluated, or a study whose
+errors underflow the measurable floor; 2: a pencil that is not regular, has
+index > 1, or whose projectors fail; 3: blow-up of a finite state; 4: corrector
+failure or a non-finite state.  Exits 3 and 4 write their outputs, then their
+line.
 """
 
 from __future__ import annotations
@@ -22,14 +27,13 @@ import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import dae_model, diagnostics, model_library, pencil
 from .integrators import (InconsistentInitialStateError, IterateToTol, Mesh, Method,
                           SingleStep, SolveOutcome, SolverConfig, solve)
 
-__all__ = ["main", "load_config", "CONFIG_SCHEMA"]
+__all__ = ["main", "load_config"]
 
 
 class ConfigError(Exception):
@@ -51,6 +55,7 @@ _EXITS = {
     SolveOutcome.COMPLETED: (EXIT_OK, None),
     ConfigError: (EXIT_CONFIG, "config error: {0}"),
     OSError: (EXIT_CONFIG, "config error: {0}"),  # an output path that cannot be written
+    MemoryError: (EXIT_CONFIG, "config error: {0}"),  # a mesh too large to allocate
     InconsistentInitialStateError: (EXIT_CONFIG, "initial-state error: {0}"),
     dae_model.NoConvergenceError: (EXIT_CONFIG, "initial-state error: {0}"),
     dae_model.SingularNewtonMatrixError: (EXIT_CONFIG, "initial-state error: {0}"),
@@ -69,121 +74,108 @@ _EXITS = {
 _FAILURES = tuple(key for key in _EXITS if isinstance(key, type))
 _DONE = (SolveOutcome.COMPLETED, None)
 
-_MATRIX = {"type": "array", "minItems": 1,
-           "items": {"type": "array", "minItems": 1, "items": {"type": "number"}}}
-_VECTOR = {"type": "array", "minItems": 1, "items": {"type": "number"}}
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["model"],
-    "properties": {
-        "model": {
-            "oneOf": [
-                {"type": "string"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["a", "b"],
-                    "properties": {
-                        "a": _MATRIX,
-                        "b": _MATRIX,
-                        # inline right-hand sides are restricted to affine
-                        # f(t, x) = f_const + f_matrix @ x for config-file safety
-                        "f_const": _VECTOR,
-                        "f_matrix": _MATRIX,
-                    },
-                },
-            ]
-        },
-        "method": {"enum": ["method1", "method2"]},
-        "mesh": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["t0", "t_end", "n_steps"],
-            "properties": {
-                "t0": {"type": "number"},
-                "t_end": {"type": "number"},
-                "n_steps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "initial_state": {
-            "oneOf": [
-                {"enum": ["preset_default"]},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"x0": _VECTOR, "z0": _VECTOR},
-                    "minProperties": 1,
-                    "maxProperties": 1,
-                },
-            ]
-        },
-        "corrector": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["mode"],
-            "properties": {
-                "mode": {"enum": ["single_step", "iterate"]},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
-            },
-        },
-        "blow_up_threshold": {"type": "number", "exclusiveMinimum": 0},
-        "outputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "trajectory_csv": {"type": "string"},
-                "summary_json": {"type": "string"},
-            },
-        },
-        "study": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["refinements"],
-            "properties": {"refinements": {"type": "integer", "minimum": 3}},
-        },
-        "seed": {"type": "integer"},
-        "projector_node_count": {"type": "integer", "minimum": 8},
-    },
-}
+def _fail(where: str, reason: str):
+    raise ConfigError(f"config field '{where or '<root>'}': {reason}")
+
+
+def _number(low=None, integer=False, strict=False):
+    """A number (not a boolean) that converts to a finite float, integral if
+    ``integer`` (4.0 counts), and >= ``low``, or > ``low`` if ``strict``."""
+    def walk(value, where):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(where, "expected an integer" if integer else "expected a number")
+        try:  # Python's json reads NaN, Infinity and 1e400 as floats, 10**400 as an int
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            _fail(where, "not a finite number")
+        if integer and isinstance(value, float) and not value.is_integer():
+            _fail(where, "expected an integer")
+        if low is not None and (value <= low if strict else value < low):
+            _fail(where, f"must be {'>' if strict else '>='} {low}")
+    return walk
+
+
+def _string(*options):
+    """A string, and one of ``options`` if any are given."""
+    def walk(value, where):
+        if not isinstance(value, str) or options and value not in options:
+            _fail(where, "expected " + ("one of " + ", ".join(options) if options else "a string"))
+    return walk
+
+
+def _array(item):
+    """A non-empty array of ``item``."""
+    def walk(value, where):
+        if not isinstance(value, list) or not value:
+            _fail(where, "expected a non-empty array")
+        for i, child in enumerate(value):
+            item(child, f"{where}/{i}")
+    return walk
+
+
+def _object(fields: dict, required=(), exactly_one=False, string=None):
+    """An object with keys from ``fields``, all of ``required``, or exactly one
+    key if ``exactly_one``; an unknown key is refused by name.  With ``string``,
+    a string that ``string`` accepts will do instead."""
+    def walk(value, where):
+        if string is not None and isinstance(value, str):
+            return string(value, where)
+        if not isinstance(value, dict):
+            _fail(where, "expected " + ("a string or " if string else "") + "an object")
+        path = lambda key: f"{where}/{key}" if where else key  # noqa: E731
+        for key in value:
+            if key not in fields:
+                _fail(path(key), "unknown key")
+        for key in required:
+            if key not in value:
+                _fail(path(key), "required")
+        if exactly_one and len(value) != 1:
+            _fail(where, "needs exactly one of " + ", ".join(fields))
+        for key, child in value.items():
+            fields[key](child, path(key))
+    return walk
+
+
+_MATRIX = _array(_array(_number()))
+_VECTOR = _array(_number())
+_CONFIG = _object({
+    # inline right-hand sides are restricted to affine f(t, x) = f_const +
+    # f_matrix @ x for config-file safety
+    "model": _object({"a": _MATRIX, "b": _MATRIX, "f_const": _VECTOR, "f_matrix": _MATRIX},
+                     required=("a", "b"), string=_string()),
+    "method": _string("method1", "method2"),
+    "mesh": _object({"t0": _number(), "t_end": _number(),
+                     "n_steps": _number(1, integer=True)},
+                    required=("t0", "t_end", "n_steps")),
+    "initial_state": _object({"x0": _VECTOR, "z0": _VECTOR}, exactly_one=True,
+                             string=_string("preset_default")),
+    "corrector": _object({"mode": _string("single_step", "iterate"),
+                          "tol": _number(0, strict=True), "max_iter": _number(1, integer=True)},
+                         required=("mode",)),
+    "blow_up_threshold": _number(0, strict=True),
+    "outputs": _object({"trajectory_csv": _string(), "summary_json": _string()}),
+    "study": _object({"refinements": _number(3, integer=True)}, required=("refinements",)),
+    "seed": _number(0, integer=True),
+    "projector_node_count": _number(8, integer=True),
+}, required=("model",))
 
 
 def load_config(path: str) -> dict:
-    """Read and schema-validate a config file; unknown keys are rejected."""
+    """Read a config file and walk it with ``_CONFIG``."""
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{where}': {first.message}")
-    for where, value in _numbers(config):
-        if not math.isfinite(value):
-            raise ConfigError(f"config field '{where}': non-finite number {value}")
+    _CONFIG(config, "")
+    if config.get("method") == "method2" and config.get("mesh", {}).get("n_steps", 2) < 2:
+        _fail("mesh/n_steps", "method2 needs at least 2 steps")
     return config
-
-
-def _numbers(node, where: str = ""):
-    """(path, value) of every float in a parsed JSON document.
-
-    Python's json module reads NaN, Infinity and out-of-range literals such as
-    1e400 as non-finite floats; the schema's "number" type accepts them.
-    """
-    if isinstance(node, float):
-        yield where or "<root>", node
-    elif isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        for key, child in items:
-            yield from _numbers(child, f"{where}/{key}" if where else str(key))
 
 
 def _build_inline_model(model_spec: dict) -> model_library.ModelPreset:
@@ -232,25 +224,20 @@ def _initial_state(config: dict, preset, decomp, mesh: Mesh) -> np.ndarray:
         if preset.preset_id == "<inline>":
             raise ConfigError("inline models need an explicit initial_state")
         return preset.x0
-    if "x0" in choice:
-        x0 = np.asarray(choice["x0"], dtype=float)
-        if x0.shape != (decomp.n,):
-            raise ConfigError(f"initial_state/x0 must have {decomp.n} entries")
-        return x0
-    z0 = np.asarray(choice["z0"], dtype=float)
-    if z0.shape != (decomp.n,):
-        raise ConfigError(f"initial_state/z0 must have {decomp.n} entries")
-    z0 = decomp.p1 @ z0
-    u0 = dae_model.consistent_initialize(preset.dae, decomp, mesh.t0, z0)
-    return z0 + u0
+    (key, values), = choice.items()   # x0 or z0, as the config contract allows
+    state = np.asarray(values, dtype=float)
+    if state.shape != (decomp.n,):
+        _fail(f"initial_state/{key}", f"must have {decomp.n} entries")
+    if key == "x0":
+        return state
+    z0 = decomp.p1 @ state
+    return z0 + dae_model.consistent_initialize(preset.dae, decomp, mesh.t0, z0)
 
 
 def _mesh(config: dict) -> Mesh:
     if "mesh" not in config:
-        raise ConfigError("config field 'mesh' is required for this command")
+        _fail("mesh", "required for this command")
     m = config["mesh"]
-    if config.get("method") == "method2" and m["n_steps"] < 2:
-        raise ConfigError("config field 'mesh/n_steps': method2 needs at least 2 steps")
     try:
         return Mesh(t0=float(m["t0"]), t_end=float(m["t_end"]), n_steps=int(m["n_steps"]))
     except ValueError as exc:
@@ -352,7 +339,7 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
 
 def cmd_converge(config: dict, out_dir: str | None, quiet: bool):
     if "study" not in config:
-        raise ConfigError("config field 'study' is required for converge")
+        _fail("study", "required for converge")
     preset, decomp, mesh, solver_config, x0 = _set_up(config)
     _, json_path = _output_paths(config, out_dir)
 
@@ -440,7 +427,7 @@ def main(argv=None) -> int:
         ("solve", "integrate a model and emit trajectory CSV + summary JSON"),
         ("converge", "run a mesh-refinement convergence study"),
         ("projectors", "emit projectors, validation report and residue agreement"),
-        ("validate", "schema-check a config file and exit"),
+        ("validate", "check a config file against its contract and exit"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON experiment config")

@@ -62,6 +62,10 @@ class Mesh:
             raise ValueError("n_steps must be a positive integer")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
+        if not np.isfinite(self.h):
+            raise ValueError("the step (t_end - t0)/n_steps must be finite")
+        if self.n_steps >= sys.maxsize:  # numpy cannot index so many nodes
+            raise ValueError(f"n_steps must be below {sys.maxsize}")
 
     @property
     def h(self) -> float:
@@ -192,6 +196,14 @@ def _node_residuals(b: np.ndarray, q2: np.ndarray, states: np.ndarray,
     return np.sqrt(np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0])
 
 
+def _stopped(x: np.ndarray, i: int, node_t: list) -> tuple[SolveStatus, int]:
+    """(status, last node kept) of a run whose node i failed the norm test: a
+    finite state blew up, a non-finite one fails the step that made it."""
+    if np.isfinite(x).all():
+        return SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[i]), i
+    return SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i), i - 1
+
+
 def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
                x0, config: SolverConfig, leapfrog: bool) -> Trajectory:
     n = dae.n
@@ -251,9 +263,8 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     z_prev = None
     try:
         for i in range(n_steps):
-            if not x.dot(x) <= thr2:  # also catches NaN states
-                status = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[i])
-                last = i
+            if not x.dot(x) <= thr2:  # also catches non-finite states
+                status, last = _stopped(x, i, node_t)
                 break
             if i:
                 fi = f_values[i] = f(node_t[i], x)
@@ -272,7 +283,7 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
             states[i + 1], z_hist[i + 1], coords[i + 1] = x, z, c
         else:
             if not x.dot(x) <= thr2:
-                status = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[n_steps])
+                status, last = _stopped(x, n_steps, node_t)
     except _MODEL_ERRORS:  # f could not be evaluated at node i
         status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
         last = i

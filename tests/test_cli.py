@@ -375,6 +375,14 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "mesh/t_end" in err
 
+    def test_integer_past_the_digit_limit_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"   # json.dumps cannot write this integer
+        path.write_text('{"model": "sec5_cubic", "seed": 1' + "0" * 5000 + "}",
+                        encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_infinite_inline_coefficient_is_config_error(self, tmp_path, capsys):
         cfg = base_solve_config(
             tmp_path, model={"a": [[1.0]], "b": [[1.0]], "f_const": [float("inf")]},
@@ -402,7 +410,8 @@ class TestBoundary:
 
 
 def test_solve_does_not_import_scipy(tmp_path):
-    # scipy.linalg serves only the residue projectors; a solve must not pay for it
+    # scipy.linalg serves only the residue projectors; a solve must not pay for
+    # it, nor for a schema library
     import os
     import subprocess
     import sys
@@ -411,7 +420,7 @@ def test_solve_does_not_import_scipy(tmp_path):
     path = write_config(tmp_path, base_solve_config(tmp_path))
     code = ("import sys, pencildae.cli as c; "
             f"assert c.main(['solve', {path!r}, '--quiet']) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))")
     src = str(Path(pencildae.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
@@ -491,7 +500,31 @@ def cli_runs(draw):
         config["blow_up_threshold"] = pick((float("nan"), float("inf")))
     if command == "converge" and draw(st.integers(0, 9)):
         config["study"] = {"refinements": 3}
+    if not draw(st.integers(0, 2)):   # now and then malformed structure
+        mutation = pick(("value", "unknown key", "seed", "x0 and z0"))
+        if mutation == "value":
+            container, key = pick(list(slots(config)))
+            container[key] = pick(MALFORMED)
+        elif mutation == "unknown key":
+            pick([node for node, _ in slots(config) if isinstance(node, dict)])["surprise"] = 1
+        elif mutation == "seed":
+            config["seed"] = pick((-1, -2.0, 0, 3.0, 2.5, True))
+        else:
+            config["initial_state"] = {"x0": [0.0] * n, "z0": [0.0] * n}
     return command, config
+
+
+# wrong types, booleans, empty arrays, an integer beyond the float range, a
+# negative and a fractional number, a float-valued integer
+MALFORMED = (True, False, None, "x", [], [[]], {}, 10**400, -(10**400), -1, 2.5, 4.0)
+
+
+def slots(node):
+    """(container, key) of every value in a parsed config, the root's included."""
+    for key, child in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from slots(child)
 
 
 @settings(max_examples=500, derandomize=True, deadline=None, database=None,
@@ -502,6 +535,8 @@ def test_exit_code_contract(run):
     with tempfile.TemporaryDirectory() as tmp:
         code, err = run_cli(command, config, Path(tmp))
         assert_contract(code, err, Path(tmp))
+    if command == "validate" and code:   # refused by the walk, never a later stage
+        assert err.startswith("config error: config field '"), err
 
 
 MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
@@ -546,6 +581,32 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
     ("converge", {"model": "sec6_blowup", "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50},
                   "study": {"refinements": 3}},
      3, "blow-up: converge sec6_blowup: ladder solve at h=0.004 ended with blow_up"),
+    # JSON integers beyond the float range, a negative seed, a method-2 mesh of one step
+    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**400)},
+     1, "config error: config field 'mesh/n_steps': not a finite number"),
+    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, t_end=10**400)},
+     1, "config error: config field 'mesh/t_end': not a finite number"),
+    ("projectors", {"model": "sec5_cubic", "projector_node_count": 10**400},
+     1, "config error: config field 'projector_node_count': not a finite number"),
+    ("projectors", {"model": "sec5_cubic", "seed": -1},
+     1, "config error: config field 'seed': must be >= 0"),
+    ("validate", {"model": "sec5_cubic", "method": "method2", "mesh": dict(MESH, n_steps=1)},
+     1, "config error: config field 'mesh/n_steps': method2 needs at least 2 steps"),
+    # f_matrix @ x overflows to -inf and the next z-step to NaN: the step that
+    # made the NaN node fails, and the run keeps the nodes before it
+    ("solve", {"model": {"a": [[1, -1], [0, 1]], "b": [[1, 0], [0, 1]],
+                         "f_matrix": [[0, 1e300], [0, -1e300]]},
+               "mesh": MESH, "initial_state": {"x0": [1e-150, 1e-150]},
+               "blow_up_threshold": 1e300},
+     4, "corrector failure: solve <inline> stopped at t=0.25, max norm 2.5e+149"),
+    # (t_end - t0) overflows to inf
+    ("solve", {"model": "sec5_cubic", "mesh": {"t0": -1e308, "t_end": 1e308, "n_steps": 4}},
+     1, "config error: config field 'mesh': the step (t_end - t0)/n_steps must be finite"),
+    # meshes no machine can allocate or numpy index
+    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**18)},
+     1, "config error: Unable to allocate"),
+    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**19)},
+     1, "config error: config field 'mesh': n_steps must be below"),
 ])
 def test_failure_ends_in_one_stderr_line(tmp_path, command, config, code, prefix):
     got, err = run_cli(command, config, tmp_path)

@@ -27,6 +27,10 @@ class TestMesh:
             Mesh(0.0, 1.0, 0)
         with pytest.raises(ValueError):
             Mesh(1.0, 1.0, 10)
+        with pytest.raises(ValueError, match="finite"):
+            Mesh(-1e308, 1e308, 4)          # t_end - t0 overflows
+        with pytest.raises(ValueError, match="below"):
+            Mesh(0.0, 1.0, 10**19)          # more nodes than numpy can index
 
     def test_nodes_are_not_accumulated(self):
         mesh = Mesh(0.0, 1.0, 3)
@@ -280,6 +284,22 @@ class TestCorrectorFailure:
         assert traj.status.outcome is SolveOutcome.CORRECTOR_FAILED
         assert traj.status.failed_step == 1
         assert len(traj) == 1  # truncated, never padded
+
+    def test_non_finite_node_fails_the_step_that_made_it(self):
+        # node 1 is finite (norm 2.5e149, below the threshold); f overflows
+        # there, so step 2 makes a NaN node: a failure, not a blow-up
+        pencil = MatrixPencil(a=np.array([[1.0, -1.0], [0.0, 1.0]]), b=np.eye(2))
+        f_mat = np.array([[0.0, 1e300], [0.0, -1e300]])
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: f_mat @ x,
+                            jac_f=lambda t, x: f_mat)
+        decomp = projectors_algebraic(pencil)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 4), np.array([1e-150, 1e-150]),
+                                 SolverConfig(blow_up_threshold=1e300))
+        assert traj.status.outcome is SolveOutcome.CORRECTOR_FAILED
+        assert traj.status.failed_step == 2 and traj.status.blow_up_time is None
+        np.testing.assert_array_equal(traj.times, [0.0, 0.25])
+        assert np.all(np.isfinite(traj.states)) and traj.max_norm == 2.5e149
 
     def test_iterate_corrector_residual_enforced(self, sec5_preset, sec5_decomp):
         config = SolverConfig(corrector=IterateToTol(tol=1e-12, max_iter=50))
