@@ -79,9 +79,10 @@ def _fail(where: str, reason: str):
     raise ConfigError(f"config field '{where or '<root>'}': {reason}")
 
 
-def _number(low=None, integer=False, strict=False):
+def _number(low=None, integer=False, strict=False, high=None):
     """A number (not a boolean) that converts to a finite float, integral if
-    ``integer`` (4.0 counts), and >= ``low``, or > ``low`` if ``strict``."""
+    ``integer`` (4.0 counts), >= ``low``, or > ``low`` if ``strict``, and <=
+    ``high``."""
     def walk(value, where):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(where, "expected an integer" if integer else "expected a number")
@@ -95,6 +96,8 @@ def _number(low=None, integer=False, strict=False):
             _fail(where, "expected an integer")
         if low is not None and (value <= low if strict else value < low):
             _fail(where, f"must be {'>' if strict else '>='} {low}")
+        if high is not None and value > high:
+            _fail(where, f"must be <= {high}")
     return walk
 
 
@@ -159,7 +162,7 @@ _CONFIG = _object({
     "outputs": _object({"trajectory_csv": _string(), "summary_json": _string()}),
     "study": _object({"refinements": _number(3, integer=True)}, required=("refinements",)),
     "seed": _number(0, integer=True),
-    "projector_node_count": _number(8, integer=True),
+    "projector_node_count": _number(8, integer=True, high=pencil.MAX_NODE_COUNT),
 }, required=("model",))
 
 
@@ -278,15 +281,24 @@ def _output_paths(config: dict, out_dir: str | None):
     return csv_path, json_path
 
 
+# rows per write: one %-format of a block is faster than one per row, and,
+# unlike one for the whole table, holds the text of one block at a time
+_CSV_BLOCK = 4096
+
+
 def _write_trajectory_csv(path: Path, traj) -> None:
     n = traj.states.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + \
-        ",z_norm,u_norm,constraint_residual"
+        ",z_norm,u_norm,constraint_residual\n"
     table = np.column_stack((traj.times, traj.states,
                              np.linalg.norm(traj.z_history, axis=1),
                              np.linalg.norm(traj.u_history, axis=1), traj.residuals))
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        fh.write(header)
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _finite_or_none(node):
@@ -320,11 +332,12 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
     wall = time.perf_counter() - start
 
     _write_trajectory_csv(csv_path, traj)
+    max_norm = traj.max_norm
     summary = {
         "model": preset.preset_id,
         "method": solver_config.method.value,
         "status": traj.status.to_json(),
-        "max_norm": traj.max_norm,
+        "max_norm": max_norm,
         "final_state": [float(v) for v in traj.final_state],
         "final_time": float(traj.times[-1]),
         "n_nodes": len(traj),
@@ -332,9 +345,9 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
     }
     _write_json(json_path, summary)
     _say(quiet, f"solve {preset.preset_id}: {traj.status.outcome.value}, "
-                f"max norm {traj.max_norm:.6g}, wrote {csv_path} and {json_path}")
+                f"max norm {max_norm:.6g}, wrote {csv_path} and {json_path}")
     return traj.status.outcome, (f"solve {preset.preset_id} stopped at "
-                                 f"t={traj.times[-1]:.6g}, max norm {traj.max_norm:.6g}")
+                                 f"t={traj.times[-1]:.6g}, max norm {max_norm:.6g}")
 
 
 def cmd_converge(config: dict, out_dir: str | None, quiet: bool):

@@ -136,17 +136,21 @@ class X2Newton:
     c <- c - [I - W f_x N]^-1 (c - W f(t, z + N c)), the Newton step on the
     constraint u = Ginv Q2 f(t, z + u) written in the k coordinates of X2 (the
     full-space operator is singular on X1).  Consistent initialization and the
-    u-update of both integration schemes are this one routine.
+    u-update of both integration schemes are this one routine.  For k = 1 (every
+    circuit preset) ``c`` is a float, N and W are n-vectors and the step is
+    r / (1 - W f_x N), with no solve.  ``lift`` maps c to u = N c.
     """
 
     def __init__(self, decomp: SpectralDecomposition):
-        self.basis = decomp.x2_basis
-        self.k = self.basis.shape[1]
+        self.k = decomp.x2_basis.shape[1]
+        self.scalar = self.k == 1
+        self.basis = decomp.x2_basis[:, 0] if self.scalar else decomp.x2_basis
         self.coeff = self.basis.T @ (decomp.g_inv @ decomp.q2)
-        self._eye = np.eye(self.k)
+        self.lift = self.basis.__mul__ if self.scalar else self.basis.dot
+        self._eye = 1.0 if self.scalar else np.eye(self.k)
 
     def correct(self, f: RhsFunc, jac: JacFunc, t: float, z: np.ndarray,
-                c: np.ndarray, tol: float | None = None, max_updates: int = 1):
+                c: float | np.ndarray, tol: float | None = None, max_updates: int = 1):
         """Correct the coordinates ``c`` at (t, z); returns ``(c, error)``.
 
         With ``tol=None`` exactly one correction is made.  Otherwise corrections
@@ -158,15 +162,15 @@ class X2Newton:
         """
         if not self.k:
             return c, None
-        basis = self.basis
+        basis, lift, scalar = self.basis, self.lift, self.scalar
         coeff = self.coeff.dot
         updates = 0
         try:
             while True:
-                x = z + basis.dot(c)
+                x = z + lift(c)
                 r = c - coeff(f(t, x))
                 if tol is not None:
-                    last = math.sqrt(r.dot(r))
+                    last = abs(r) if scalar else math.sqrt(r.dot(r))
                     if last <= tol:
                         return c, None
                     if updates == max_updates:
@@ -174,16 +178,16 @@ class X2Newton:
                             f"restricted Newton stalled at residual {last:.3e} "
                             f"after {max_updates} corrections", last_residual=last)
                 newton = self._eye - coeff(jac(t, x).dot(basis))
-                if self.k == 1:  # a division costs a tenth of np.linalg.solve
-                    pivot = float(newton[0, 0])
-                    step = r / pivot if pivot != 0.0 and math.isfinite(pivot) else None
+                if scalar:  # a finite pivot and a finite quotient
+                    step = r / newton if newton and math.isfinite(newton) else math.nan
+                    finite = math.isfinite(step)
                 else:
-                    try:
+                    try:  # per-entry math.isfinite beats np.isfinite on k-vectors
                         step = np.linalg.solve(newton, r)
+                        finite = all(map(math.isfinite, step.tolist()))
                     except np.linalg.LinAlgError:
-                        step = None
-                # per-entry math.isfinite is cheaper than np.isfinite for k-vectors
-                if step is None or not all(map(math.isfinite, step.tolist())):
+                        finite = False
+                if not finite:
                     return c, SingularNewtonMatrixError(
                         f"restricted Newton step singular or non-finite at t={t}")
                 c = c - step
@@ -217,8 +221,9 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
     newton = X2Newton(decomp)
     if newton.k == 0:
         return np.zeros(decomp.n)
-    c, error = newton.correct(dae.f, jacobian_function(dae), t0, z0, np.zeros(newton.k),
+    c0 = 0.0 if newton.scalar else np.zeros(newton.k)
+    c, error = newton.correct(dae.f, jacobian_function(dae), t0, z0, c0,
                               tol=tol, max_updates=max_iter)
     if error is not None:
         raise error
-    return newton.basis @ c
+    return newton.lift(c)

@@ -164,7 +164,9 @@ class Trajectory:
 
     @property
     def max_norm(self) -> float:
-        return float(np.linalg.norm(self.states, axis=1).max())
+        norms = np.linalg.norm(self.states, axis=1)
+        norms[np.isinf(norms)] = [_norm(x) for x in self.states[np.isinf(norms)]]
+        return float(norms.max())
 
     @property
     def final_state(self) -> np.ndarray:
@@ -194,6 +196,12 @@ def _node_residuals(b: np.ndarray, q2: np.ndarray, states: np.ndarray,
     """
     r = np.matmul(q2, np.matmul(b, states[:, :, None]) - f_values[:, :, None])
     return np.sqrt(np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0])
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| as m ||x / m||, m = max |x_i| (as dnrm2): x.dot(x) may overflow."""
+    m = float(np.abs(x).max())
+    return m * float(np.sqrt((x / m).dot(x / m))) if 0.0 < m < np.inf else m
 
 
 def _stopped(x: np.ndarray, i: int, node_t: list) -> tuple[SolveStatus, int]:
@@ -229,19 +237,18 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     euler, drive = (np.eye(n) - h * ginv_b).dot, drive_mat.dot
     leap_drive, leap_decay = (2.0 * drive_mat).dot, ((2.0 * h) * ginv_b).dot
     newton = X2Newton(decomp)
-    correct, basis = newton.correct, newton.basis.dot
+    correct, lift = newton.correct, newton.lift
 
     times = mesh.times()
     node_t = times.tolist()
-    states = np.empty((n_steps + 1, n))
     z_hist = np.empty((n_steps + 1, n))
-    coords = np.empty((n_steps + 1, newton.k))   # u_i = N c_i
+    coords = np.empty(n_steps + 1 if newton.scalar else (n_steps + 1, newton.k))
     f_values = np.empty((n_steps + 1, n))        # f(t_i, x_i) of the z-steps
 
     z = decomp.p1 @ x0
     c = newton.basis.T @ (decomp.p2 @ x0)
-    x = z + basis(c)
-    states[0], z_hist[0], coords[0] = x, z, c
+    x = z + lift(c)
+    z_hist[0], coords[0] = z, c
 
     # the split initial point must lie on the constraint manifold
     try:
@@ -263,7 +270,7 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     z_prev = None
     try:
         for i in range(n_steps):
-            if not x.dot(x) <= thr2:  # also catches non-finite states
+            if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
                 status, last = _stopped(x, i, node_t)
                 break
             if i:
@@ -279,15 +286,18 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
                 last = i
                 break
             z_prev, z = z, z_next
-            x = z + basis(c)
-            states[i + 1], z_hist[i + 1], coords[i + 1] = x, z, c
+            x = z + lift(c)
+            z_hist[i + 1], coords[i + 1] = z, c
         else:
-            if not x.dot(x) <= thr2:
+            if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
                 status, last = _stopped(x, n_steps, node_t)
     except _MODEL_ERRORS:  # f could not be evaluated at node i
         status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
         last = i
 
+    # x_i = z_i + N c_i, with N c_i formed twice: held through the residuals it raises the peak
+    coords = coords[:last + 1].reshape(last + 1, newton.k, 1)
+    states = z_hist[:last + 1] + np.matmul(decomp.x2_basis, coords)[:, :, 0]
     if known == last:
         try:  # f may overflow at an exploded state; its residual is then inf
             f_values[last] = f(node_t[last], states[last])
@@ -297,9 +307,9 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     residuals = np.full(last + 1, np.inf)
     residuals[:known] = _node_residuals(b_mat, q2, states[:known], f_values[:known])
     if last < n_steps:  # truncated at the offending node, never padded
-        times, states, z_hist = (a[:last + 1].copy() for a in (times, states, z_hist))
+        times, z_hist = (a[:last + 1].copy() for a in (times, z_hist))
     return Trajectory(times=times, states=states, z_history=z_hist,
-                      u_history=np.matmul(newton.basis, coords[:last + 1, :, None])[:, :, 0],
+                      u_history=np.matmul(decomp.x2_basis, coords)[:, :, 0],
                       residuals=residuals, status=status, mesh=mesh)
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "projectors_residue",
     "contour_radius",
     "validate_decomposition",
+    "MAX_NODE_COUNT",
 ]
 
 _EPS = np.finfo(float).eps
@@ -43,6 +44,9 @@ _RANK_SAFETY = 50.0
 _SPLIT_TOL = 1e-8
 # sigma_min/sigma_max below which a probe point counts as a root of det
 _RCOND_FLOOR = 1e-10
+# Most quadrature nodes of projectors_residue: the rule converges geometrically,
+# so far fewer suffice, and each node costs one inverse (65536 take seconds).
+MAX_NODE_COUNT = 2 ** 16
 
 
 class NotRegularError(Exception):
@@ -316,8 +320,8 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
     -------
     (p1, q1) : pair of real n x n arrays
     """
-    if node_count < 8:
-        raise ValueError("node_count must be at least 8")
+    if not 8 <= node_count <= MAX_NODE_COUNT:
+        raise ValueError(f"node_count must be between 8 and {MAX_NODE_COUNT}")
     if radius is not None and radius <= 0.0:
         raise ValueError("radius must be positive")
     mags = _eigenvalue_moduli(pencil)

@@ -357,6 +357,37 @@ class TestTrajectoryCsv:
         assert not traj.status.completed and len(traj) < 2001
         self.assert_same_bytes(tmp_path, traj)
 
+    @pytest.mark.parametrize("n_steps", [4095, 4096])
+    def test_block_boundaries(self, tmp_path, n_steps):
+        # exactly one full block of cli._CSV_BLOCK rows, then one row more
+        from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
+        preset = get_preset("sec5_cubic")
+        traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
+                             Mesh(0.0, 1.0, n_steps), preset.x0)
+        assert len(traj) == n_steps + 1 and cli._CSV_BLOCK == 4096
+        self.assert_same_bytes(tmp_path, traj)
+
+    def test_truncated_blow_up_run_across_a_block_boundary(self, tmp_path):
+        from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
+        preset = get_preset("sec6_blowup")
+        traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
+                             Mesh(0.0, 0.2, 20000), preset.x0)
+        assert traj.status.outcome.value == "blow_up"
+        assert cli._CSV_BLOCK < len(traj) < 2 * cli._CSV_BLOCK
+        self.assert_same_bytes(tmp_path, traj)
+
+    def test_single_row(self, tmp_path):
+        # a singular first correction keeps the initial node only
+        from pencildae import (Mesh, MatrixPencil, SemilinearDAE, method1_solve,
+                               projectors_algebraic)
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.array([0.0, x[1]]),
+                            jac_f=lambda t, x: np.array([[0.0, 0.0], [0.0, 1.0]]))
+        traj = method1_solve(dae, projectors_algebraic(pencil), Mesh(0.0, 1.0, 10),
+                             np.array([-1.0 / 3.0, 0.0]))
+        assert len(traj) == 1
+        self.assert_same_bytes(tmp_path, traj)
+
 
 class TestBoundary:
     def test_nan_initial_state_is_config_error(self, tmp_path, capsys):
@@ -500,6 +531,8 @@ def cli_runs(draw):
         config["blow_up_threshold"] = pick((float("nan"), float("inf")))
     if command == "converge" and draw(st.integers(0, 9)):
         config["study"] = {"refinements": 3}
+    if not draw(st.integers(0, 4)):   # now and then past the node cap
+        config["projector_node_count"] = pick((8, 64, 2**16 + 1, 10**18))
     if not draw(st.integers(0, 2)):   # now and then malformed structure
         mutation = pick(("value", "unknown key", "seed", "x0 and z0"))
         if mutation == "value":
@@ -607,6 +640,9 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
      1, "config error: Unable to allocate"),
     ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**19)},
      1, "config error: config field 'mesh': n_steps must be below"),
+    # more residue nodes than the cap: refused, not looped over for ever
+    ("projectors", {"model": "sec5_cubic", "projector_node_count": 10**18},
+     1, "config error: config field 'projector_node_count': must be <= 65536"),
 ])
 def test_failure_ends_in_one_stderr_line(tmp_path, command, config, code, prefix):
     got, err = run_cli(command, config, tmp_path)

@@ -236,7 +236,57 @@ class TestX2Newton:
             raise ValueError("math domain error")
 
         decomp = projectors_algebraic(MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2)))
-        c0 = np.array([0.25])
+        c0 = 0.25
         c, error = X2Newton(decomp).correct(f, jac, 0.0, np.array([1.0, 0.0]), c0)
         assert c is c0
         assert isinstance(error, ZeroDivisionError if raising == "f" else ValueError)
+
+    # the k = 1 form: constraint x2 = f2(x) on the pencil diag(1, 0), I, so
+    # X2 = span(e2) and the pivot 1 - W f_x N is 1 - df2/dx2
+    @staticmethod
+    def constraint(f2, df2):
+        decomp = projectors_algebraic(MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2)))
+        return (X2Newton(decomp), lambda t, x: np.array([0.0, f2(x)]),
+                lambda t, x: np.array([[0.0, 0.0], [0.0, df2(x)]]))
+
+    def test_overflowing_quotient_is_singular(self):
+        # a tiny finite pivot 2**-53 under a residual ~1e300: the step is inf
+        from pencildae import SingularNewtonMatrixError
+        newton, f, jac = self.constraint(lambda x: 1e300, lambda x: 1.0 - 2.0 ** -53)
+        assert newton.scalar
+        with np.errstate(over="ignore"):
+            c, error = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
+        assert isinstance(error, SingularNewtonMatrixError)
+        assert c == 0.25
+
+    def test_nan_pivot_is_singular(self):
+        from pencildae import SingularNewtonMatrixError
+        newton, f, jac = self.constraint(lambda x: 0.5 * x[1], lambda x: math.nan)
+        c, error = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
+        assert isinstance(error, SingularNewtonMatrixError) and c == 0.25
+
+    def test_stall_reports_the_absolute_residual(self):
+        from pencildae import NoConvergenceError
+        newton, f, jac = self.constraint(lambda x: 1.0 + x[1] ** 3, lambda x: 3.0 * x[1] ** 2)
+        z = np.array([1.0, 0.0])
+        c, error = newton.correct(f, jac, 0.0, z, 0.25, tol=1e-300, max_updates=2)
+        assert isinstance(error, NoConvergenceError)
+        assert error.last_residual == abs(c - newton.coeff.dot(f(0.0, z + newton.lift(c))))
+        assert error.last_residual > 0.0
+
+    def test_scalar_step_agrees_with_linear_solve(self, sec5_preset, sec5_decomp):
+        # the same correction in (n, 1) matrices with np.linalg.solve
+        dae, decomp = sec5_preset.dae, sec5_decomp
+        newton = X2Newton(decomp)
+        basis = decomp.x2_basis
+        coeff = basis.T @ decomp.g_inv @ decomp.q2
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            z = decomp.p1 @ rng.uniform(-2.0, 2.0, 3)
+            c_vec = basis.T @ (decomp.p2 @ rng.uniform(-2.0, 2.0, 3))
+            x = z + basis @ c_vec
+            matrix = np.eye(1) - coeff @ dae.jac_f(0.3, x) @ basis
+            want = c_vec - np.linalg.solve(matrix, c_vec - coeff @ dae.f(0.3, x))
+            c, error = newton.correct(dae.f, dae.jac_f, 0.3, z, float(c_vec[0]))
+            assert error is None and isinstance(c, float)
+            assert abs(c - want[0]) <= 1e-15 * abs(want[0])

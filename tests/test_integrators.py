@@ -165,7 +165,7 @@ def correct_u(dae, decomp, t_next, z_next, u_prev, tol=None, max_updates=1):
     c, error = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
                               newton.basis.T @ u_prev, tol, max_updates)
     assert error is None
-    return newton.basis @ c
+    return newton.lift(c)
 
 
 class TestAlgebraicUpdate:
@@ -256,6 +256,25 @@ class TestBlowUp:
         traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100),
                              sec5_preset.x0, SolverConfig(blow_up_threshold=1e200))
         assert traj.status.completed
+
+    @pytest.mark.parametrize("x0, outcome, norm", [
+        ([1e200], SolveOutcome.COMPLETED, 1e200),
+        ([3e200, -4e200], SolveOutcome.COMPLETED, 5e200),
+        ([-3e305, 4e305], SolveOutcome.BLOW_UP, 5e305),
+    ])
+    def test_norm_test_does_not_overflow(self, x0, outcome, norm):
+        # x.dot(x) overflows above ~1.34e154: a finite state below the threshold
+        # runs on, one above it blows up at t = 0, and max_norm stays finite
+        n = len(x0)
+        dae = SemilinearDAE(pencil=MatrixPencil(a=np.eye(n), b=np.zeros((n, n))),
+                            f=lambda t, x: np.zeros(n), jac_f=lambda t, x: np.zeros((n, n)))
+        with np.errstate(over="ignore"):   # the squares overflow, as they may
+            traj = method1_solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 4),
+                                 np.array(x0), SolverConfig(blow_up_threshold=1e300))
+            max_norm = traj.max_norm
+        assert traj.status.outcome is outcome
+        assert len(traj) == (5 if outcome is SolveOutcome.COMPLETED else 1)
+        assert max_norm == pytest.approx(norm, rel=1e-15)
 
     def test_bounded_run_completes(self, sec5_preset, sec5_decomp):
         traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 5.0, 5000),

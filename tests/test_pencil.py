@@ -183,6 +183,13 @@ class TestProjectorsResidue:
         with pytest.raises(ValueError):
             projectors_residue(identity_pencil(), radius=1.0, node_count=4)
 
+    def test_rejects_node_count_above_the_cap(self):
+        # refused before the first node, not after 10**18 of them
+        from pencildae.pencil import MAX_NODE_COUNT
+        with pytest.raises(ValueError, match="between 8 and 65536"):
+            projectors_residue(identity_pencil(), radius=1.0, node_count=10**18)
+        assert MAX_NODE_COUNT == 2 ** 16
+
 
 class TestValidateDecomposition:
     def test_identity_pencil_all_zero(self):
