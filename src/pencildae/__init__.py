@@ -7,14 +7,14 @@ two combined schemes (first- and second-order) integrate the pair.
 """
 
 from .dae_model import (NoConvergenceError, NonFiniteJacobianError, SemilinearDAE,
-                        SingularNewtonMatrixError, check_jacobian, consistent_initialize,
+                        SingularNewtonMatrixError, consistent_initialize,
                         constraint_residual, jacobian)
 from .diagnostics import (ComponentOrder, DegenerateFitError, LadderSolveError,
                           OrderEstimate, StabilityReport, empirical_order,
                           stability_report, windowed_deviation)
-from .integrators import (InconsistentInitialStateError, IterateToTol, Mesh, Method,
-                          SingleStep, SolveOutcome, SolverConfig, SolveStatus,
-                          Trajectory, method1_solve, method2_solve, solve)
+from .integrators import (InconsistentInitialStateError, Mesh, Method, SolveOutcome,
+                          SolverConfig, SolveStatus, Trajectory, method1_solve,
+                          method2_solve, solve)
 from .model_library import (CircuitParams, ModelPreset, Nonlinearity, PRESET_IDS,
                             VoltageWaveform, build_circuit_dae,
                             circuit_consistency_check, get_preset)

@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dae_model, diagnostics, model_library, pencil
-from .integrators import (InconsistentInitialStateError, IterateToTol, Mesh, Method,
-                          SingleStep, SolveOutcome, SolverConfig, solve)
+from .integrators import (InconsistentInitialStateError, Mesh, Method, SolveOutcome,
+                          SolverConfig, _row_norms, solve)
 
 __all__ = ["main", "load_config"]
 
@@ -248,14 +248,11 @@ def _mesh(config: dict) -> Mesh:
 
 
 def _solver_config(config: dict) -> SolverConfig:
-    method = Method(config.get("method", "method1"))
     corr_spec = config.get("corrector", {"mode": "single_step"})
-    if corr_spec["mode"] == "single_step":
-        corrector = SingleStep()
-    else:
-        corrector = IterateToTol(tol=float(corr_spec.get("tol", 1e-10)),
-                                 max_iter=int(corr_spec.get("max_iter", 50)))
-    return SolverConfig(method=method, corrector=corrector,
+    iterate = corr_spec["mode"] == "iterate"   # single_step ignores tol and max_iter
+    return SolverConfig(method=Method(config.get("method", "method1")),
+                        tol=float(corr_spec.get("tol", 1e-10)) if iterate else None,
+                        max_iter=int(corr_spec.get("max_iter", 50)),
                         blow_up_threshold=float(config.get("blow_up_threshold", 1e6)))
 
 
@@ -291,8 +288,8 @@ def _write_trajectory_csv(path: Path, traj) -> None:
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + \
         ",z_norm,u_norm,constraint_residual\n"
     table = np.column_stack((traj.times, traj.states,
-                             np.linalg.norm(traj.z_history, axis=1),
-                             np.linalg.norm(traj.u_history, axis=1), traj.residuals))
+                             _row_norms(traj.z_history), _row_norms(traj.u_history),
+                             traj.residuals))
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)

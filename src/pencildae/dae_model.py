@@ -25,7 +25,6 @@ __all__ = [
     "constraint_residual",
     "jacobian",
     "jacobian_function",
-    "check_jacobian",
     "consistent_initialize",
     "X2Newton",
 ]
@@ -113,22 +112,6 @@ def jacobian_function(dae: SemilinearDAE) -> JacFunc:
     return dae.jac_f if dae.jac_f is not None else partial(jacobian, dae)
 
 
-def check_jacobian(dae: SemilinearDAE, t: float, xs) -> float:
-    """Self-test: max entrywise gap between analytic and FD Jacobians.
-
-    ``xs`` is an iterable of probe states.  Only meaningful when an analytic
-    Jacobian is attached.
-    """
-    if dae.jac_f is None:
-        raise ValueError("check_jacobian needs an analytic jac_f to compare against")
-    fd = SemilinearDAE(pencil=dae.pencil, f=dae.f, jac_f=None, fd_step=dae.fd_step)
-    worst = 0.0
-    for x in xs:
-        gap = np.abs(jacobian(dae, t, x) - jacobian(fd, t, x)).max()
-        worst = max(worst, float(gap))
-    return worst
-
-
 class X2Newton:
     """The restricted Newton correction of the algebraic part u = N c.
 
@@ -150,11 +133,11 @@ class X2Newton:
         self._eye = 1.0 if self.scalar else np.eye(self.k)
 
     def correct(self, f: RhsFunc, jac: JacFunc, t: float, z: np.ndarray,
-                c: float | np.ndarray, tol: float | None = None, max_updates: int = 1):
+                c: float | np.ndarray, tol: float | None = None, max_iter: int = 50):
         """Correct the coordinates ``c`` at (t, z); returns ``(c, error)``.
 
         With ``tol=None`` exactly one correction is made.  Otherwise corrections
-        repeat until ||c - W f|| <= ``tol``, at most ``max_updates`` times.
+        repeat until ||c - W f|| <= ``tol``, at most ``max_iter`` times.
         ``error`` is None on success; on failure it is the exception, not
         raised, that describes it: SingularNewtonMatrixError for a singular
         matrix or a non-finite step, NoConvergenceError when ``tol`` is missed,
@@ -173,10 +156,10 @@ class X2Newton:
                     last = abs(r) if scalar else math.sqrt(r.dot(r))
                     if last <= tol:
                         return c, None
-                    if updates == max_updates:
+                    if updates >= max_iter:
                         return c, NoConvergenceError(
                             f"restricted Newton stalled at residual {last:.3e} "
-                            f"after {max_updates} corrections", last_residual=last)
+                            f"after {updates} corrections", last_residual=last)
                 newton = self._eye - coeff(jac(t, x).dot(basis))
                 if scalar:  # a finite pivot and a finite quotient
                     step = r / newton if newton and math.isfinite(newton) else math.nan
@@ -223,7 +206,7 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
         return np.zeros(decomp.n)
     c0 = 0.0 if newton.scalar else np.zeros(newton.k)
     c, error = newton.correct(dae.f, jacobian_function(dae), t0, z0, c0,
-                              tol=tol, max_updates=max_iter)
+                              tol=tol, max_iter=max_iter)
     if error is not None:
         raise error
     return newton.lift(c)

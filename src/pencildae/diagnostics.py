@@ -10,7 +10,7 @@ against a reference run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,10 +132,7 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
     """
     if refinements < 3:
         raise ValueError("refinements must be at least 3")
-    base_config = config or SolverConfig(method=method)
-    if base_config.method is not method:
-        base_config = SolverConfig(method=method, corrector=base_config.corrector,
-                                   blow_up_threshold=base_config.blow_up_threshold)
+    base_config = replace(config or SolverConfig(), method=method)
 
     self_referenced = reference is None
     measured_levels = refinements - 1 if self_referenced else refinements + 1

@@ -15,8 +15,10 @@ problem objects and may run concurrently.
 
 from __future__ import annotations
 
+import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -27,8 +29,6 @@ from .pencil import SpectralDecomposition
 __all__ = [
     "Mesh",
     "Method",
-    "SingleStep",
-    "IterateToTol",
     "SolverConfig",
     "SolveOutcome",
     "SolveStatus",
@@ -84,37 +84,26 @@ class Method(Enum):
 
 
 @dataclass(frozen=True)
-class SingleStep:
-    """Exactly one Newton-like correction of u per time step; this is the
-    update the convergence orders are stated for."""
-
-
-@dataclass(frozen=True)
-class IterateToTol:
-    """Repeat the u-correction with refreshed Jacobian until the fixed-point
-    residual ||u - Ginv Q2 f|| drops below ``tol`` (or ``max_iter`` is hit)."""
-
-    tol: float
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-
-
-Corrector = SingleStep | IterateToTol
-
-
-@dataclass(frozen=True)
 class SolverConfig:
+    """How a solve runs: the scheme, the u-correction and the blow-up test.
+
+    With ``tol=None`` each step makes exactly one Newton-like correction of u,
+    the update the convergence orders are stated for.  With a ``tol`` the
+    correction repeats, with refreshed Jacobian, until the fixed-point residual
+    ||c - W f|| drops below it, at most ``max_iter`` times (read only then).
+    """
+
     method: Method = Method.METHOD1
-    corrector: Corrector = field(default_factory=SingleStep)
+    tol: float | None = None
+    max_iter: int = 50
     blow_up_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.blow_up_threshold <= 0.0:
+        if self.tol is not None and not self.tol > 0.0:
+            raise ValueError("tol must be positive")
+        if operator.index(self.max_iter) < 1:
+            raise ValueError("max_iter must be a positive integer")
+        if not self.blow_up_threshold > 0.0:
             raise ValueError("blow_up_threshold must be positive")
 
 
@@ -164,22 +153,11 @@ class Trajectory:
 
     @property
     def max_norm(self) -> float:
-        norms = np.linalg.norm(self.states, axis=1)
-        norms[np.isinf(norms)] = [_norm(x) for x in self.states[np.isinf(norms)]]
-        return float(norms.max())
+        return float(_row_norms(self.states).max())
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-def _corrector_params(corrector: Corrector) -> tuple[float | None, int]:
-    """(tol, max_updates) of :meth:`X2Newton.correct` for a corrector."""
-    if isinstance(corrector, IterateToTol):
-        return corrector.tol, corrector.max_iter
-    if isinstance(corrector, SingleStep):
-        return None, 1
-    raise TypeError(f"unknown corrector {corrector!r}")
 
 
 # the split initial point may miss the constraint by this much, relative to
@@ -204,6 +182,19 @@ def _norm(x: np.ndarray) -> float:
     return m * float(np.sqrt((x / m).dot(x / m))) if 0.0 < m < np.inf else m
 
 
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """||x|| of each row x: numpy's where it lies in [sqrt(tiny), inf), else
+    :func:`_norm`'s, since a square of an entry over- or underflowed there."""
+    norms = np.linalg.norm(rows, axis=1)
+    # an all-zero row has norm 0 either way
+    redo = ~((norms >= _SQRT_TINY) & (norms < np.inf)) & rows.any(axis=1)
+    norms[redo] = [_norm(x) for x in rows[redo]]
+    return norms
+
+
 def _stopped(x: np.ndarray, i: int, node_t: list) -> tuple[SolveStatus, int]:
     """(status, last node kept) of a run whose node i failed the norm test: a
     finite state blew up, a non-finite one fails the step that made it."""
@@ -212,8 +203,10 @@ def _stopped(x: np.ndarray, i: int, node_t: list) -> tuple[SolveStatus, int]:
     return SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i), i - 1
 
 
-def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
-               x0, config: SolverConfig, leapfrog: bool) -> Trajectory:
+def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
+          config: SolverConfig) -> Trajectory:
+    """Integrate from ``x0`` on ``mesh`` by the scheme of ``config.method``."""
+    leapfrog = config.method is Method.METHOD2
     n = dae.n
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
@@ -228,7 +221,7 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     n_steps = mesh.n_steps
     # squared once; capped so that an infinite state still fails the test
     thr2 = min(config.blow_up_threshold * config.blow_up_threshold, sys.float_info.max)
-    tol, max_updates = _corrector_params(config.corrector)
+    tol, max_iter = config.tol, config.max_iter
     # the Euler z-step (method 1, method-2 starter) is (I - h Ginv B) z + h Ginv Q1 f,
     # the leapfrog step z_prev + 2h Ginv Q1 f - 2h Ginv B z
     h = mesh.h
@@ -259,7 +252,7 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
         ) from exc
     res0 = float(_node_residuals(b_mat, q2, x[None], f_values[:1])[0])
     init_tol = _INIT_RESIDUAL_RTOL * (1.0 + np.linalg.norm(b_mat, 2)) * \
-        (1.0 + float(np.linalg.norm(x0)))
+        (1.0 + float(_row_norms(x0[None])[0]))
     if not res0 <= init_tol:
         raise InconsistentInitialStateError(
             f"initial constraint residual {res0:.3e} exceeds tolerance {init_tol:.3e}")
@@ -280,7 +273,7 @@ def _integrate(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
                 z_next = z_prev + leap_drive(fi) - leap_decay(z)
             else:
                 z_next = euler(z) + drive(fi)
-            c, error = correct(f, jac, node_t[i + 1], z_next, c, tol, max_updates)
+            c, error = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter)
             if error is not None:
                 status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
                 last = i
@@ -320,8 +313,7 @@ def method1_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     On an index-0 problem this reduces exactly to the classical explicit Euler
     method for dx/dt = A^-1 (f(t, x) - B x).
     """
-    config = config or SolverConfig(method=Method.METHOD1)
-    return _integrate(dae, decomp, mesh, x0, config, leapfrog=False)
+    return solve(dae, decomp, mesh, x0, replace(config or SolverConfig(), method=Method.METHOD1))
 
 
 def method2_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
@@ -332,13 +324,4 @@ def method2_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     parasitic mode whose amplification grows with the stability coefficient
     1 + 2h(||Ginv B|| + M1); prefer method 1 on long intervals.
     """
-    config = config or SolverConfig(method=Method.METHOD2)
-    return _integrate(dae, decomp, mesh, x0, config, leapfrog=True)
-
-
-def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
-          config: SolverConfig) -> Trajectory:
-    """Dispatch on ``config.method``."""
-    if config.method is Method.METHOD1:
-        return method1_solve(dae, decomp, mesh, x0, config)
-    return method2_solve(dae, decomp, mesh, x0, config)
+    return solve(dae, decomp, mesh, x0, replace(config or SolverConfig(), method=Method.METHOD2))

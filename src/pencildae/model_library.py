@@ -69,14 +69,6 @@ class Nonlinearity:
     value: Callable[[float], float]
     derivative: Callable[[float], float]
 
-    def derivative_gap(self, xs, step: float = 1e-7) -> float:
-        """Max |forward-difference - analytic| over the probe points."""
-        worst = 0.0
-        for x in xs:
-            fd = (self.value(x + step) - self.value(x)) / step
-            worst = max(worst, abs(fd - self.derivative(x)))
-        return worst
-
 
 def odd_power(alpha: float = 1.0, exponent: int = 3) -> Nonlinearity:
     """alpha * x**(2k-1) with alpha > 0 and an odd exponent."""

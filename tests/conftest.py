@@ -1,7 +1,25 @@
 import numpy as np
 import pytest
 
-from pencildae import MatrixPencil, get_preset, projectors_algebraic
+from pencildae import (MatrixPencil, SemilinearDAE, get_preset, jacobian,
+                       projectors_algebraic)
+
+
+def check_jacobian(dae, t, xs) -> float:
+    """Max entrywise gap between the analytic and the forward-difference
+    Jacobian of ``dae`` over the probe states ``xs``."""
+    if dae.jac_f is None:
+        raise ValueError("check_jacobian needs an analytic jac_f to compare against")
+    fd = SemilinearDAE(pencil=dae.pencil, f=dae.f, fd_step=dae.fd_step)
+    return max((float(np.abs(jacobian(dae, t, x) - jacobian(fd, t, x)).max()) for x in xs),
+               default=0.0)
+
+
+def derivative_gap(nl, xs, step: float = 1e-7) -> float:
+    """Max |forward difference - analytic derivative| of a Nonlinearity over
+    the probe points ``xs``."""
+    return max((abs((nl.value(x + step) - nl.value(x)) / step - nl.derivative(x))
+                for x in xs), default=0.0)
 
 
 def random_orthogonal(n, rng):

@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from pencildae import (IterateToTol, Mesh, Method, SolveOutcome, SolverConfig,
+from pencildae import (Mesh, Method, SolveOutcome, SolverConfig,
                        cli, empirical_order, get_preset, method1_solve,
                        method2_solve, projectors_algebraic, projectors_residue,
                        validate_decomposition, windowed_deviation)
 from pencildae.model_library import neg_square, odd_power, sine, square
 
-from conftest import random_index1_pencil
+from conftest import derivative_gap, random_index1_pencil
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -108,9 +108,8 @@ def test_criterion_5_consistency_preservation(sec5_preset, sec5_decomp):
     dae = sec5_preset.dae
     norm_b = np.linalg.norm(dae.pencil.b, 2)
     bound = 1e-8 * (1.0 + norm_b)
-    tight = SolverConfig(corrector=IterateToTol(tol=1e-10, max_iter=50))
-    tight2 = SolverConfig(method=Method.METHOD2,
-                          corrector=IterateToTol(tol=1e-10, max_iter=50))
+    tight = SolverConfig(tol=1e-10, max_iter=50)
+    tight2 = SolverConfig(method=Method.METHOD2, tol=1e-10, max_iter=50)
 
     # method 2 is excluded from the stiff-transient start: the leapfrog mode is
     # unstable through its initial h*|lambda| ~ 0.6 layer, matching the
@@ -247,7 +246,7 @@ def test_criterion_8_jacobian_agreement():
     worst = 0.0
     for nl in shipped.values():
         probes = rng.uniform(-2.0, 2.0, size=100)
-        worst = max(worst, nl.derivative_gap(probes, step=1e-7))
+        worst = max(worst, derivative_gap(nl, probes, step=1e-7))
     ok = worst <= 1e-6
     _verdict("criterion 8 (jacobian agreement)", ok,
              f"worst analytic-vs-FD gap {worst:.2e} over 100 probes each (<= 1e-6)")

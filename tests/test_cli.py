@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pencildae import PRESET_IDS, cli, get_preset
+from pencildae.integrators import _row_norms
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -186,6 +187,15 @@ class TestSolve:
         path = write_config(tmp_path, cfg)
         assert cli.main(["solve", path, "--quiet"]) == 3
 
+    def test_csv_norm_of_a_huge_state(self, tmp_path):
+        # ||x||^2 overflows at 1e155; the z_norm column stays finite
+        cfg = base_solve_config(tmp_path, model={"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]]},
+                                initial_state={"x0": [1e155, 0]}, blow_up_threshold=1e300,
+                                mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 4})
+        assert cli.main(["solve", write_config(tmp_path, cfg), "--quiet"]) == 0
+        rows = (tmp_path / "traj.csv").read_text().splitlines()
+        assert rows[1] == "0,1e+155,0,1e+155,0,0"
+
 
 @pytest.mark.slow
 def test_solve_long_interval_bounded(tmp_path):
@@ -317,11 +327,12 @@ def test_unknown_preset_is_config_error(tmp_path, capsys):
 
 
 def per_value_csv(path, traj):
-    """The trajectory CSV written one formatted value at a time."""
+    """The trajectory CSV written one formatted value at a time (the row norms
+    are the library's, checked on their own in test_integrators)."""
     fmt = lambda value: format(float(value), ".17g")  # noqa: E731
     n = traj.states.shape[1]
-    z_norms = np.linalg.norm(traj.z_history, axis=1)
-    u_norms = np.linalg.norm(traj.u_history, axis=1)
+    z_norms = _row_norms(traj.z_history)
+    u_norms = _row_norms(traj.u_history)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"x{i + 1}" for i in range(n))
                  + ",z_norm,u_norm,constraint_residual\n")
@@ -520,11 +531,12 @@ def cli_runs(draw):
     elif state != "absent":
         size = n + draw(st.sampled_from((0, 0, 0, 1)))   # now and then the wrong length
         config["initial_state"] = {state: [pick(STATE_VALUES) for _ in range(size)]}
+    # tol and max_iter may each be left out; single_step ignores them
+    corrector = config["corrector"] = {"mode": pick(("iterate", "single_step"))}
     if draw(st.booleans()):
-        config["corrector"] = {"mode": "iterate", "tol": pick((1e-300, 1e-12, 1e-3)),
-                               "max_iter": draw(st.integers(1, 5))}
-    else:
-        config["corrector"] = {"mode": "single_step"}
+        corrector["tol"] = pick((1e-300, 1e-12, 1e-3))
+    if draw(st.booleans()):
+        corrector["max_iter"] = draw(st.integers(1, 5))
     if draw(st.booleans()):
         config["blow_up_threshold"] = pick((1e-3, 1e6, 1e300))
     if not draw(st.integers(0, 19)):   # now and then a non-finite number

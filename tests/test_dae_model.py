@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pencildae import (MatrixPencil, NonFiniteJacobianError, SemilinearDAE,
-                       check_jacobian, consistent_initialize, constraint_residual,
-                       get_preset, jacobian, projectors_algebraic)
+                       consistent_initialize, constraint_residual, get_preset, jacobian,
+                       projectors_algebraic)
 from pencildae.dae_model import X2Newton, jacobian_function
+
+from conftest import check_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -269,10 +271,24 @@ class TestX2Newton:
         from pencildae import NoConvergenceError
         newton, f, jac = self.constraint(lambda x: 1.0 + x[1] ** 3, lambda x: 3.0 * x[1] ** 2)
         z = np.array([1.0, 0.0])
-        c, error = newton.correct(f, jac, 0.0, z, 0.25, tol=1e-300, max_updates=2)
+        c, error = newton.correct(f, jac, 0.0, z, 0.25, tol=1e-300, max_iter=2)
         assert isinstance(error, NoConvergenceError)
         assert error.last_residual == abs(c - newton.coeff.dot(f(0.0, z + newton.lift(c))))
         assert error.last_residual > 0.0
+
+    def test_fractional_max_iter_stops(self):
+        # the update count passes 2.5 without ever equalling it
+        from pencildae import NoConvergenceError
+        newton, f, jac = self.constraint(lambda x: 1.0 + x[1] ** 3, lambda x: 3.0 * x[1] ** 2)
+        c, error = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25, tol=1e-300,
+                                  max_iter=2.5)
+        assert isinstance(error, NoConvergenceError)
+        assert "after 3 corrections" in str(error)
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        dae = SemilinearDAE(pencil=pencil, f=f, jac_f=jac)
+        with pytest.raises(NoConvergenceError):
+            consistent_initialize(dae, projectors_algebraic(pencil), 0.0,
+                                  np.array([1.0, 0.0]), tol=1e-300, max_iter=2.5)
 
     def test_scalar_step_agrees_with_linear_solve(self, sec5_preset, sec5_decomp):
         # the same correction in (n, 1) matrices with np.linalg.solve

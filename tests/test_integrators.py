@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pencildae import (InconsistentInitialStateError, IterateToTol, MatrixPencil,
-                       Mesh, Method, SemilinearDAE, SingleStep, SolveOutcome,
-                       SolverConfig, VoltageWaveform, consistent_initialize, get_preset,
-                       jacobian, method1_solve, method2_solve, projectors_algebraic,
-                       solve)
+from pencildae import (InconsistentInitialStateError, MatrixPencil, Mesh, Method,
+                       SemilinearDAE, SolveOutcome, SolverConfig, VoltageWaveform,
+                       consistent_initialize, get_preset, jacobian, method1_solve,
+                       method2_solve, projectors_algebraic, solve)
 from pencildae.dae_model import X2Newton
+from pencildae.integrators import _row_norms
 
 from conftest import random_index1_pencil
 from reference_stepper import reference_solve
@@ -41,6 +41,36 @@ class TestMesh:
     def test_refined_shares_coarse_nodes(self):
         coarse, fine = Mesh(0.0, 2.0, 10), Mesh(0.0, 2.0, 10).refined(4)
         np.testing.assert_array_equal(coarse.times(), fine.times()[::4])
+
+
+class TestSolverConfig:
+    def test_tol_must_be_a_positive_number(self):
+        for tol in (math.nan, 0.0, -1e-12):
+            with pytest.raises(ValueError, match="tol"):
+                SolverConfig(tol=tol)
+        assert SolverConfig(tol=1e-12).tol == 1e-12
+
+    def test_blow_up_threshold_must_be_a_positive_number(self):
+        # a NaN threshold would report every run as a blow-up at t0
+        for threshold in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="blow_up_threshold"):
+                SolverConfig(blow_up_threshold=threshold)
+
+    def test_max_iter_must_be_a_positive_integer(self):
+        with pytest.raises(TypeError):
+            SolverConfig(tol=1e-300, max_iter=2.5)
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverConfig(tol=1e-300, max_iter=0)
+        assert SolverConfig(tol=1e-3, max_iter=np.int64(3)).max_iter == 3
+
+    def test_scheme_wrappers_set_the_method(self, sec5_preset, sec5_decomp):
+        # method1_solve/method2_solve keep the rest of a config but not its method
+        dae, decomp, mesh, x0 = sec5_preset.dae, sec5_decomp, Mesh(0.0, 0.5, 50), sec5_preset.x0
+        for wrapper, method, other in ((method1_solve, Method.METHOD1, Method.METHOD2),
+                                       (method2_solve, Method.METHOD2, Method.METHOD1)):
+            got = wrapper(dae, decomp, mesh, x0, SolverConfig(other, tol=1e-12, max_iter=5))
+            want = solve(dae, decomp, mesh, x0, SolverConfig(method, tol=1e-12, max_iter=5))
+            np.testing.assert_array_equal(got.states, want.states)
 
 
 class TestScalarExamples:
@@ -159,11 +189,11 @@ class TestIndex0Equivalence:
             assert gap <= 1e-12 * (1.0 + np.abs(x).max())
 
 
-def correct_u(dae, decomp, t_next, z_next, u_prev, tol=None, max_updates=1):
+def correct_u(dae, decomp, t_next, z_next, u_prev, tol=None, max_iter=1):
     """The u-update of both schemes, by X2Newton.correct, in full coordinates."""
     newton = X2Newton(decomp)
     c, error = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
-                              newton.basis.T @ u_prev, tol, max_updates)
+                              newton.basis.T @ u_prev, tol, max_iter)
     assert error is None
     return newton.lift(c)
 
@@ -192,7 +222,7 @@ class TestAlgebraicUpdate:
     def test_iterated_update_matches_bisection_oracle(self, sec5_preset, sec5_decomp):
         z_next = sec5_decomp.p1 @ np.array([1.0, 1.0, 0.0])
         u_next = correct_u(sec5_preset.dae, sec5_decomp, 0.0, z_next, np.zeros(3),
-                           tol=1e-13, max_updates=50)
+                           tol=1e-13, max_iter=50)
         c_oracle = bisect_circuit_constraint(z_next)
         assert u_next[2] == pytest.approx(c_oracle, abs=1e-10)
 
@@ -223,6 +253,18 @@ class TestTrajectoryInvariants:
         with pytest.raises(InconsistentInitialStateError):
             method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 10),
                           np.array([0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("x0", [[1e155, 1e150], [1e150, 1e145]])
+    def test_initial_tolerance_does_not_overflow(self, x0):
+        # ||x0||^2 overflows for the first state; both miss the constraint x2 = 0
+        # by the same relative margin and are both refused
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.zeros(2),
+                            jac_f=lambda t, x: np.zeros((2, 2)))
+        with pytest.raises(InconsistentInitialStateError, match="exceeds tolerance"), \
+                np.errstate(over="ignore"):
+            method1_solve(dae, projectors_algebraic(pencil), Mesh(0.0, 1.0, 4),
+                          np.array(x0), SolverConfig(blow_up_threshold=1e300))
 
     def test_non_finite_initial_state_rejected(self, sec5_preset, sec5_decomp):
         # NaN compares false with any tolerance; it must not pass as consistent
@@ -276,6 +318,14 @@ class TestBlowUp:
         assert len(traj) == (5 if outcome is SolveOutcome.COMPLETED else 1)
         assert max_norm == pytest.approx(norm, rel=1e-15)
 
+    def test_max_norm_of_a_tiny_state(self):
+        # 1e-200 squared underflows to 0; the norm must not
+        dae = SemilinearDAE(pencil=MatrixPencil(a=np.eye(1), b=np.zeros((1, 1))),
+                            f=lambda t, x: np.zeros(1), jac_f=lambda t, x: np.zeros((1, 1)))
+        traj = method1_solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 4),
+                             np.array([1e-200]))
+        assert traj.status.completed and traj.max_norm == 1e-200
+
     def test_bounded_run_completes(self, sec5_preset, sec5_decomp):
         traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 5.0, 5000),
                              sec5_preset.x0)
@@ -321,12 +371,24 @@ class TestCorrectorFailure:
         assert np.all(np.isfinite(traj.states)) and traj.max_norm == 2.5e149
 
     def test_iterate_corrector_residual_enforced(self, sec5_preset, sec5_decomp):
-        config = SolverConfig(corrector=IterateToTol(tol=1e-12, max_iter=50))
+        config = SolverConfig(tol=1e-12, max_iter=50)
         traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 200),
                              np.array([0.5, -0.5, 0.25]), config)
         assert traj.status.completed
         norm_b = np.linalg.norm(sec5_preset.dae.pencil.b, 2)
         assert traj.residuals.max() <= 1e-12 * (1.0 + norm_b) * 10
+
+
+def test_row_norms():
+    # numpy's value in [sqrt(tiny), inf), the scaled one outside it
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-2.0, 2.0, (200, 3)) * 10.0 ** rng.integers(-150, 150, (200, 1))
+    np.testing.assert_array_equal(_row_norms(rows), np.linalg.norm(rows, axis=1))
+    with np.errstate(over="ignore"):
+        norms = _row_norms(np.array([[3e200, 4e200], [3e-200, -4e-200], [0.0, -0.0],
+                                     [np.inf, 1.0], [np.nan, 1.0]]))
+    np.testing.assert_allclose(norms[:2], [5e200, 5e-200], rtol=1e-15)
+    assert norms[2] == 0.0 and norms[3] == np.inf and np.isnan(norms[4])
 
 
 def test_solve_dispatches_on_method(sec5_preset, sec5_decomp):
@@ -374,8 +436,7 @@ def assert_matches_reference(traj, ref, outcome, detail=None):
 class TestKernelEquivalence:
     """The kernel against the plain per-step oracle in ``reference_stepper``."""
 
-    CORRECTORS = {"single": (SingleStep(), None, 1),
-                  "iterate": (IterateToTol(tol=1e-12, max_iter=20), 1e-12, 20)}
+    CORRECTORS = {"single": (None, 1), "iterate": (1e-12, 20)}
 
     @pytest.mark.parametrize("corrector", ["single", "iterate"])
     @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
@@ -387,10 +448,10 @@ class TestKernelEquivalence:
             preset = get_preset(problem)
             dae, decomp = preset.dae, projectors_algebraic(preset.dae.pencil)
             x0 = preset.x0 if problem == "linear_index0" else np.array([0.5, -0.5, 0.25])
-        lib_corrector, tol, max_iter = self.CORRECTORS[corrector]
+        tol, max_iter = self.CORRECTORS[corrector]
         mesh = Mesh(0.0, 1.0, 400)
-        traj = solve(dae, decomp, mesh, x0, SolverConfig(method=method,
-                                                         corrector=lib_corrector))
+        traj = solve(dae, decomp, mesh, x0, SolverConfig(method=method, tol=tol,
+                                                         max_iter=max_iter))
         ref = reference_solve(dae, decomp, mesh, x0, leapfrog=method is Method.METHOD2,
                               tol=tol, max_iter=max_iter)
         assert_matches_reference(traj, ref, "completed")

@@ -12,6 +12,8 @@ from pencildae.model_library import (PRESET_IDS, UNIT_SCALE, exponential, gaussi
                                      neg_square, odd_power, polynomial, power_decay,
                                      sawtooth, sine, square, sinusoidal, triangular)
 
+from conftest import derivative_gap
+
 
 class TestNonlinearities:
     def test_odd_power_cubic(self):
@@ -47,7 +49,7 @@ class TestNonlinearities:
         rng = np.random.default_rng(17)
         probes = rng.uniform(-2.0, 2.0, size=100)
         step = 1e-7
-        assert nl.derivative_gap(probes, step=step) <= max(10 * step * curvature, 1e-8)
+        assert derivative_gap(nl, probes, step=step) <= max(10 * step * curvature, 1e-8)
 
 
 class TestWaveforms:
