@@ -386,7 +386,8 @@ def cmd_projectors(config: dict, out_dir: str | None, quiet: bool):
     tol = 1e-10 * pen.norm_scale()
     report = pencil.validate_decomposition(pen, decomp, tol)
     node_count = int(config.get("projector_node_count", 64))
-    p1_res, q1_res = pencil.projectors_residue(pen, node_count=node_count)
+    residue = pencil.projectors_residue(pen, node_count=node_count)
+    p1_res, q1_res = residue
     agreement = max(float(np.abs(p1_res - decomp.p1).max()),
                     float(np.abs(q1_res - decomp.q1).max()))
     _, json_path = _output_paths(config, out_dir)
@@ -402,6 +403,7 @@ def cmd_projectors(config: dict, out_dir: str | None, quiet: bool):
         "det_g": float(np.linalg.det(decomp.g)),
         "validation": report.to_json(),
         "residue_agreement": agreement,
+        "residue_quadrature_error": residue.quadrature_error,
         "passed": passed,
     }
     _write_json(json_path, payload)

@@ -187,8 +187,10 @@ _SQRT_TINY = math.sqrt(sys.float_info.min)
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """||x|| of each row x: numpy's where it lies in [sqrt(tiny), inf), else
-    :func:`_norm`'s, since a square of an entry over- or underflowed there."""
-    norms = np.linalg.norm(rows, axis=1)
+    :func:`_norm`'s, since a square of an entry over- or underflowed there
+    (numpy's warning about it is silenced: the re-pass repairs those rows)."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
     # an all-zero row has norm 0 either way
     redo = ~((norms >= _SQRT_TINY) & (norms < np.inf)) & rows.any(axis=1)
     norms[redo] = [_norm(x) for x in rows[redo]]

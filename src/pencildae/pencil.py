@@ -17,21 +17,10 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "MatrixPencil",
-    "PencilIndex",
-    "SpectralDecomposition",
-    "ValidationReport",
-    "NotRegularError",
-    "IndexTooHighError",
-    "DecompositionFailedError",
-    "PoleOnContourError",
-    "ContourSolveFailedError",
-    "regularity_probe",
-    "classify_index",
-    "projectors_algebraic",
-    "projectors_residue",
-    "contour_radius",
-    "validate_decomposition",
+    "MatrixPencil", "PencilIndex", "SpectralDecomposition", "ValidationReport",
+    "ResidueProjectors", "NotRegularError", "IndexTooHighError", "DecompositionFailedError",
+    "PoleOnContourError", "ContourSolveFailedError", "regularity_probe", "classify_index",
+    "projectors_algebraic", "projectors_residue", "contour_radius", "validate_decomposition",
     "MAX_NODE_COUNT",
 ]
 
@@ -44,9 +33,10 @@ _RANK_SAFETY = 50.0
 _SPLIT_TOL = 1e-8
 # sigma_min/sigma_max below which a probe point counts as a root of det
 _RCOND_FLOOR = 1e-10
-# Most quadrature nodes of projectors_residue: the rule converges geometrically,
-# so far fewer suffice, and each node costs one inverse (65536 take seconds).
+# Most quadrature nodes of projectors_residue; the rule converges geometrically
 MAX_NODE_COUNT = 2 ** 16
+# Complex entries (16 MB) per stacked inverse of projectors_residue's nodes
+_STACK_ENTRIES = 2 ** 20
 
 
 class NotRegularError(Exception):
@@ -151,6 +141,18 @@ class SpectralDecomposition:
         return self.x2_basis.shape[1]
 
 
+def _best_shift(pencil: MatrixPencil, sample_count: int, seed: int) -> tuple[float, float]:
+    """``(lambda, sigma_min/sigma_max)`` of the best-conditioned lambda*A + B
+    over ``sample_count`` pseudo-random real points (rcond 0 if all vanish)."""
+    rng = np.random.default_rng(seed)
+    scale = (1.0 + np.linalg.norm(pencil.b, 2)) / (1.0 + np.linalg.norm(pencil.a, 2))
+    samples = rng.uniform(-2.0, 2.0, size=sample_count) * scale
+    s = np.linalg.svd(samples[:, None, None] * pencil.a + pencil.b, compute_uv=False)
+    rcond = np.divide(s[:, -1], s[:, 0], out=np.zeros(sample_count), where=s[:, 0] > 0.0)
+    best = int(np.argmax(rcond))
+    return float(samples[best]), float(rcond[best])
+
+
 def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0) -> float:
     """Probabilistic regularity test: find lambda0 with det(lambda0*A + B) != 0.
 
@@ -166,22 +168,11 @@ def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    rng = np.random.default_rng(seed)
-    scale = (1.0 + np.linalg.norm(pencil.b, 2)) / (1.0 + np.linalg.norm(pencil.a, 2))
-    samples = rng.uniform(-2.0, 2.0, size=sample_count) * scale
-    best_lam, best_rcond = None, 0.0
-    for lam in samples:
-        s = np.linalg.svd(lam * pencil.a + pencil.b, compute_uv=False)
-        if s[0] == 0.0:
-            continue
-        rcond = s[-1] / s[0]
-        if rcond > best_rcond:
-            best_lam, best_rcond = float(lam), float(rcond)
-    if best_lam is None or best_rcond <= _RCOND_FLOOR:
+    lam, rcond = _best_shift(pencil, sample_count, seed)
+    if rcond <= _RCOND_FLOOR:
         raise NotRegularError(
-            f"det(lambda*A + B) numerically singular at all {sample_count} probe points"
-        )
-    return best_lam
+            f"det(lambda*A + B) numerically singular at all {sample_count} probe points")
+    return lam
 
 
 def _split(pencil: MatrixPencil):
@@ -223,6 +214,13 @@ def classify_index(pencil: MatrixPencil) -> PencilIndex:
     return _split(pencil)[0]
 
 
+def _inverse(m: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailedError(f"{what} singular") from exc
+
+
 def projectors_algebraic(pencil: MatrixPencil) -> SpectralDecomposition:
     """Construct the spectral projectors and G by explicit subspace bases.
 
@@ -240,41 +238,28 @@ def projectors_algebraic(pencil: MatrixPencil) -> SpectralDecomposition:
     n = pencil.n
     index, kernel, x1, why = _split(pencil)
     if index is PencilIndex.INDEX0:
-        try:
-            g_inv = np.linalg.inv(pencil.a)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rank said invertible
-            raise DecompositionFailedError("A rank-deficient during inversion") from exc
         eye = np.eye(n)
         return SpectralDecomposition(
             p1=eye, p2=np.zeros((n, n)), q1=eye.copy(), q2=np.zeros((n, n)),
-            g=pencil.a.copy(), g_inv=g_inv, index=PencilIndex.INDEX0,
-            x2_basis=np.zeros((n, 0)),
-        )
+            g=pencil.a.copy(), g_inv=_inverse(pencil.a, "A"), index=PencilIndex.INDEX0,
+            x2_basis=np.zeros((n, 0)))
     if index is PencilIndex.INDEX_HIGHER:
         raise IndexTooHighError(why)
 
     # P2 maps M*c + N*d -> N*d, i.e. projection onto X2 along X1.
     k = kernel.shape[1]
     selector = np.hstack([np.zeros((n, n - k)), kernel])
-    try:
-        p2 = selector @ np.linalg.inv(np.hstack([x1, kernel]))
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailedError("X1/X2 basis matrix singular") from exc
+    p2 = selector @ _inverse(np.hstack([x1, kernel]), "X1/X2 basis matrix")
     p1 = np.eye(n) - p2
 
     b_kernel = pencil.b @ kernel  # basis of Y2 (B restricted to X2 is invertible)
     image_stacked = np.hstack([pencil.a @ x1, b_kernel])
-    try:
-        q2 = np.hstack([np.zeros((n, n - k)), b_kernel]) @ np.linalg.inv(image_stacked)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailedError("Y1/Y2 basis matrix singular") from exc
+    q2 = np.hstack([np.zeros((n, n - k)), b_kernel]) @ _inverse(image_stacked,
+                                                                 "Y1/Y2 basis matrix")
     q1 = np.eye(n) - q2
 
     g = pencil.a + pencil.b @ p2
-    try:
-        g_inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailedError("G = A + B*P2 singular") from exc
+    g_inv = _inverse(g, "G = A + B*P2")
     if not np.all(np.isfinite(g_inv)):
         raise DecompositionFailedError("G inverse is non-finite")
     return SpectralDecomposition(p1=p1, p2=p2, q1=q1, q2=q2, g=g, g_inv=g_inv,
@@ -282,12 +267,26 @@ def projectors_algebraic(pencil: MatrixPencil) -> SpectralDecomposition:
 
 
 def _eigenvalue_moduli(pencil: MatrixPencil) -> np.ndarray:
-    """Moduli of the finite mu-roots of det(A + mu*B) = 0, the finite
-    generalized eigenvalues of A v = -mu B v."""
-    import scipy.linalg  # lazily: the solve path never needs it
+    """Moduli of the finite mu-roots of det(A + mu*B) = 0 (A v = -mu B v).
 
-    mus = scipy.linalg.eig(pencil.a, -pencil.b, right=False)
-    return np.abs(mus[np.isfinite(mus)])
+    For S = tau*A + B well conditioned, each eigenvalue phi of S^-1 A pairs
+    with kappa = 1 - tau*phi of S^-1 B, and mu = -phi/kappa; kappa ~ 0 (B v = 0)
+    is an infinite root, dropped.  Each list holds every root, so mu is taken
+    from S^-1 A where |tau*mu| <= 2 and from S^-1 B where |tau*mu| >= 1/2, and
+    neither 1 - tau*phi nor 1 - kappa cancels.  A singular pencil gets none.
+    """
+    n, tau = pencil.n, _best_shift(pencil, 16, 0)[0]
+    try:
+        s = np.linalg.solve(tau * pencil.a + pencil.b, np.hstack([pencil.a, pencil.b]))
+        phi, kappa = np.linalg.eigvals(s[:, :n]), np.linalg.eigvals(s[:, n:])
+    except np.linalg.LinAlgError:  # tau*A + B exactly singular, or overflowed
+        return np.zeros(0)
+    phi, kappa = (np.concatenate([phi, (1.0 - kappa) / tau]),
+                  np.concatenate([1.0 - tau * phi, kappa]))
+    keep = np.abs(kappa) > _RANK_SAFETY * n * _EPS
+    mags = np.abs(phi[keep] / kappa[keep])
+    scaled = abs(tau) * mags
+    return mags[np.where(np.arange(2 * n)[keep] < n, scaled <= 2.0, scaled >= 0.5)]
 
 
 def _radius(mags: np.ndarray, safety: float) -> float:
@@ -296,29 +295,33 @@ def _radius(mags: np.ndarray, safety: float) -> float:
 
 
 def contour_radius(pencil: MatrixPencil, safety: float = 0.5) -> float:
-    """Default contour radius for :func:`projectors_residue`.
-
-    ``safety`` times the smallest nonzero modulus of the mu-roots of
-    det(A + mu*B) = 0; 1.0 when no nonzero finite root exists, since then
-    mu = 0 is the only candidate pole.
-    """
+    """Default contour radius for :func:`projectors_residue`: ``safety`` times
+    the smallest nonzero modulus of the mu-roots of det(A + mu*B) = 0; 1.0 when
+    no nonzero finite root exists, since then mu = 0 is the only candidate pole."""
     return _radius(_eigenvalue_moduli(pencil), safety)
 
 
+class ResidueProjectors(tuple):
+    """``(p1, q1)`` of :func:`projectors_residue`, with ``quadrature_error``:
+    max |S_N - S_N/2| over both, the N-node rule against the rule on its even
+    nodes (an upper estimate of the N-node error; nan for odd N)."""
+
+    def __new__(cls, p1: np.ndarray, q1: np.ndarray, quadrature_error: float):
+        pair = super().__new__(cls, (p1, q1))
+        pair.quadrature_error = quadrature_error
+        return pair
+
+
 def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
-                       node_count: int = 64):
+                       node_count: int = 64) -> ResidueProjectors:
     """Approximate P1 and Q1 by the residue of the resolvent at mu = 0.
 
     The integrals (1/2*pi*i) * contour-int (A + mu B)^-1 A dmu/mu and its
     transpose-ordered counterpart are evaluated with the trapezoidal rule on
-    ``node_count`` equispaced nodes of the circle |mu| = radius, which is
-    spectrally accurate for this analytic integrand.  Imaginary parts are
-    checked to be negligible and dropped.  The default radius is
-    :func:`contour_radius`.
-
-    Returns
-    -------
-    (p1, q1) : pair of real n x n arrays
+    ``node_count`` equispaced nodes of the circle |mu| = radius (default
+    :func:`contour_radius`), spectrally accurate for this analytic integrand:
+    P1 = R A and Q1 = A R for R the mean of the resolvents, inverted in stacks.
+    Imaginary parts are checked to be negligible and dropped.
     """
     if not 8 <= node_count <= MAX_NODE_COUNT:
         raise ValueError(f"node_count must be between 8 and {MAX_NODE_COUNT}")
@@ -330,37 +333,66 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
     near = mags[np.abs(mags - radius) < 0.1 * radius]
     if near.size:
         raise PoleOnContourError(
-            f"generalized eigenvalue modulus {near[0]:.6g} within 10% of radius {radius:.6g}"
-        )
+            f"generalized eigenvalue modulus {near[0]:.6g} within 10% of radius {radius:.6g}")
 
-    n = pencil.n
-    p_acc = np.zeros((n, n), dtype=complex)
-    q_acc = np.zeros((n, n), dtype=complex)
-    for j in range(node_count):
-        mu = radius * np.exp(2j * np.pi * j / node_count)
+    a, b, n = pencil.a, pencil.b, pencil.n
+    mus = radius * np.exp(2j * np.pi * np.arange(node_count) / node_count)
+    block = max(2, _STACK_ENTRIES // (2 * n * n) * 2)  # even, so [::2] keeps even nodes
+    total, even = np.zeros((2, n, n), dtype=complex)
+    for start in range(0, node_count, block):
+        stack = a + mus[start:start + block, None, None] * b
         try:
-            resolvent = np.linalg.inv(pencil.a + mu * pencil.b)
+            resolvents = np.linalg.inv(stack)
         except np.linalg.LinAlgError as exc:
+            j = start + int(np.argmax(np.linalg.slogdet(stack)[0] == 0))
             raise ContourSolveFailedError(f"(A + mu B) singular at node {j}") from exc
-        if not np.all(np.isfinite(resolvent)):
-            raise ContourSolveFailedError(f"resolvent non-finite at node {j}")
-        p_acc += resolvent @ pencil.a
-        q_acc += pencil.a @ resolvent
-    p_acc /= node_count
-    q_acc /= node_count
+        bad = np.flatnonzero(~np.isfinite(resolvents).all(axis=(1, 2)))
+        if bad.size:
+            raise ContourSolveFailedError(f"resolvent non-finite at node {start + bad[0]}")
+        total += resolvents.sum(axis=0)
+        even += resolvents[::2].sum(axis=0)
+    mean = total / node_count
+    p1, q1 = mean @ a, a @ mean
 
     imag_tol = 1e-9 * pencil.norm_scale()
-    imag_max = max(np.abs(p_acc.imag).max(), np.abs(q_acc.imag).max())
+    imag_max = max(np.abs(p1.imag).max(), np.abs(q1.imag).max())
     if imag_max > imag_tol:
         raise ContourSolveFailedError(
-            f"imaginary residue {imag_max:.3e} exceeds tolerance {imag_tol:.3e}"
-        )
-    return p_acc.real, q_acc.real
+            f"imaginary residue {imag_max:.3e} exceeds tolerance {imag_tol:.3e}")
+    gap = mean - even / (node_count // 2)  # S_N - S_N/2 (of R; times A for P1 and Q1)
+    error = np.nan if node_count % 2 else max(np.abs(gap @ a).max(), np.abs(a @ gap).max())
+    return ResidueProjectors(p1.real, q1.real, float(error))
 
 
-#: identity name -> residual matrix, evaluated by validate_decomposition
-def _identity_residuals(pencil: MatrixPencil, d: SpectralDecomposition) -> dict:
-    eye = np.eye(pencil.n)
+@dataclass(frozen=True)
+class ValidationReport:
+    """Max-norm residual of every decomposition identity, plus a verdict."""
+
+    residuals: dict = field(default_factory=dict)
+    tol: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return all(v <= self.tol for v in self.residuals.values())
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals.values()) if self.residuals else 0.0
+
+    def failing(self) -> list[str]:
+        return [k for k, v in self.residuals.items() if v > self.tol]
+
+    def to_json(self) -> dict:
+        return {"tol": self.tol, "passed": self.passed, "max_residual": self.max_residual,
+                "identities": dict(self.residuals)}
+
+
+def validate_decomposition(pencil: MatrixPencil, decomp: SpectralDecomposition,
+                           tol: float) -> ValidationReport:
+    """Report the max-norm residual of every projector/G identity."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    d, eye = decomp, np.eye(pencil.n)
     a, b = pencil.a, pencil.b
     res = {
         "P1+P2=I": d.p1 + d.p2 - eye,
@@ -386,41 +418,4 @@ def _identity_residuals(pencil: MatrixPencil, d: SpectralDecomposition) -> dict:
     if d.x2_basis.shape[1]:
         res["A*x2_basis=0"] = a @ d.x2_basis
         res["P2*x2_basis=x2_basis"] = d.p2 @ d.x2_basis - d.x2_basis
-    return res
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Max-norm residual of every decomposition identity, plus a verdict."""
-
-    residuals: dict = field(default_factory=dict)
-    tol: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tol for v in self.residuals.values())
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
-
-    def failing(self) -> list[str]:
-        return [k for k, v in self.residuals.items() if v > self.tol]
-
-    def to_json(self) -> dict:
-        return {
-            "tol": self.tol,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "identities": dict(self.residuals),
-        }
-
-
-def validate_decomposition(pencil: MatrixPencil, decomp: SpectralDecomposition,
-                           tol: float) -> ValidationReport:
-    """Report the max-norm residual of every projector/G identity."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    residuals = {name: float(np.abs(mat).max())
-                 for name, mat in _identity_residuals(pencil, decomp).items()}
-    return ValidationReport(residuals=residuals, tol=tol)
+    return ValidationReport({name: float(np.abs(m).max()) for name, m in res.items()}, tol)

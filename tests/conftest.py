@@ -62,6 +62,21 @@ def random_index1_pencil(rng, n=None, k=None):
     return pencil, k, p2_exact, q2_exact
 
 
+def weierstrass_pencil(rng, n, k):
+    """A = T diag(I_d, 0) S and B = T diag(M, I_k) S with d = n - k: index <= 1.
+
+    M is upper triangular with diagonal in [0.5, 2] and T, S are random
+    well-conditioned matrices, so the finite mu-roots are -1/M_ii.
+    """
+    d = n - k
+    a_core = np.diag(np.r_[np.ones(d), np.zeros(k)])
+    b_core = np.eye(n)
+    b_core[:d, :d] = (np.diag(rng.uniform(0.5, 2.0, d))
+                      + np.triu(rng.uniform(-0.3, 0.3, (d, d)), 1))
+    t, s = random_conditioned(n, rng), random_conditioned(n, rng)
+    return MatrixPencil(a=t @ a_core @ s, b=t @ b_core @ s)
+
+
 @pytest.fixture(scope="session")
 def sec5_preset():
     return get_preset("sec5_cubic")

@@ -302,8 +302,18 @@ class TestProjectors:
         assert payload["passed"] is True
         np.testing.assert_allclose(payload["p2"][2], [0.0, 0.5, 1.0], atol=1e-12)
         assert payload["residue_agreement"] <= 1e-8
+        # the 32-node rule's error at radius/pole ratio 1/2 is about 0.5**32
+        assert payload["residue_quadrature_error"] == pytest.approx(0.5 ** 32, rel=0.1)
         assert payload["det_g"] == pytest.approx(500.0)
         assert payload["validation"]["passed"] is True
+
+    def test_odd_node_count_has_no_error_estimate(self, tmp_path):
+        cfg = {"model": "sec5_cubic", "projector_node_count": 63,
+               "outputs": {"summary_json": str(tmp_path / "proj.json")}}
+        assert cli.main(["projectors", write_config(tmp_path, cfg), "--quiet"]) == 0
+        payload = strict_json(tmp_path / "proj.json")
+        assert payload["residue_quadrature_error"] is None
+        assert payload["residue_agreement"] <= 1e-13
 
     def test_identity_inline_pencil(self, tmp_path):
         cfg = {"model": {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [[0.0, 0.0], [0.0, 0.0]]},
@@ -451,22 +461,48 @@ class TestBoundary:
                           "nested": {"x": None, "ok": 2.5}, "count": 3}
 
 
-def test_solve_does_not_import_scipy(tmp_path):
-    # scipy.linalg serves only the residue projectors; a solve must not pay for
-    # it, nor for a schema library
+def test_no_command_imports_scipy(tmp_path):
+    # scipy serves only the tests and the benchmark's references, and no
+    # command pays for a schema library either; each runs in a fresh process
     import os
     import subprocess
     import sys
 
     import pencildae
-    path = write_config(tmp_path, base_solve_config(tmp_path))
-    code = ("import sys, pencildae.cli as c; "
-            f"assert c.main(['solve', {path!r}, '--quiet']) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))")
+    inline = {"model": {"a": [[1, 0], [0, 0]], "b": [[-1, 1], [1, 1]]},
+              "outputs": {"summary_json": str(tmp_path / "inline.json")}}
+    runs = [("solve", base_solve_config(tmp_path)),
+            ("converge", base_solve_config(tmp_path, study={"refinements": 3})),
+            ("projectors", {"model": "sec5_cubic",
+                            "outputs": {"summary_json": str(tmp_path / "proj.json")}}),
+            ("projectors", inline),
+            ("validate", base_solve_config(tmp_path))]
     src = str(Path(pencildae.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.strip() == "[]"
+    for i, (command, cfg) in enumerate(runs):
+        path = write_config(tmp_path, cfg, name=f"config{i}.json")
+        code = ("import sys, pencildae.cli as c; "
+                f"assert c.main([{command!r}, {path!r}, '--quiet']) == 0; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert out.stdout.strip() == "[]", (command, out.stdout)
+
+
+def test_blow_up_verdict_depends_on_the_corrector(tmp_path):
+    # one diverging trajectory, two verdicts: the single-step corrector runs on
+    # until the norm crosses the 1e6 threshold, while iterate misses its Newton
+    # tolerance first, near a norm of 1e4
+    mesh = {"t0": 0.0, "t_end": 0.2, "n_steps": 2000}
+    for method in ("method1", "method2"):
+        got, err = run_cli("solve", {"model": "sec6_blowup", "method": method,
+                                     "mesh": mesh}, tmp_path)
+        assert (got, err.split(":")[0]) == (3, "blow-up"), err
+        got, err = run_cli("solve", {"model": "sec6_blowup", "method": method, "mesh": mesh,
+                                     "corrector": {"mode": "iterate", "tol": 1e-10}},
+                           tmp_path)
+        assert (got, err.split(":")[0]) == (4, "corrector failure"), err
+        assert float(err.rsplit("max norm ", 1)[1]) < 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +642,8 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
     ("solve", {"model": {"a": [[2, 1e14], [0, 0]], "b": [[-1, 1e-14], [3, -1]]}, "mesh": MESH,
                "initial_state": {"z0": [1e50, -3]}},
      1, "initial-state error: ValueError: z0 must lie in X1"),
-    # the residue quadrature's resolvent solve is singular
-    ("projectors", {"model": {"a": [[0, 2], [0, 1e-14]], "b": [[1, 3], [1, 3]]}},
+    # the resolvent (1e-310 I)^-1 overflows at every node of the contour
+    ("projectors", {"model": {"a": [[1e-310, 0], [0, 1e-310]], "b": [[0, 0], [0, 0]]}},
      2, "pencil error: ContourSolveFailedError: "),
     # the algebraic projectors fail their identity or residue check
     ("projectors", {"model": {"a": [[1, -1, -1], [2, 0, 1e-14], [-1, 2, 0]],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,8 +262,7 @@ class TestTrajectoryInvariants:
         pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
         dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.zeros(2),
                             jac_f=lambda t, x: np.zeros((2, 2)))
-        with pytest.raises(InconsistentInitialStateError, match="exceeds tolerance"), \
-                np.errstate(over="ignore"):
+        with pytest.raises(InconsistentInitialStateError, match="exceeds tolerance"):
             method1_solve(dae, projectors_algebraic(pencil), Mesh(0.0, 1.0, 4),
                           np.array(x0), SolverConfig(blow_up_threshold=1e300))
 
@@ -384,7 +384,10 @@ def test_row_norms():
     rng = np.random.default_rng(3)
     rows = rng.uniform(-2.0, 2.0, (200, 3)) * 10.0 ** rng.integers(-150, 150, (200, 1))
     np.testing.assert_array_equal(_row_norms(rows), np.linalg.norm(rows, axis=1))
-    with np.errstate(over="ignore"):
+    # the squares of the first two over- and underflow inside numpy's norm; a
+    # library caller sees the repaired values and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         norms = _row_norms(np.array([[3e200, 4e200], [3e-200, -4e-200], [0.0, -0.0],
                                      [np.inf, 1.0], [np.nan, 1.0]]))
     np.testing.assert_allclose(norms[:2], [5e200, 5e-200], rtol=1e-15)

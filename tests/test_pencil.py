@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from pencildae import (IndexTooHighError, MatrixPencil, NotRegularError, PencilIndex,
-                       PoleOnContourError, classify_index, contour_radius,
-                       projectors_algebraic, projectors_residue, regularity_probe,
-                       validate_decomposition)
+from pencildae import (ContourSolveFailedError, IndexTooHighError, MatrixPencil,
+                       NotRegularError, PencilIndex, PoleOnContourError, classify_index,
+                       contour_radius, projectors_algebraic, projectors_residue,
+                       regularity_probe, validate_decomposition)
+from pencildae.pencil import _eigenvalue_moduli, _radius
 
-from conftest import random_conditioned, random_index1_pencil
+from conftest import random_conditioned, random_index1_pencil, weierstrass_pencil
+from reference_residue import reference_moduli, reference_residue
 
 
 def identity_pencil(n=2):
@@ -189,6 +191,141 @@ class TestProjectorsResidue:
         with pytest.raises(ValueError, match="between 8 and 65536"):
             projectors_residue(identity_pencil(), radius=1.0, node_count=10**18)
         assert MAX_NODE_COUNT == 2 ** 16
+
+
+    def test_quadrature_error_estimates_the_half_rule(self):
+        # |S_32 - S_16| is the 16-node rule's error, 0.5**16, to within the
+        # 32-node rule's own, 0.5**32
+        exact = np.diag([1.0, 0.0])
+        res = projectors_residue(diag_index1_pencil(), radius=0.5, node_count=32)
+        p1_half, _ = projectors_residue(diag_index1_pencil(), radius=0.5, node_count=16)
+        half_error = np.abs(p1_half - exact).max()
+        assert half_error == pytest.approx(0.5 ** 16, rel=1e-3)
+        assert abs(res.quadrature_error - half_error) <= 1e-9
+        assert np.abs(res[0] - exact).max() <= 1e-9 < res.quadrature_error
+
+    def test_stacks_of_nodes_add_up(self, monkeypatch, sec5_preset):
+        # nodes inverted two at a time give the sums of one stack of all 64
+        pen = sec5_preset.dae.pencil
+        whole = projectors_residue(pen)
+        monkeypatch.setattr("pencildae.pencil._STACK_ENTRIES", 2 * pen.n ** 2)
+        split = projectors_residue(pen)
+        for got, want in zip(split, whole):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert split.quadrature_error == pytest.approx(whole.quadrature_error, rel=1e-6)
+
+    def test_overflowing_resolvent_fails_on_the_contour(self):
+        pencil = MatrixPencil(a=1e-310 * np.eye(2), b=np.zeros((2, 2)))
+        with pytest.raises(ContourSolveFailedError, match="non-finite at node 0"):
+            projectors_residue(pencil)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+NILPOTENT = np.diag([1.0, 1.0], 1)
+INFINITE_ROOT_PENCILS = [
+    MatrixPencil(a=2.0 * np.eye(3), b=np.zeros((3, 3))),        # B = 0: no finite root
+    MatrixPencil(a=3.7 * np.eye(3), b=np.diag([0.0, 1.0, 0.0])),  # one root, two infinite
+    MatrixPencil(a=np.eye(2), b=np.array([[0.0, 1.0], [0.0, 0.0]])),
+    MatrixPencil(a=np.eye(3), b=NILPOTENT),
+    MatrixPencil(a=np.diag([1.0, 0.0, 1.0]), b=np.eye(3) + NILPOTENT),
+]
+SINGULAR_PENCILS = [
+    MatrixPencil(a=np.diag([1.0, 0.0]), b=np.zeros((2, 2))),
+    MatrixPencil(a=np.diag([1.0, 0.0]), b=np.diag([2.0, 0.0])),
+    MatrixPencil(a=np.ones((2, 2)), b=3.0 * np.ones((2, 2))),
+    MatrixPencil(a=np.outer([1.0, 2.0, 3.0], [1.0, 0.0, 1.0]),
+                 b=np.outer([1.0, 2.0, 3.0], [0.0, 1.0, 1.0])),
+]
+
+
+def reference_pencils():
+    rng = np.random.default_rng(8)
+    pencils = [random_index1_pencil(rng)[0] for _ in range(400)]
+    pencils += [weierstrass_pencil(rng, n, k)
+                for _ in range(6) for n in range(2, 9) for k in range(n)]
+    return pencils + INFINITE_ROOT_PENCILS
+
+
+class TestResidueAgainstReference:
+    """The numpy eigenvalue moduli and the stacked resolvents against QZ and
+    the node-by-node loop of ``reference_residue``."""
+
+    @pytest.fixture(scope="class")
+    def pencils(self):
+        pencils = reference_pencils()
+        assert len(pencils) >= 600
+        return pencils
+
+    def test_default_radius_matches_qz(self, pencils):
+        for pencil in pencils:
+            want = _radius(reference_moduli(pencil), 0.5)
+            assert abs(contour_radius(pencil) - want) <= 1e-10 * want
+
+    def test_same_pole_on_contour_verdicts(self, pencils):
+        # a contour through any nonzero root is refused by both
+        for pencil in pencils:
+            mags = reference_moduli(pencil)
+            for radius in mags[mags > 1e-9]:
+                assert outcome(projectors_residue, pencil, radius=radius) is PoleOnContourError
+                assert outcome(reference_residue, pencil, radius=radius) is PoleOnContourError
+
+    def test_stacked_projectors_match_the_loop(self, pencils):
+        # on the default contour, which neither refuses
+        for pencil in pencils:
+            got, want = projectors_residue(pencil), reference_residue(pencil)
+            scale = pencil.norm_scale()
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-13 * scale
+
+    def test_singular_pencils_fail_alike(self):
+        # the shift search finds no regular point, yet neither route raises
+        # NotRegularError: the resolvent fails on the contour
+        for pencil in SINGULAR_PENCILS:
+            with pytest.raises(ContourSolveFailedError, match="singular at node 0"):
+                projectors_residue(pencil)
+            assert outcome(reference_residue, pencil) is ContourSolveFailedError
+
+    def test_rotated_nilpotent_b(self):
+        # B = Q J Q^T with J a 3x3 Jordan block: det(I + mu*B) = 1 has no finite
+        # root, but the defective infinite one is perturbed by about eps**(1/3)
+        # into spurious finite moduli, by QZ (~9e7) as by the shift (~4e5); on
+        # either contour the resolvent I - mu B + mu^2 B^2 loses every digit
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+        pencil = MatrixPencil(a=np.eye(3), b=q @ NILPOTENT @ q.T)
+        assert contour_radius(pencil) > 1e4 and _radius(reference_moduli(pencil), 0.5) > 1e4
+        assert outcome(projectors_residue, pencil) is ContourSolveFailedError
+        assert outcome(reference_residue, pencil) is ContourSolveFailedError
+
+    def test_infinite_root_that_qz_returns_finite(self):
+        # det(A + mu*B) = mu*(1e-14 - 2): B is singular, so the second root is
+        # infinite; QZ returns it as -9.9e15, and the resolvent cannot be
+        # evaluated on a contour of radius 5e15
+        pencil = MatrixPencil(a=np.array([[0.0, 2.0], [0.0, 1e-14]]),
+                              b=np.array([[1.0, 3.0], [1.0, 3.0]]))
+        assert reference_moduli(pencil).max() > 1e15
+        assert outcome(reference_residue, pencil) is ContourSolveFailedError
+        assert contour_radius(pencil) == 1.0
+        p1, q1 = projectors_residue(pencil)
+        d = projectors_algebraic(pencil)
+        assert max(np.abs(p1 - d.p1).max(), np.abs(q1 - d.q1).max()) <= 1e-13
+
+    def test_clustered_small_roots(self):
+        # ||B|| = 1e14 puts the shift near 1e13 while the three roots of
+        # det(A + mu*B) cluster at |mu| = 2.7144e-5 (to 2e-5 relative); the
+        # moduli come from S^-1 B there, where S^-1 A would smear the cluster
+        a = [[1.0, -1.0, -1.0], [2.0, 0.0, 1e-14], [-1.0, 2.0, 0.0]]
+        b = [[1e14, 2.0, 0.0], [1e-14, 2.0, 0.0], [0.0, 2.0, 1.0]]
+        pencil = MatrixPencil(a=np.array(a), b=np.array(b))
+        # the roots of the cubic det(A + mu*B), found in 60-digit arithmetic
+        roots = (2.71439919629158e-5, 2.71439919629158e-5, 2.71445445757657e-5)
+        np.testing.assert_allclose(np.sort(_eigenvalue_moduli(pencil)), roots, rtol=1e-12)
 
 
 class TestValidateDecomposition:
