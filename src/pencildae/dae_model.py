@@ -14,6 +14,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's LAPACK gesv
 
 from .pencil import MatrixPencil, SpectralDecomposition
 
@@ -121,7 +122,8 @@ class X2Newton:
     full-space operator is singular on X1).  Consistent initialization and the
     u-update of both integration schemes are this one routine.  For k = 1 (every
     circuit preset) ``c`` is a float, N and W are n-vectors and the step is
-    r / (1 - W f_x N), with no solve.  ``lift`` maps c to u = N c.
+    r / (1 - W f_x N), with no solve; for k > 1 it is LAPACK ``gesv`` through
+    numpy's solve gufunc.  ``lift`` maps c to u = N c.
     """
 
     def __init__(self, decomp: SpectralDecomposition):
@@ -134,51 +136,52 @@ class X2Newton:
 
     def correct(self, f: RhsFunc, jac: JacFunc, t: float, z: np.ndarray,
                 c: float | np.ndarray, tol: float | None = None, max_iter: int = 50):
-        """Correct the coordinates ``c`` at (t, z); returns ``(c, error)``.
+        """Correct the coordinates ``c`` at (t, z); returns ``(c, error, fx)``.
 
         With ``tol=None`` exactly one correction is made.  Otherwise corrections
         repeat until ||c - W f|| <= ``tol``, at most ``max_iter`` times.
         ``error`` is None on success; on failure it is the exception, not
         raised, that describes it: SingularNewtonMatrixError for a singular
         matrix or a non-finite step, NoConvergenceError when ``tol`` is missed,
-        or what ``f`` or ``jac`` raised (one of ``_MODEL_ERRORS``).
+        or what ``f`` or ``jac`` raised (one of ``_MODEL_ERRORS``).  ``fx`` is
+        f(t, z + N c) where the converged ``tol`` test evaluated it, else None.
+        A singular k > 1 matrix gives a NaN step and sets numpy's invalid flag:
+        call this inside ``np.errstate(invalid="ignore")`` to keep it silent.
         """
         if not self.k:
-            return c, None
+            return c, None, None
         basis, lift, scalar = self.basis, self.lift, self.scalar
         coeff = self.coeff.dot
         updates = 0
         try:
             while True:
                 x = z + lift(c)
-                r = c - coeff(f(t, x))
+                fx = f(t, x)
+                r = c - coeff(fx)
                 if tol is not None:
                     last = abs(r) if scalar else math.sqrt(r.dot(r))
                     if last <= tol:
-                        return c, None
+                        return c, None, fx
                     if updates >= max_iter:
                         return c, NoConvergenceError(
                             f"restricted Newton stalled at residual {last:.3e} "
-                            f"after {updates} corrections", last_residual=last)
+                            f"after {updates} corrections", last_residual=last), None
                 newton = self._eye - coeff(jac(t, x).dot(basis))
                 if scalar:  # a finite pivot and a finite quotient
                     step = r / newton if newton and math.isfinite(newton) else math.nan
                     finite = math.isfinite(step)
-                else:
-                    try:  # per-entry math.isfinite beats np.isfinite on k-vectors
-                        step = np.linalg.solve(newton, r)
-                        finite = all(map(math.isfinite, step.tolist()))
-                    except np.linalg.LinAlgError:
-                        finite = False
+                else:  # NaN if singular; per-entry math.isfinite beats np.isfinite here
+                    step = _solve1(newton, r)
+                    finite = all(map(math.isfinite, step.tolist()))
                 if not finite:
                     return c, SingularNewtonMatrixError(
-                        f"restricted Newton step singular or non-finite at t={t}")
+                        f"restricted Newton step singular or non-finite at t={t}"), None
                 c = c - step
                 if tol is None:
-                    return c, None
+                    return c, None, None
                 updates += 1
         except _MODEL_ERRORS as exc:  # f or jac could not be evaluated at x
-            return c, exc
+            return c, exc, None
 
 
 def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
@@ -187,7 +190,7 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
     """Solve the consistency condition B u = Q2 f(t0, z0 + u) for u in X2.
 
     Newton iteration on F(u) = u - Ginv Q2 f(t0, z0 + u) from u = 0 by
-    :meth:`X2Newton.correct`.
+    :meth:`X2Newton.correct`, with numpy's invalid flag silenced.
 
     Raises
     ------
@@ -196,17 +199,21 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
     NoConvergenceError
         If ``max_iter`` iterations do not reach ``tol``.
     ArithmeticError, ValueError
-        What ``f`` or its Jacobian raised; ValueError also if ``z0`` is not in X1.
+        What ``f`` or its Jacobian raised; ValueError also for a non-finite
+        ``z0`` or one not in X1.
     """
     z0 = np.asarray(z0, dtype=float)
+    if not np.isfinite(z0).all():
+        raise ValueError("z0 must be finite")
     if not np.abs(decomp.p1 @ z0 - z0).max() <= 1e-8 * (1.0 + np.abs(z0).max()):
         raise ValueError("z0 must lie in X1 (apply P1 first)")
     newton = X2Newton(decomp)
     if newton.k == 0:
         return np.zeros(decomp.n)
     c0 = 0.0 if newton.scalar else np.zeros(newton.k)
-    c, error = newton.correct(dae.f, jacobian_function(dae), t0, z0, c0,
-                              tol=tol, max_iter=max_iter)
+    with np.errstate(invalid="ignore"):
+        c, error, _ = newton.correct(dae.f, jacobian_function(dae), t0, z0, c0,
+                                     tol=tol, max_iter=max_iter)
     if error is not None:
         raise error
     return newton.lift(c)

@@ -10,6 +10,7 @@ against a reference run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,7 +131,7 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
     DegenerateFitError
         If an error drops below 1e-13 and the fit would chase roundoff.
     """
-    if refinements < 3:
+    if operator.index(refinements) < 3:
         raise ValueError("refinements must be at least 3")
     base_config = replace(config or SolverConfig(), method=method)
 

@@ -58,7 +58,7 @@ class Mesh:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1:
+        if operator.index(self.n_steps) < 1:
             raise ValueError("n_steps must be a positive integer")
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
@@ -262,40 +262,42 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     status = SolveStatus(SolveOutcome.COMPLETED)
     last = n_steps                                # the last node computed
     known = 1                                     # leading nodes with their f stored
-    z_prev = None
-    try:
-        for i in range(n_steps):
-            if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                status, last = _stopped(x, i, node_t)
-                break
-            if i:
-                fi = f_values[i] = f(node_t[i], x)
-                known = i + 1
-            if leapfrog and i:
-                z_next = z_prev + leap_drive(fi) - leap_decay(z)
+    z_prev = fc = None                            # fc: f at the newest node, if known
+    # a singular k > 1 Newton matrix sets the invalid flag (its NaN step fails the step)
+    with np.errstate(invalid="ignore"):
+        try:
+            for i in range(n_steps):
+                if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
+                    status, last = _stopped(x, i, node_t)
+                    break
+                if i:
+                    fi = f_values[i] = f(node_t[i], x) if fc is None else fc
+                    known = i + 1
+                if leapfrog and i:
+                    z_next = z_prev + leap_drive(fi) - leap_decay(z)
+                else:
+                    z_next = euler(z) + drive(fi)
+                c, error, fc = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter)
+                if error is not None:
+                    status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
+                    last = i
+                    break
+                z_prev, z = z, z_next
+                x = z + lift(c)
+                z_hist[i + 1], coords[i + 1] = z, c
             else:
-                z_next = euler(z) + drive(fi)
-            c, error = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter)
-            if error is not None:
-                status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
-                last = i
-                break
-            z_prev, z = z, z_next
-            x = z + lift(c)
-            z_hist[i + 1], coords[i + 1] = z, c
-        else:
-            if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                status, last = _stopped(x, n_steps, node_t)
-    except _MODEL_ERRORS:  # f could not be evaluated at node i
-        status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
-        last = i
+                if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
+                    status, last = _stopped(x, n_steps, node_t)
+        except _MODEL_ERRORS:  # f could not be evaluated at node i
+            status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
+            last = i
 
     # x_i = z_i + N c_i, with N c_i formed twice: held through the residuals it raises the peak
     coords = coords[:last + 1].reshape(last + 1, newton.k, 1)
     states = z_hist[:last + 1] + np.matmul(decomp.x2_basis, coords)[:, :, 0]
     if known == last:
         try:  # f may overflow at an exploded state; its residual is then inf
-            f_values[last] = f(node_t[last], states[last])
+            f_values[last] = f(node_t[last], states[last]) if fc is None else fc
             known += 1
         except _MODEL_ERRORS:
             pass

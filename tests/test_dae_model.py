@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from pencildae import (MatrixPencil, NonFiniteJacobianError, SemilinearDAE,
                        projectors_algebraic)
 from pencildae.dae_model import X2Newton, jacobian_function
 
-from conftest import check_jacobian
+from conftest import check_jacobian, random_index1_pencil
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,40 @@ def bisect_circuit_constraint(z0, r=2.0, lo=-5.0, hi=5.0, tol=1e-14):
     return 0.5 * (lo + hi)
 
 
+def affine_problem(rng, n=8, k=3):
+    """Seeded n x n index-1 pencil with affine f = g + F x: (dae, decomp)."""
+    pencil, _, _, _ = random_index1_pencil(rng, n=n, k=k)
+    g = rng.uniform(-1.0, 1.0, n)
+    f_mat = rng.uniform(-0.2 / n, 0.2 / n, (n, n))
+    dae = SemilinearDAE(pencil=pencil, f=lambda t, x: g + f_mat @ x,
+                        jac_f=lambda t, x: f_mat)
+    return dae, projectors_algebraic(pencil)
+
+
+def singular_k2_problem(t_singular):
+    """x1' + x1 = sin t with X2 = span(e2, e3): u = (cos t, 0.5) before ``t_singular``,
+    then a coupling that makes the restricted Newton matrix [[1, 1], [1, 1]].
+
+    Returns (dae, decomp, x0) with x0 consistent at t = 0.
+    """
+    coupling = np.array([[0.0, -1.0], [-1.0, 0.0]])
+
+    def block(t):
+        return coupling if t >= t_singular else np.zeros((2, 2))
+
+    def f(t, x):
+        return np.r_[math.sin(t), block(t) @ x[1:] + [math.cos(t), 0.5]]
+
+    def jac(t, x):
+        out = np.zeros((3, 3))
+        out[1:, 1:] = block(t)
+        return out
+
+    pencil = MatrixPencil(a=np.diag([1.0, 0.0, 0.0]), b=np.eye(3))
+    return (SemilinearDAE(pencil=pencil, f=f, jac_f=jac), projectors_algebraic(pencil),
+            np.array([1.0, 1.0, 0.5]))
+
+
 class TestConsistentInitialize:
     def test_index0_returns_zero(self, index0_problem):
         dae, decomp = index0_problem
@@ -207,6 +242,22 @@ class TestConsistentInitialize:
         with pytest.raises(SingularNewtonMatrixError):
             consistent_initialize(dae, decomp, 0.0, np.array([1.0, 0.0]))
 
+    def test_singular_k2_newton_detected(self):
+        # the 2 x 2 Newton matrix [[1, 1], [1, 1]] is exactly singular
+        from pencildae import SingularNewtonMatrixError
+        dae, decomp, _ = singular_k2_problem(t_singular=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNewtonMatrixError):
+                consistent_initialize(dae, decomp, 0.6, np.array([1.0, 0.0, 0.0]))
+
+    def test_rejects_non_finite_z0(self, sec5_preset, sec5_decomp):
+        # named as non-finite, not as a point outside X1
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0,
+                                      np.array([bad, 0.0, 0.0]))
+
     def test_rejects_z0_outside_x1(self, sec5_preset, sec5_decomp):
         with pytest.raises(ValueError):
             consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0,
@@ -239,8 +290,8 @@ class TestX2Newton:
 
         decomp = projectors_algebraic(MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2)))
         c0 = 0.25
-        c, error = X2Newton(decomp).correct(f, jac, 0.0, np.array([1.0, 0.0]), c0)
-        assert c is c0
+        c, error, fx = X2Newton(decomp).correct(f, jac, 0.0, np.array([1.0, 0.0]), c0)
+        assert c is c0 and fx is None
         assert isinstance(error, ZeroDivisionError if raising == "f" else ValueError)
 
     # the k = 1 form: constraint x2 = f2(x) on the pencil diag(1, 0), I, so
@@ -257,21 +308,21 @@ class TestX2Newton:
         newton, f, jac = self.constraint(lambda x: 1e300, lambda x: 1.0 - 2.0 ** -53)
         assert newton.scalar
         with np.errstate(over="ignore"):
-            c, error = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
+            c, error, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
         assert isinstance(error, SingularNewtonMatrixError)
         assert c == 0.25
 
     def test_nan_pivot_is_singular(self):
         from pencildae import SingularNewtonMatrixError
         newton, f, jac = self.constraint(lambda x: 0.5 * x[1], lambda x: math.nan)
-        c, error = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
+        c, error, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
         assert isinstance(error, SingularNewtonMatrixError) and c == 0.25
 
     def test_stall_reports_the_absolute_residual(self):
         from pencildae import NoConvergenceError
         newton, f, jac = self.constraint(lambda x: 1.0 + x[1] ** 3, lambda x: 3.0 * x[1] ** 2)
         z = np.array([1.0, 0.0])
-        c, error = newton.correct(f, jac, 0.0, z, 0.25, tol=1e-300, max_iter=2)
+        c, error, _ = newton.correct(f, jac, 0.0, z, 0.25, tol=1e-300, max_iter=2)
         assert isinstance(error, NoConvergenceError)
         assert error.last_residual == abs(c - newton.coeff.dot(f(0.0, z + newton.lift(c))))
         assert error.last_residual > 0.0
@@ -280,8 +331,8 @@ class TestX2Newton:
         # the update count passes 2.5 without ever equalling it
         from pencildae import NoConvergenceError
         newton, f, jac = self.constraint(lambda x: 1.0 + x[1] ** 3, lambda x: 3.0 * x[1] ** 2)
-        c, error = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25, tol=1e-300,
-                                  max_iter=2.5)
+        c, error, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25, tol=1e-300,
+                                     max_iter=2.5)
         assert isinstance(error, NoConvergenceError)
         assert "after 3 corrections" in str(error)
         pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
@@ -303,6 +354,39 @@ class TestX2Newton:
             x = z + basis @ c_vec
             matrix = np.eye(1) - coeff @ dae.jac_f(0.3, x) @ basis
             want = c_vec - np.linalg.solve(matrix, c_vec - coeff @ dae.f(0.3, x))
-            c, error = newton.correct(dae.f, dae.jac_f, 0.3, z, float(c_vec[0]))
+            c, error, _ = newton.correct(dae.f, dae.jac_f, 0.3, z, float(c_vec[0]))
             assert error is None and isinstance(c, float)
             assert abs(c - want[0]) <= 1e-15 * abs(want[0])
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_matrix_step_is_bit_identical_to_linear_solve(self, k):
+        # the k x k step calls numpy's solve gufunc directly; np.linalg.solve
+        # wraps the same LAPACK gesv, so the corrected c agrees to the bit
+        n = k + 2
+        rng = np.random.default_rng(100 + k)
+        pencil, _, _, _ = random_index1_pencil(rng, n=n, k=k)
+        decomp = projectors_algebraic(pencil)
+        newton = X2Newton(decomp)
+        for _ in range(50):
+            g, f_mat = rng.standard_normal(n), rng.standard_normal((n, n))
+            z = decomp.p1 @ rng.uniform(-2.0, 2.0, n)
+            c = rng.uniform(-2.0, 2.0, k)
+            r = c - newton.coeff.dot(g + f_mat.dot(z + newton.lift(c)))
+            matrix = np.eye(k) - newton.coeff.dot(f_mat.dot(newton.basis))
+            want = c - np.linalg.solve(matrix, r)
+            got, error, fx = newton.correct(lambda t, x: g + f_mat.dot(x),
+                                            lambda t, x: f_mat, 0.0, z, c)
+            assert error is None and fx is None
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_converged_correction_hands_back_its_f(self, k):
+        # the converged tol test evaluated f at the returned c; the caller reuses it
+        rng = np.random.default_rng(5)
+        dae, decomp = affine_problem(rng, n=k + 2, k=k)
+        newton = X2Newton(decomp)
+        z = decomp.p1 @ rng.uniform(-1.0, 1.0, k + 2)
+        c0 = 0.0 if newton.scalar else np.zeros(k)
+        c, error, fx = newton.correct(dae.f, dae.jac_f, 0.5, z, c0, tol=1e-10)
+        assert error is None
+        assert fx.tobytes() == dae.f(0.5, z + newton.lift(c)).tobytes()

@@ -115,6 +115,9 @@ class TestEmpiricalOrder:
         with pytest.raises(ValueError):
             empirical_order(dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 10),
                             np.array([1.0]), refinements=2)
+        with pytest.raises(TypeError):
+            empirical_order(dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 10),
+                            np.array([1.0]), refinements=3.5)
 
     def test_json_serialization(self, scalar_decay):
         dae, decomp = scalar_decay

@@ -13,7 +13,7 @@ from pencildae.integrators import _row_norms
 
 from conftest import random_index1_pencil
 from reference_stepper import reference_solve
-from test_dae_model import bisect_circuit_constraint
+from test_dae_model import affine_problem, bisect_circuit_constraint, singular_k2_problem
 
 
 def scalar_problem(a, b, f, jac=None):
@@ -32,6 +32,10 @@ class TestMesh:
             Mesh(-1e308, 1e308, 4)          # t_end - t0 overflows
         with pytest.raises(ValueError, match="below"):
             Mesh(0.0, 1.0, 10**19)          # more nodes than numpy can index
+        for n_steps in (2.5, 4.0):          # 2.5 steps would put a node past t_end
+            with pytest.raises(TypeError):
+                Mesh(0.0, 1.0, n_steps)
+        assert Mesh(0.0, 1.0, np.int64(4)).times()[-1] == 1.0
 
     def test_nodes_are_not_accumulated(self):
         mesh = Mesh(0.0, 1.0, 3)
@@ -193,8 +197,8 @@ class TestIndex0Equivalence:
 def correct_u(dae, decomp, t_next, z_next, u_prev, tol=None, max_iter=1):
     """The u-update of both schemes, by X2Newton.correct, in full coordinates."""
     newton = X2Newton(decomp)
-    c, error = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
-                              newton.basis.T @ u_prev, tol, max_iter)
+    c, error, _ = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
+                                 newton.basis.T @ u_prev, tol, max_iter)
     assert error is None
     return newton.lift(c)
 
@@ -490,6 +494,23 @@ class TestKernelEquivalence:
         assert_matches_reference(traj, ref, "corrector_failed", detail=50)
         assert len(traj) == 50
 
+    @pytest.mark.parametrize("corrector", ["single", "iterate"])
+    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
+    def test_singular_k2_newton_matrix_fails_the_step(self, method, corrector):
+        # the 2 x 2 Newton matrix is exactly singular from t = 0.55 on, so the
+        # correction at t = 0.6 (step 6) fails, with no warning
+        dae, decomp, x0 = singular_k2_problem(t_singular=0.55)
+        tol, max_iter = self.CORRECTORS[corrector]
+        mesh = Mesh(0.0, 1.0, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve(dae, decomp, mesh, x0, SolverConfig(method=method, tol=tol,
+                                                             max_iter=max_iter))
+        ref = reference_solve(dae, decomp, mesh, x0, leapfrog=method is Method.METHOD2,
+                              tol=tol, max_iter=max_iter)
+        assert_matches_reference(traj, ref, "corrector_failed", detail=6)
+        assert len(traj) == 6
+
     def test_model_arithmetic_error_fails_the_step(self):
         # f raises like a Python-float power that overflows; the run stops at
         # the step whose state it was evaluated at instead of raising
@@ -556,6 +577,20 @@ class TestEvaluationCounts:
         n_steps = 500
         traj = method1_solve(dae, sec5_decomp, Mesh(0.0, 1.0, n_steps),
                              np.array([0.5, -0.5, 0.25]))
+        assert traj.status.completed
+        assert counts == {"f": 2 * n_steps + 1, "jac": n_steps}
+
+    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
+    def test_iterate_reuses_the_converged_f(self, method):
+        # affine f: one correction, then the converged test, whose f the next
+        # z-step and the final residual reuse: 2 f per step plus f(t0, x0)
+        dae, decomp = affine_problem(np.random.default_rng(3), n=8, k=3)
+        z0 = decomp.p1 @ np.linspace(-1.0, 1.0, 8)
+        x0 = z0 + consistent_initialize(dae, decomp, 0.0, z0)
+        dae, counts = self.counted(dae)
+        n_steps = 200
+        traj = solve(dae, decomp, Mesh(0.0, 1.0, n_steps), x0,
+                     SolverConfig(method=method, tol=1e-10))
         assert traj.status.completed
         assert counts == {"f": 2 * n_steps + 1, "jac": n_steps}
 
