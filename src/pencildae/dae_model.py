@@ -9,6 +9,7 @@ part given the differential one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -69,8 +70,8 @@ class SemilinearDAE:
     fd_step: float = 1e-7
 
     def __post_init__(self):
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
+        if not 0.0 < self.fd_step < math.inf:
+            raise ValueError("fd_step must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -136,20 +137,21 @@ class X2Newton:
 
     def correct(self, f: RhsFunc, jac: JacFunc, t: float, z: np.ndarray,
                 c: float | np.ndarray, tol: float | None = None, max_iter: int = 50):
-        """Correct the coordinates ``c`` at (t, z); returns ``(c, error, fx)``.
+        """Correct the coordinates ``c`` at (t, z); returns ``(c, error, fx, x)``.
 
         With ``tol=None`` exactly one correction is made.  Otherwise corrections
         repeat until ||c - W f|| <= ``tol``, at most ``max_iter`` times.
         ``error`` is None on success; on failure it is the exception, not
         raised, that describes it: SingularNewtonMatrixError for a singular
         matrix or a non-finite step, NoConvergenceError when ``tol`` is missed,
-        or what ``f`` or ``jac`` raised (one of ``_MODEL_ERRORS``).  ``fx`` is
-        f(t, z + N c) where the converged ``tol`` test evaluated it, else None.
+        or what ``f`` or ``jac`` raised (one of ``_MODEL_ERRORS``).  Where the
+        converged ``tol`` test evaluated f, ``x`` is the point z + N c of the
+        returned c and ``fx`` is f(t, x); otherwise both are None.
         A singular k > 1 matrix gives a NaN step and sets numpy's invalid flag:
         call this inside ``np.errstate(invalid="ignore")`` to keep it silent.
         """
         if not self.k:
-            return c, None, None
+            return c, None, None, None
         basis, lift, scalar = self.basis, self.lift, self.scalar
         coeff = self.coeff.dot
         updates = 0
@@ -161,11 +163,11 @@ class X2Newton:
                 if tol is not None:
                     last = abs(r) if scalar else math.sqrt(r.dot(r))
                     if last <= tol:
-                        return c, None, fx
+                        return c, None, fx, x
                     if updates >= max_iter:
                         return c, NoConvergenceError(
                             f"restricted Newton stalled at residual {last:.3e} "
-                            f"after {updates} corrections", last_residual=last), None
+                            f"after {updates} corrections", last_residual=last), None, None
                 newton = self._eye - coeff(jac(t, x).dot(basis))
                 if scalar:  # a finite pivot and a finite quotient
                     step = r / newton if newton and math.isfinite(newton) else math.nan
@@ -175,13 +177,13 @@ class X2Newton:
                     finite = all(map(math.isfinite, step.tolist()))
                 if not finite:
                     return c, SingularNewtonMatrixError(
-                        f"restricted Newton step singular or non-finite at t={t}"), None
+                        f"restricted Newton step singular or non-finite at t={t}"), None, None
                 c = c - step
                 if tol is None:
-                    return c, None, None
+                    return c, None, None, None
                 updates += 1
         except _MODEL_ERRORS as exc:  # f or jac could not be evaluated at x
-            return c, exc, None
+            return c, exc, None, None
 
 
 def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
@@ -199,9 +201,16 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
     NoConvergenceError
         If ``max_iter`` iterations do not reach ``tol``.
     ArithmeticError, ValueError
-        What ``f`` or its Jacobian raised; ValueError also for a non-finite
-        ``z0`` or one not in X1.
+        What ``f`` or its Jacobian raised; ValueError also for a ``tol`` that
+        is not positive (NaN included), a ``max_iter`` below 1, and a
+        non-finite ``z0`` or one not in X1.
+    TypeError
+        For a non-integral ``max_iter``.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if operator.index(max_iter) < 1:
+        raise ValueError("max_iter must be a positive integer")
     z0 = np.asarray(z0, dtype=float)
     if not np.isfinite(z0).all():
         raise ValueError("z0 must be finite")
@@ -212,8 +221,8 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
         return np.zeros(decomp.n)
     c0 = 0.0 if newton.scalar else np.zeros(newton.k)
     with np.errstate(invalid="ignore"):
-        c, error, _ = newton.correct(dae.f, jacobian_function(dae), t0, z0, c0,
-                                     tol=tol, max_iter=max_iter)
+        c, error, _, _ = newton.correct(dae.f, jacobian_function(dae), t0, z0, c0,
+                                        tol=tol, max_iter=max_iter)
     if error is not None:
         raise error
     return newton.lift(c)

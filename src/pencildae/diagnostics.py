@@ -117,17 +117,21 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
                     mesh_base: Mesh, x0, refinements: int = 4,
                     reference: Trajectory | None = None,
                     config: SolverConfig | None = None) -> OrderEstimate:
-    """Estimate the convergence order by solving on h, h/2, ..., h/2^refinements.
+    """Estimate the convergence order on the ladder h, h/2, ..., h/2^refinements.
 
     Errors are discrete max norms over the base-mesh nodes (shared exactly by
     every level).  With the default self-refined reference, the finest mesh
-    serves as reference and the fitted levels stop two refinements above it;
-    with an external reference every level is fitted.
+    h/2^refinements serves as reference and the fitted levels stop two
+    refinements above it, so the level in between is never read and never
+    solved: the solves are levels 0..refinements-2 in ascending order, then
+    the finest.  With an external reference every level is solved and fitted.
 
     Raises
     ------
     LadderSolveError
-        If any ladder run terminates early.
+        If a ladder solve terminates early; it names the first such level
+        among those solved (a failure the skipped level would have had is
+        never seen).
     DegenerateFitError
         If an error drops below 1e-13 and the fit would chase roundoff.
     """
@@ -137,10 +141,11 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
 
     self_referenced = reference is None
     measured_levels = refinements - 1 if self_referenced else refinements + 1
-    run_levels = refinements + 1 if self_referenced else measured_levels
+    run_levels = [*range(measured_levels), refinements] if self_referenced \
+        else range(measured_levels)
 
     trajectories = []
-    for level in range(run_levels):
+    for level in run_levels:
         mesh = mesh_base.refined(2 ** level)
         traj = solve(dae, decomp, mesh, x0, base_config)
         if not traj.status.completed:

@@ -277,13 +277,13 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                     z_next = z_prev + leap_drive(fi) - leap_decay(z)
                 else:
                     z_next = euler(z) + drive(fi)
-                c, error, fc = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter)
+                c, error, fc, xc = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter)
                 if error is not None:
                     status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
                     last = i
                     break
                 z_prev, z = z, z_next
-                x = z + lift(c)
+                x = z + lift(c) if xc is None else xc
                 z_hist[i + 1], coords[i + 1] = z, c
             else:
                 if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:

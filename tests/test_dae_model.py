@@ -120,6 +120,13 @@ class TestJacobian:
         # a non-finite Jacobian is an arithmetic failure of the model
         assert issubclass(NonFiniteJacobianError, ArithmeticError)
 
+    @pytest.mark.parametrize("fd_step", [math.nan, math.inf, 0.0, -1e-7])
+    def test_fd_step_must_be_positive_and_finite(self, fd_step):
+        # refused at construction, not later as a non-finite Jacobian of the model
+        pencil = MatrixPencil(a=np.eye(1), b=np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="fd_step"):
+            SemilinearDAE(pencil=pencil, f=lambda t, x: x, fd_step=fd_step)
+
     def test_jacobian_function(self, sec5_preset):
         # the analytic Jacobian is used as is; without one, the checked forward
         # difference of jacobian()
@@ -258,6 +265,21 @@ class TestConsistentInitialize:
                 consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0,
                                       np.array([bad, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_rejects_a_tol_that_is_not_positive(self, sec5_preset, sec5_decomp, tol):
+        # refused as bad input, not run to a stall at "residual 0.000e+00"
+        z0 = sec5_decomp.p1 @ np.array([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="tol must be positive"):
+            consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0, tol=tol)
+
+    def test_rejects_a_max_iter_below_one_or_fractional(self, sec5_preset, sec5_decomp):
+        # 2.5 used to be accepted and stall "after 3 corrections"
+        z0 = sec5_decomp.p1 @ np.array([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="max_iter"):
+            consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0, max_iter=0)
+        with pytest.raises(TypeError):
+            consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0, max_iter=2.5)
+
     def test_rejects_z0_outside_x1(self, sec5_preset, sec5_decomp):
         with pytest.raises(ValueError):
             consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0,
@@ -290,8 +312,8 @@ class TestX2Newton:
 
         decomp = projectors_algebraic(MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2)))
         c0 = 0.25
-        c, error, fx = X2Newton(decomp).correct(f, jac, 0.0, np.array([1.0, 0.0]), c0)
-        assert c is c0 and fx is None
+        c, error, fx, x = X2Newton(decomp).correct(f, jac, 0.0, np.array([1.0, 0.0]), c0)
+        assert c is c0 and fx is None and x is None
         assert isinstance(error, ZeroDivisionError if raising == "f" else ValueError)
 
     # the k = 1 form: constraint x2 = f2(x) on the pencil diag(1, 0), I, so
@@ -308,21 +330,21 @@ class TestX2Newton:
         newton, f, jac = self.constraint(lambda x: 1e300, lambda x: 1.0 - 2.0 ** -53)
         assert newton.scalar
         with np.errstate(over="ignore"):
-            c, error, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
+            c, error, _, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
         assert isinstance(error, SingularNewtonMatrixError)
         assert c == 0.25
 
     def test_nan_pivot_is_singular(self):
         from pencildae import SingularNewtonMatrixError
         newton, f, jac = self.constraint(lambda x: 0.5 * x[1], lambda x: math.nan)
-        c, error, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
+        c, error, _, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25)
         assert isinstance(error, SingularNewtonMatrixError) and c == 0.25
 
     def test_stall_reports_the_absolute_residual(self):
         from pencildae import NoConvergenceError
         newton, f, jac = self.constraint(lambda x: 1.0 + x[1] ** 3, lambda x: 3.0 * x[1] ** 2)
         z = np.array([1.0, 0.0])
-        c, error, _ = newton.correct(f, jac, 0.0, z, 0.25, tol=1e-300, max_iter=2)
+        c, error, _, _ = newton.correct(f, jac, 0.0, z, 0.25, tol=1e-300, max_iter=2)
         assert isinstance(error, NoConvergenceError)
         assert error.last_residual == abs(c - newton.coeff.dot(f(0.0, z + newton.lift(c))))
         assert error.last_residual > 0.0
@@ -331,15 +353,10 @@ class TestX2Newton:
         # the update count passes 2.5 without ever equalling it
         from pencildae import NoConvergenceError
         newton, f, jac = self.constraint(lambda x: 1.0 + x[1] ** 3, lambda x: 3.0 * x[1] ** 2)
-        c, error, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25, tol=1e-300,
-                                     max_iter=2.5)
+        c, error, _, _ = newton.correct(f, jac, 0.0, np.array([1.0, 0.0]), 0.25,
+                                        tol=1e-300, max_iter=2.5)
         assert isinstance(error, NoConvergenceError)
         assert "after 3 corrections" in str(error)
-        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
-        dae = SemilinearDAE(pencil=pencil, f=f, jac_f=jac)
-        with pytest.raises(NoConvergenceError):
-            consistent_initialize(dae, projectors_algebraic(pencil), 0.0,
-                                  np.array([1.0, 0.0]), tol=1e-300, max_iter=2.5)
 
     def test_scalar_step_agrees_with_linear_solve(self, sec5_preset, sec5_decomp):
         # the same correction in (n, 1) matrices with np.linalg.solve
@@ -354,7 +371,7 @@ class TestX2Newton:
             x = z + basis @ c_vec
             matrix = np.eye(1) - coeff @ dae.jac_f(0.3, x) @ basis
             want = c_vec - np.linalg.solve(matrix, c_vec - coeff @ dae.f(0.3, x))
-            c, error, _ = newton.correct(dae.f, dae.jac_f, 0.3, z, float(c_vec[0]))
+            c, error, _, _ = newton.correct(dae.f, dae.jac_f, 0.3, z, float(c_vec[0]))
             assert error is None and isinstance(c, float)
             assert abs(c - want[0]) <= 1e-15 * abs(want[0])
 
@@ -374,9 +391,9 @@ class TestX2Newton:
             r = c - newton.coeff.dot(g + f_mat.dot(z + newton.lift(c)))
             matrix = np.eye(k) - newton.coeff.dot(f_mat.dot(newton.basis))
             want = c - np.linalg.solve(matrix, r)
-            got, error, fx = newton.correct(lambda t, x: g + f_mat.dot(x),
-                                            lambda t, x: f_mat, 0.0, z, c)
-            assert error is None and fx is None
+            got, error, fx, xc = newton.correct(lambda t, x: g + f_mat.dot(x),
+                                                lambda t, x: f_mat, 0.0, z, c)
+            assert error is None and fx is None and xc is None
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -387,6 +404,7 @@ class TestX2Newton:
         newton = X2Newton(decomp)
         z = decomp.p1 @ rng.uniform(-1.0, 1.0, k + 2)
         c0 = 0.0 if newton.scalar else np.zeros(k)
-        c, error, fx = newton.correct(dae.f, dae.jac_f, 0.5, z, c0, tol=1e-10)
+        c, error, fx, x = newton.correct(dae.f, dae.jac_f, 0.5, z, c0, tol=1e-10)
         assert error is None
         assert fx.tobytes() == dae.f(0.5, z + newton.lift(c)).tobytes()
+        assert x.tobytes() == (z + newton.lift(c)).tobytes()

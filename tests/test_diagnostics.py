@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pencildae import (DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
-                       Method, SemilinearDAE, SolveOutcome, SolveStatus, Trajectory,
-                       empirical_order, get_preset, method1_solve,
-                       projectors_algebraic, stability_report, windowed_deviation)
+                       Method, SemilinearDAE, SolveOutcome, SolverConfig, SolveStatus,
+                       Trajectory, diagnostics, empirical_order, get_preset,
+                       method1_solve, projectors_algebraic, solve, stability_report,
+                       windowed_deviation)
 
 
 def trajectory_from_states(mesh: Mesh, states, decomp) -> Trajectory:
@@ -47,6 +48,19 @@ def euler_decay_error_oracle(base_n, refinements):
         hs.append(h)
     slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
     return np.array(errors), float(slope)
+
+
+@pytest.fixture
+def ladder_steps(monkeypatch):
+    """The step counts of the meshes empirical_order solves, in order."""
+    steps = []
+
+    def counting_solve(dae, decomp, mesh, x0, config):
+        steps.append(mesh.n_steps)
+        return solve(dae, decomp, mesh, x0, config)
+
+    monkeypatch.setattr(diagnostics, "solve", counting_solve)
+    return steps
 
 
 class TestEmpiricalOrder:
@@ -108,6 +122,63 @@ class TestEmpiricalOrder:
             empirical_order(preset.dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 100),
                             preset.x0, refinements=3)
         assert info.value.h == 0.01     # the first level already blows up
+        assert info.value.status.outcome is SolveOutcome.BLOW_UP
+
+    @pytest.mark.parametrize("refinements", [3, 4])
+    @pytest.mark.parametrize("tol", [None, 1e-10])
+    def test_self_referenced_ladder_skips_the_unread_level(
+            self, sec5_preset, sec5_decomp, ladder_steps, refinements, tol):
+        # levels 0..R-2 are fitted against level R, so level R-1 is never solved,
+        # and the estimate is the one built from those solves alone
+        dae, decomp = sec5_preset.dae, sec5_decomp
+        base, x0 = Mesh(0.0, 1.0, 20), np.array([0.5, -0.5, 0.25])
+        config = SolverConfig(method=Method.METHOD2, tol=tol)
+        estimate = empirical_order(dae, decomp, Method.METHOD2, base, x0,
+                                   refinements=refinements, config=config)
+        levels = [*range(refinements - 1), refinements]
+        assert ladder_steps == [20 * 2 ** level for level in levels]
+
+        nodes = np.arange(21)
+        ref = solve(dae, decomp, base.refined(2 ** refinements), x0, config)
+        z_ref = ref.z_history[nodes * 2 ** refinements]
+        u_ref = ref.u_history[nodes * 2 ** refinements]
+        hs, errs_z, errs_u = [], [], []
+        for level in range(refinements - 1):
+            traj = solve(dae, decomp, base.refined(2 ** level), x0, config)
+            idx = nodes * 2 ** level
+            hs.append(traj.mesh.h)
+            errs_z.append(float(np.linalg.norm(traj.z_history[idx] - z_ref, axis=1).max()))
+            errs_u.append(float(np.linalg.norm(traj.u_history[idx] - u_ref, axis=1).max()))
+
+        def fit(errs):
+            return {"errors": errs,
+                    "pairwise_orders": [float(np.log2(errs[i] / errs[i + 1]))
+                                        for i in range(len(errs) - 1)],
+                    "asymptotic_order": float(np.polyfit(np.log(hs), np.log(errs), 1)[0])}
+
+        want = {"step_sizes": hs, "z": fit(errs_z), "u": fit(errs_u)}
+        assert json.dumps(estimate.to_json()) == json.dumps(want)
+
+    def test_external_reference_solves_every_level(self, scalar_decay, ladder_steps):
+        dae, decomp = scalar_decay
+        base = Mesh(0.0, 1.0, 10)
+        reference = trajectory_from_states(base, np.exp(-base.times())[:, None], decomp)
+        estimate = empirical_order(dae, decomp, Method.METHOD1, base, np.array([1.0]),
+                                   refinements=4, reference=reference)
+        assert ladder_steps == [10, 20, 40, 80, 160]
+        assert len(estimate.step_sizes) == 5
+
+    def test_blow_up_at_the_finest_level_names_its_h(self, ladder_steps):
+        # f kicks the state past the threshold at t = 1/80, a node of level 3 alone
+        pencil = MatrixPencil(a=np.eye(1), b=np.eye(1))
+        dae = SemilinearDAE(pencil=pencil,
+                            f=lambda t, x: np.array([1e12 if t == 0.0125 else 0.0]),
+                            jac_f=lambda t, x: np.zeros((1, 1)))
+        with pytest.raises(LadderSolveError) as info:
+            empirical_order(dae, projectors_algebraic(pencil), Method.METHOD1,
+                            Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=3)
+        assert ladder_steps == [10, 20, 80]
+        assert info.value.h == 1.0 / 80
         assert info.value.status.outcome is SolveOutcome.BLOW_UP
 
     def test_refinements_floor(self, scalar_decay):

@@ -197,8 +197,8 @@ class TestIndex0Equivalence:
 def correct_u(dae, decomp, t_next, z_next, u_prev, tol=None, max_iter=1):
     """The u-update of both schemes, by X2Newton.correct, in full coordinates."""
     newton = X2Newton(decomp)
-    c, error, _ = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
-                                 newton.basis.T @ u_prev, tol, max_iter)
+    c, error, _, _ = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
+                                    newton.basis.T @ u_prev, tol, max_iter)
     assert error is None
     return newton.lift(c)
 
