@@ -7,8 +7,7 @@ two combined schemes (first- and second-order) integrate the pair.
 """
 
 from .dae_model import (NoConvergenceError, NonFiniteJacobianError, SemilinearDAE,
-                        SingularNewtonMatrixError, consistent_initialize,
-                        constraint_residual, jacobian)
+                        SingularNewtonMatrixError, consistent_initialize, jacobian)
 from .diagnostics import (ComponentOrder, DegenerateFitError, LadderSolveError,
                           OrderEstimate, StabilityReport, empirical_order,
                           stability_report, windowed_deviation)

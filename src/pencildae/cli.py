@@ -193,8 +193,8 @@ def _build_inline_model(model_spec: dict) -> model_library.ModelPreset:
     if f_const.shape != (n,) or f_matrix.shape != (n, n):
         raise ConfigError("inline model: f_const/f_matrix shapes must match the pencil")
 
-    def f(t, x):
-        return f_const + f_matrix @ x
+    def f(t, x):  # .dot: the same BLAS product as @, with less call overhead
+        return f_const + f_matrix.dot(x)
 
     def jac(t, x):
         return f_matrix

@@ -24,7 +24,6 @@ __all__ = [
     "NonFiniteJacobianError",
     "SingularNewtonMatrixError",
     "NoConvergenceError",
-    "constraint_residual",
     "jacobian",
     "jacobian_function",
     "consistent_initialize",
@@ -78,18 +77,6 @@ class SemilinearDAE:
         return self.pencil.n
 
 
-def constraint_residual(dae: SemilinearDAE, decomp: SpectralDecomposition,
-                        t: float, x) -> tuple[np.ndarray, float]:
-    """Residual Q2[B x - f(t, x)] and its Euclidean norm.
-
-    Zero (up to tolerance) exactly when (t, x) lies on the constraint
-    manifold; identically zero for index-0 problems where Q2 = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    vec = decomp.q2 @ (dae.pencil.b @ x - dae.f(t, x))
-    return vec, float(np.linalg.norm(vec))
-
-
 def jacobian(dae: SemilinearDAE, t: float, x) -> np.ndarray:
     """State Jacobian df/dx, analytic or columnwise forward difference."""
     x = np.asarray(x, dtype=float)
@@ -132,12 +119,17 @@ class X2Newton:
         self.scalar = self.k == 1
         self.basis = decomp.x2_basis[:, 0] if self.scalar else decomp.x2_basis
         self.coeff = self.basis.T @ (decomp.g_inv @ decomp.q2)
+        self._coeff_dot = self.coeff.dot
         self.lift = self.basis.__mul__ if self.scalar else self.basis.dot
         self._eye = 1.0 if self.scalar else np.eye(self.k)
 
     def correct(self, f: RhsFunc, jac: JacFunc, t: float, z: np.ndarray,
-                c: float | np.ndarray, tol: float | None = None, max_iter: int = 50):
+                c: float | np.ndarray, tol: float | None = None, max_iter: int = 50,
+                u: np.ndarray | None = None):
         """Correct the coordinates ``c`` at (t, z); returns ``(c, error, fx, x)``.
+
+        ``u``, when given, is ``lift(c)`` already formed by the caller; the
+        first correction then starts from x = z + u without forming N c again.
 
         With ``tol=None`` exactly one correction is made.  Otherwise corrections
         repeat until ||c - W f|| <= ``tol``, at most ``max_iter`` times.
@@ -152,12 +144,13 @@ class X2Newton:
         """
         if not self.k:
             return c, None, None, None
-        basis, lift, scalar = self.basis, self.lift, self.scalar
-        coeff = self.coeff.dot
+        basis, lift, scalar, coeff = self.basis, self.lift, self.scalar, self._coeff_dot
+        if u is None:
+            u = lift(c)
         updates = 0
         try:
             while True:
-                x = z + lift(c)
+                x = z + u
                 fx = f(t, x)
                 r = c - coeff(fx)
                 if tol is not None:
@@ -181,6 +174,7 @@ class X2Newton:
                 c = c - step
                 if tol is None:
                     return c, None, None, None
+                u = lift(c)
                 updates += 1
         except _MODEL_ERRORS as exc:  # f or jac could not be evaluated at x
             return c, exc, None, None

@@ -41,8 +41,8 @@ __all__ = [
 
 
 class InconsistentInitialStateError(Exception):
-    """The initial point violates the constraint manifold beyond tolerance, or
-    f cannot be evaluated there."""
+    """The initial point is not finite, violates the constraint manifold beyond
+    tolerance, or f cannot be evaluated there."""
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,8 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
+    if not np.isfinite(x0).all():  # NaN would pass no tolerance test, inf makes it inf
+        raise InconsistentInitialStateError("x0 must be finite")
     if leapfrog and mesh.n_steps < 2:
         raise ValueError("method 2 needs at least 2 steps")
 
@@ -242,7 +244,8 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
 
     z = decomp.p1 @ x0
     c = newton.basis.T @ (decomp.p2 @ x0)
-    x = z + lift(c)
+    u = lift(c)                                   # N c of the newest node, None if not formed
+    x = z + u
     z_hist[0], coords[0] = z, c
 
     # the split initial point must lie on the constraint manifold
@@ -277,13 +280,17 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                     z_next = z_prev + leap_drive(fi) - leap_decay(z)
                 else:
                     z_next = euler(z) + drive(fi)
-                c, error, fc, xc = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter)
+                c, error, fc, xc = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter, u)
                 if error is not None:
                     status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
                     last = i
                     break
                 z_prev, z = z, z_next
-                x = z + lift(c) if xc is None else xc
+                if xc is None:
+                    u = lift(c)
+                    x = z + u
+                else:  # iterate mode: the corrector's converged point
+                    x, u = xc, None
                 z_hist[i + 1], coords[i + 1] = z, c
             else:
                 if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:

@@ -42,8 +42,6 @@ __all__ = [
     "sinusoidal",
     "power_decay",
     "polynomial",
-    "exponential",
-    "gaussian",
     "triangular",
     "sawtooth",
     "CircuitParams",
@@ -72,8 +70,8 @@ class Nonlinearity:
 
 def odd_power(alpha: float = 1.0, exponent: int = 3) -> Nonlinearity:
     """alpha * x**(2k-1) with alpha > 0 and an odd exponent."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if exponent < 1 or exponent % 2 == 0:
         raise ValueError("exponent must be an odd positive integer")
     return Nonlinearity(
@@ -117,8 +115,8 @@ def sinusoidal(beta: float = 1.0, omega: float = 1.0, theta: float = 0.0) -> Vol
 
 def power_decay(beta: float = 1.0, alpha: float = 1.0, n: int = 1) -> VoltageWaveform:
     """beta * (t + alpha)**(-n); alpha > 0 keeps the pole left of t = 0."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if n < 1:
         raise ValueError("n must be a positive integer")
     return VoltageWaveform(kind=f"power_decay({beta}, {alpha}, {n})",
@@ -130,18 +128,6 @@ def polynomial(beta: float = 1.0, alpha: float = 0.0, n: int = 1) -> VoltageWave
         raise ValueError("n must be a positive integer")
     return VoltageWaveform(kind=f"polynomial({beta}, {alpha}, {n})",
                            value=lambda t: beta * (t + alpha) ** n)
-
-
-def exponential(beta: float = 1.0, alpha: float = 1.0) -> VoltageWaveform:
-    return VoltageWaveform(kind=f"exponential({beta}, {alpha})",
-                           value=lambda t: beta * math.exp(-alpha * t))
-
-
-def gaussian(beta: float = 1.0, alpha: float = 0.0, sigma: float = 1.0) -> VoltageWaveform:
-    if sigma == 0.0:
-        raise ValueError("sigma must be nonzero")
-    return VoltageWaveform(kind=f"gaussian({beta}, {alpha}, {sigma})",
-                           value=lambda t: beta * math.exp(-((t - alpha) / sigma) ** 2))
 
 
 def _triangular_value(t: float) -> float:
@@ -182,8 +168,8 @@ class CircuitParams:
 
     def __post_init__(self):
         for name in ("l_ind", "c_cap", "r_res", "g_cond"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
 
 
 def circuit_pencil(params: CircuitParams) -> MatrixPencil:
@@ -214,17 +200,19 @@ def build_circuit_dae(params: CircuitParams, phi0: Nonlinearity, phi: Nonlineari
     # plain floats: numpy scalars would double the cost of each call
     def f(t, x):
         x1, x2, x3 = x.tolist()
-        return np.array((e_val(t) - p0v(x1) - phv(x3),
+        # phi(x3) once, called in the original order so the same error comes first
+        return np.array((e_val(t) - p0v(x1) - (phi3 := phv(x3)),
                          -hcv(x2),
-                         psv(x1 - x3) - phv(x3)))
+                         psv(x1 - x3) - phi3))
 
+    # a flat tuple reshaped: numpy builds it faster than a nested one
     def jac(t, x):
         x1, x2, x3 = x.tolist()
         dpsi = psd(x1 - x3)
         dphi = phd(x3)
-        return np.array(((-p0d(x1), 0.0, -dphi),
-                         (0.0, -hcd(x2), 0.0),
-                         (dpsi, 0.0, -dpsi - dphi)))
+        return np.array((-p0d(x1), 0.0, -dphi,
+                         0.0, -hcd(x2), 0.0,
+                         dpsi, 0.0, -dpsi - dphi)).reshape(3, 3)
 
     return SemilinearDAE(pencil=pencil, f=f, jac_f=jac)
 

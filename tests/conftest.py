@@ -1,8 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
-from pencildae import (MatrixPencil, SemilinearDAE, get_preset, jacobian,
+from pencildae import (MatrixPencil, SemilinearDAE, VoltageWaveform, get_preset, jacobian,
                        projectors_algebraic)
+
+
+def constraint_residual(dae, decomp, t, x) -> tuple[np.ndarray, float]:
+    """Residual Q2[B x - f(t, x)] and its Euclidean norm: zero exactly when
+    (t, x) lies on the constraint manifold, identically zero where Q2 = 0."""
+    x = np.asarray(x, dtype=float)
+    vec = decomp.q2 @ (dae.pencil.b @ x - dae.f(t, x))
+    return vec, float(np.linalg.norm(vec))
+
+
+def exponential(beta: float = 1.0, alpha: float = 1.0) -> VoltageWaveform:
+    return VoltageWaveform(kind=f"exponential({beta}, {alpha})",
+                           value=lambda t: beta * math.exp(-alpha * t))
+
+
+def gaussian(beta: float = 1.0, alpha: float = 0.0, sigma: float = 1.0) -> VoltageWaveform:
+    if sigma == 0.0:
+        raise ValueError("sigma must be nonzero")
+    return VoltageWaveform(kind=f"gaussian({beta}, {alpha}, {sigma})",
+                           value=lambda t: beta * math.exp(-((t - alpha) / sigma) ** 2))
 
 
 def check_jacobian(dae, t, xs) -> float:

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from pencildae import (MatrixPencil, NonFiniteJacobianError, SemilinearDAE,
-                       consistent_initialize, constraint_residual, get_preset, jacobian,
-                       projectors_algebraic)
+                       consistent_initialize, get_preset, jacobian, projectors_algebraic)
 from pencildae.dae_model import X2Newton, jacobian_function
+from pencildae.model_library import PRESET_IDS
 
-from conftest import check_jacobian, random_index1_pencil
+from conftest import check_jacobian, constraint_residual, random_index1_pencil
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +110,17 @@ class TestJacobian:
         curvature_bound = 36.0
         step = sec5_preset.dae.fd_step
         assert check_jacobian(sec5_preset.dae, 0.7, probes) <= 10 * step * curvature_bound
+
+    @pytest.mark.parametrize("preset_id", PRESET_IDS)
+    def test_fd_matches_analytic_on_every_preset(self, preset_id):
+        # probes around each preset's x0 reach its sine, square and neg_square
+        # nonlinearities; the FD truncation and rounding measure below 4e-8
+        # relative to the largest Jacobian entry, a wrong entry far above it
+        preset = get_preset(preset_id)
+        dae, x0 = preset.dae, preset.x0
+        probes = x0 + np.random.default_rng(7).uniform(-2.0, 2.0, size=(50, x0.size))
+        scale = 1.0 + max(float(np.abs(jacobian(dae, 0.7, x)).max()) for x in probes)
+        assert check_jacobian(dae, 0.7, probes) <= 1e-6 * scale
 
     def test_non_finite_jacobian_raises(self):
         pencil = MatrixPencil(a=np.eye(1), b=np.zeros((1, 1)))
@@ -408,3 +419,30 @@ class TestX2Newton:
         assert error is None
         assert fx.tobytes() == dae.f(0.5, z + newton.lift(c)).tobytes()
         assert x.tobytes() == (z + newton.lift(c)).tobytes()
+
+    @pytest.mark.parametrize("tol", [None, 1e-10])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_handed_lift_is_bit_identical(self, k, tol):
+        # u = lift(c) formed by the caller stands in for the corrector's first N c
+        rng = np.random.default_rng(11)
+        dae, decomp = affine_problem(rng, n=k + 2, k=k)
+        newton = X2Newton(decomp)
+
+        def f(t, x):
+            return dae.f(t, x) + 0.3 * np.tanh(x)
+
+        def jac(t, x):
+            return dae.jac_f(t, x) + np.diag(0.3 / np.cosh(x) ** 2)
+
+        for _ in range(10):
+            z = decomp.p1 @ rng.uniform(-1.0, 1.0, k + 2)
+            c = rng.uniform(-1.0, 1.0) if newton.scalar else rng.uniform(-1.0, 1.0, k)
+            c_want, err_want, fx_want, x_want = newton.correct(f, jac, 0.5, z, c, tol)
+            c_got, err_got, fx_got, x_got = newton.correct(f, jac, 0.5, z, c, tol,
+                                                           u=newton.lift(c))
+            assert err_want is None and err_got is None
+            assert np.array_equal(c_got, c_want)
+            if tol is None:
+                assert fx_want is None and fx_got is None and x_want is None and x_got is None
+            else:
+                assert np.array_equal(fx_got, fx_want) and np.array_equal(x_got, x_want)

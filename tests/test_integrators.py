@@ -271,10 +271,12 @@ class TestTrajectoryInvariants:
                           np.array(x0), SolverConfig(blow_up_threshold=1e300))
 
     def test_non_finite_initial_state_rejected(self, sec5_preset, sec5_decomp):
-        # NaN compares false with any tolerance; it must not pass as consistent
-        with pytest.raises(InconsistentInitialStateError):
-            method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 10),
-                          np.array([np.nan, 0.0, 0.0]))
+        # refused before the consistency test, whose residual and tolerance
+        # a non-finite x0 would turn into NaN or inf
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InconsistentInitialStateError, match="x0 must be finite"):
+                method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 10),
+                              np.array([bad, 0.0, 0.0]))
 
 
 class TestBlowUp:

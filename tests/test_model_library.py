@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencildae import (CircuitParams, PencilIndex, build_circuit_dae,
-                       circuit_consistency_check, classify_index,
-                       constraint_residual, get_preset, projectors_algebraic)
-from pencildae.model_library import (PRESET_IDS, UNIT_SCALE, exponential, gaussian,
-                                     neg_square, odd_power, polynomial, power_decay,
-                                     sawtooth, sine, square, sinusoidal, triangular)
+                       circuit_consistency_check, classify_index, get_preset,
+                       projectors_algebraic)
+from pencildae.model_library import (PRESET_IDS, UNIT_SCALE, neg_square, odd_power,
+                                     polynomial, power_decay, sawtooth, sine, square,
+                                     sinusoidal, triangular)
 
-from conftest import derivative_gap
+from conftest import constraint_residual, derivative_gap, exponential, gaussian
 
 
 class TestNonlinearities:
@@ -31,6 +31,9 @@ class TestNonlinearities:
             odd_power(1.0, 2)
         with pytest.raises(ValueError):
             odd_power(-1.0, 3)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                odd_power(alpha, 3)
 
     def test_sine_and_squares(self):
         assert sine(2.0).value(math.pi / 2) == pytest.approx(2.0)
@@ -93,6 +96,9 @@ class TestWaveforms:
     def test_power_decay_validation(self):
         with pytest.raises(ValueError):
             power_decay(1.0, 0.0, 2)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                power_decay(1.0, alpha, 2)
 
     # dyadic times make t + period exact in binary floating point, so the
     # periodicity assertion can be exact equality, for t < 0 too
@@ -125,6 +131,12 @@ class TestCircuitModel:
             CircuitParams(0.0, 5e-7, 2.0, 0.2)
         with pytest.raises(ValueError):
             CircuitParams(5e-4, 5e-7, 2.0, -0.1)
+        # NaN and inf pass a "<= 0" test; refused here, not later as a non-finite pencil
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="l_ind must be strictly positive"):
+                CircuitParams(value, 5e-7, 2.0, 0.2)
+            with pytest.raises(ValueError, match="g_cond must be strictly positive"):
+                CircuitParams(5e-4, 5e-7, 2.0, value)
 
     def test_unit_rescaling(self, sec5_preset):
         a = sec5_preset.dae.pencil.a
