@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dae_model, diagnostics, model_library, pencil
 from .integrators import (InconsistentInitialStateError, Mesh, Method, SolveOutcome,
-                          SolverConfig, _row_norms, solve)
+                          SolverConfig, _blocks, _row_norms, solve)
 
 __all__ = ["main", "load_config"]
 
@@ -278,23 +278,17 @@ def _output_paths(config: dict, out_dir: str | None):
     return csv_path, json_path
 
 
-# rows per write: one %-format of a block is faster than one per row, and,
-# unlike one for the whole table, holds the text of one block at a time
-_CSV_BLOCK = 4096
-
-
 def _write_trajectory_csv(path: Path, traj) -> None:
-    n = traj.states.shape[1]
+    n = traj.z_history.shape[1]
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + \
         ",z_norm,u_norm,constraint_residual\n"
-    table = np.column_stack((traj.times, traj.states,
-                             _row_norms(traj.z_history), _row_norms(traj.u_history),
-                             traj.residuals))
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    row = ",".join(["%.17g"] * (n + 4)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
+        for rows in _blocks(len(traj)):  # one %-format per block, not per row
+            z, u = traj.z_history[rows], traj.u_rows(rows)
+            block = np.column_stack((traj.times[rows], z + u, _row_norms(z), _row_norms(u),
+                                     traj.residuals[rows]))
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 

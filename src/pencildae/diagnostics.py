@@ -102,7 +102,8 @@ def _fit_orders(step_sizes, errors) -> ComponentOrder:
                           pairwise_orders=pairwise, asymptotic_order=slope)
 
 
-def _check_external_reference(reference: Trajectory, mesh_base: Mesh):
+def _reference_samples(reference: Trajectory, mesh_base: Mesh, base_nodes: np.ndarray):
+    """(z, u) of an external reference at the base nodes, once it is checked."""
     ref_mesh = reference.mesh
     if abs(ref_mesh.t0 - mesh_base.t0) > 1e-12 * (1 + abs(mesh_base.t0)) or \
        abs(ref_mesh.t_end - mesh_base.t_end) > 1e-12 * (1 + abs(mesh_base.t_end)):
@@ -111,6 +112,8 @@ def _check_external_reference(reference: Trajectory, mesh_base: Mesh):
         raise ValueError("external reference nodes must contain the base nodes")
     if not reference.status.completed:
         raise ValueError("external reference trajectory is incomplete")
+    nodes = base_nodes * (ref_mesh.n_steps // mesh_base.n_steps)
+    return reference.z_history[nodes], reference.u_rows(nodes)
 
 
 def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: Method,
@@ -125,6 +128,8 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
     refinements above it, so the level in between is never read and never
     solved: the solves are levels 0..refinements-2 in ascending order, then
     the finest.  With an external reference every level is solved and fitted.
+    A level keeps only its values at the base nodes, so at most one level's
+    trajectory is alive at a time.
 
     Raises
     ------
@@ -138,45 +143,29 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
     if operator.index(refinements) < 3:
         raise ValueError("refinements must be at least 3")
     base_config = replace(config or SolverConfig(), method=method)
+    base_nodes = np.arange(mesh_base.n_steps + 1)
 
-    self_referenced = reference is None
-    measured_levels = refinements - 1 if self_referenced else refinements + 1
-    run_levels = [*range(measured_levels), refinements] if self_referenced \
-        else range(measured_levels)
-
-    trajectories = []
-    for level in run_levels:
+    def base_samples(level: int):  # (h, z, u) at the base nodes; the trajectory is freed
         mesh = mesh_base.refined(2 ** level)
         traj = solve(dae, decomp, mesh, x0, base_config)
         if not traj.status.completed:
             raise LadderSolveError(
                 f"ladder solve at h={mesh.h:g} ended with {traj.status.outcome.value}",
                 traj.status, mesh.h)
-        trajectories.append(traj)
+        nodes = base_nodes * 2 ** level
+        return mesh.h, traj.z_history[nodes], traj.u_rows(nodes)
 
-    if self_referenced:
-        ref = trajectories[-1]
+    if reference is None:
+        samples = [base_samples(level) for level in [*range(refinements - 1), refinements]]
+        _, z_ref, u_ref = samples.pop()
     else:
-        _check_external_reference(reference, mesh_base)
-        ref = reference
-
-    base_nodes = np.arange(mesh_base.n_steps + 1)
-    ref_stride = ref.mesh.n_steps // mesh_base.n_steps
-    ref_idx = base_nodes * ref_stride
-    z_ref = ref.z_history[ref_idx]
-    u_ref = ref.u_history[ref_idx]
-
-    step_sizes, errs_z, errs_u = [], [], []
-    for level in range(measured_levels):
-        traj = trajectories[level]
-        idx = base_nodes * 2 ** level
-        step_sizes.append(traj.mesh.h)
-        errs_z.append(_max_node_error(traj.z_history[idx], z_ref))
-        errs_u.append(_max_node_error(traj.u_history[idx], u_ref))
-
-    z_fit = _fit_orders(step_sizes, errs_z)
-    u_fit = _fit_orders(step_sizes, errs_u) if decomp.algebraic_dim else None
-    return OrderEstimate(step_sizes=tuple(step_sizes), z=z_fit, u=u_fit)
+        samples = [base_samples(level) for level in range(refinements + 1)]
+        z_ref, u_ref = _reference_samples(reference, mesh_base, base_nodes)
+    step_sizes, z_levels, u_levels = zip(*samples)
+    z_fit = _fit_orders(step_sizes, [_max_node_error(z, z_ref) for z in z_levels])
+    u_fit = _fit_orders(step_sizes, [_max_node_error(u, u_ref) for u in u_levels]) \
+        if decomp.algebraic_dim else None
+    return OrderEstimate(step_sizes=step_sizes, z=z_fit, u=u_fit)
 
 
 @dataclass(frozen=True)
@@ -223,11 +212,9 @@ def stability_report(dae: SemilinearDAE, decomp: SpectralDecomposition,
         raise ValueError("trajectory is empty")
     ginv_b = decomp.g_inv @ dae.pencil.b
     ginv_q1 = decomp.g_inv @ decomp.q1
-    stride = max(1, len(trajectory) // max_samples)
-    m1 = 0.0
-    for i in range(0, len(trajectory), stride):
-        jac = jacobian(dae, float(trajectory.times[i]), trajectory.states[i])
-        m1 = max(m1, float(np.linalg.norm(ginv_q1 @ jac, 2)))
+    nodes = slice(None, None, max(1, len(trajectory) // max_samples))
+    m1 = max(float(np.linalg.norm(ginv_q1 @ jacobian(dae, t, x), 2))
+             for t, x in zip(trajectory.times[nodes].tolist(), trajectory.state_rows(nodes)))
     return StabilityReport(
         norm_ginv_b=float(np.linalg.norm(ginv_b, 2)),
         m1_estimate=m1,
@@ -261,7 +248,7 @@ def windowed_deviation(trajectory: Trajectory, reference: Trajectory,
 
     n_nodes = coarse.mesh.n_steps
     start = int(np.ceil((1.0 - window_fraction) * n_nodes))
-    idx_coarse = np.arange(start, n_nodes + 1)
-    diff = coarse.states[idx_coarse] - fine.states[idx_coarse * ratio]
+    diff = (coarse.state_rows(slice(start, None))
+            - fine.state_rows(slice(start * ratio, None, ratio)))
     return float(np.abs(diff).max())
 

@@ -134,16 +134,17 @@ class SolveStatus:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Mesh values of an approximate solution x_i = z_i + u_i.
+    """Mesh values of an approximate solution x_i = z_i + N c_i; only z and c are
+    stored, and ``states`` and ``u_history`` are formed on each access.
 
     On early termination the arrays are truncated at the offending node
     (never padded); ``status`` records why.
     """
 
     times: np.ndarray
-    states: np.ndarray
     z_history: np.ndarray
-    u_history: np.ndarray
+    coords: np.ndarray      # (nodes, k)
+    x2_basis: np.ndarray    # N, (n, k)
     residuals: np.ndarray
     status: SolveStatus
     mesh: Mesh
@@ -151,13 +152,36 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.shape[0]
 
+    def u_rows(self, rows=slice(None)) -> np.ndarray:
+        """u_i = N c_i of the nodes ``rows`` (a slice or an index array)."""
+        c = self.coords[rows]
+        return np.matmul(self.x2_basis, c.reshape(len(c), c.shape[1], 1))[:, :, 0]
+
+    def state_rows(self, rows=slice(None)) -> np.ndarray:
+        """x_i = z_i + N c_i of the nodes ``rows``, each rounded alike whatever
+        the rows asked for."""
+        return self.z_history[rows] + self.u_rows(rows)
+
+    states = property(state_rows)
+    u_history = property(u_rows)
+
     @property
     def max_norm(self) -> float:
-        return float(_row_norms(self.states).max())
+        return float(max(_row_norms(self.state_rows(rows)).max() for rows in _blocks(len(self))))
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self.state_rows([-1])[0]
+
+
+# nodes per block of a pass over a whole run (residuals, norms, CSV rows): few
+# numpy calls and %-formats, and the temporaries of one block, not of the run
+_BLOCK = 4096
+
+
+def _blocks(count: int):
+    """Slices of at most ``_BLOCK`` nodes covering nodes 0..count-1 in order."""
+    return (slice(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK))
 
 
 # the split initial point may miss the constraint by this much, relative to
@@ -197,11 +221,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _stopped(x: np.ndarray, i: int, node_t: list) -> tuple[SolveStatus, int]:
+def _stopped(x: np.ndarray, i: int, times: np.ndarray) -> tuple[SolveStatus, int]:
     """(status, last node kept) of a run whose node i failed the norm test: a
     finite state blew up, a non-finite one fails the step that made it."""
     if np.isfinite(x).all():
-        return SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[i]), i
+        return SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=float(times[i])), i
     return SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i), i - 1
 
 
@@ -237,7 +261,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     correct, lift = newton.correct, newton.lift
 
     times = mesh.times()
-    node_t = times.tolist()
+    t0 = t = float(mesh.t0)                       # t: the time of node i
     z_hist = np.empty((n_steps + 1, n))
     coords = np.empty(n_steps + 1 if newton.scalar else (n_steps + 1, newton.k))
     f_values = np.empty((n_steps + 1, n))        # f(t_i, x_i) of the z-steps
@@ -250,7 +274,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
 
     # the split initial point must lie on the constraint manifold
     try:
-        fi = f_values[0] = f(mesh.t0, x)
+        fi = f_values[0] = f(t, x)
     except _MODEL_ERRORS as exc:
         raise InconsistentInitialStateError(
             f"f cannot be evaluated at the initial point: {type(exc).__name__}: {exc}"
@@ -271,16 +295,17 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
         try:
             for i in range(n_steps):
                 if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                    status, last = _stopped(x, i, node_t)
+                    status, last = _stopped(x, i, times)
                     break
                 if i:
-                    fi = f_values[i] = f(node_t[i], x) if fc is None else fc
+                    fi = f_values[i] = f(t, x) if fc is None else fc
                     known = i + 1
                 if leapfrog and i:
                     z_next = z_prev + leap_drive(fi) - leap_decay(z)
                 else:
                     z_next = euler(z) + drive(fi)
-                c, error, fc, xc = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter, u)
+                t = t0 + (i + 1) * h                  # as Mesh.times() forms it
+                c, error, fc, xc = correct(f, jac, t, z_next, c, tol, max_iter, u)
                 if error is not None:
                     status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
                     last = i
@@ -294,27 +319,25 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                 z_hist[i + 1], coords[i + 1] = z, c
             else:
                 if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                    status, last = _stopped(x, n_steps, node_t)
+                    status, last = _stopped(x, n_steps, times)
         except _MODEL_ERRORS:  # f could not be evaluated at node i
             status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
             last = i
 
-    # x_i = z_i + N c_i, with N c_i formed twice: held through the residuals it raises the peak
-    coords = coords[:last + 1].reshape(last + 1, newton.k, 1)
-    states = z_hist[:last + 1] + np.matmul(decomp.x2_basis, coords)[:, :, 0]
+    if last < n_steps:  # truncated at the offending node, never padded
+        times, z_hist, coords = (a[:last + 1].copy() for a in (times, z_hist, coords))
+    traj = Trajectory(times=times, z_history=z_hist, coords=coords.reshape(last + 1, newton.k),
+                      x2_basis=decomp.x2_basis, residuals=np.full(last + 1, np.inf),
+                      status=status, mesh=mesh)
     if known == last:
         try:  # f may overflow at an exploded state; its residual is then inf
-            f_values[last] = f(node_t[last], states[last]) if fc is None else fc
+            f_values[last] = f(float(times[last]), traj.final_state) if fc is None else fc
             known += 1
         except _MODEL_ERRORS:
             pass
-    residuals = np.full(last + 1, np.inf)
-    residuals[:known] = _node_residuals(b_mat, q2, states[:known], f_values[:known])
-    if last < n_steps:  # truncated at the offending node, never padded
-        times, z_hist = (a[:last + 1].copy() for a in (times, z_hist))
-    return Trajectory(times=times, states=states, z_history=z_hist,
-                      u_history=np.matmul(decomp.x2_basis, coords)[:, :, 0],
-                      residuals=residuals, status=status, mesh=mesh)
+    for rows in _blocks(known):
+        traj.residuals[rows] = _node_residuals(b_mat, q2, traj.state_rows(rows), f_values[rows])
+    return traj
 
 
 def method1_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,

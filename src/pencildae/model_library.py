@@ -68,11 +68,18 @@ class Nonlinearity:
     derivative: Callable[[float], float]
 
 
+def _finite(**params: float) -> None:
+    """Refuse a NaN or infinite parameter, naming it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def odd_power(alpha: float = 1.0, exponent: int = 3) -> Nonlinearity:
     """alpha * x**(2k-1) with alpha > 0 and an odd exponent."""
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    if exponent < 1 or exponent % 2 == 0:
+    if not (float(exponent).is_integer() and exponent >= 1 and exponent % 2 == 1):
         raise ValueError("exponent must be an odd positive integer")
     return Nonlinearity(
         kind=f"odd_power({alpha}, {exponent})",
@@ -82,6 +89,7 @@ def odd_power(alpha: float = 1.0, exponent: int = 3) -> Nonlinearity:
 
 
 def sine(alpha: float = 1.0) -> Nonlinearity:
+    _finite(alpha=alpha)
     return Nonlinearity(kind=f"sine({alpha})",
                         value=lambda x: alpha * math.sin(x),
                         derivative=lambda x: alpha * math.cos(x))
@@ -109,12 +117,14 @@ class VoltageWaveform:
 
 
 def sinusoidal(beta: float = 1.0, omega: float = 1.0, theta: float = 0.0) -> VoltageWaveform:
+    _finite(beta=beta, omega=omega, theta=theta)
     return VoltageWaveform(kind=f"sinusoidal({beta}, {omega}, {theta})",
                            value=lambda t: beta * math.sin(omega * t + theta))
 
 
 def power_decay(beta: float = 1.0, alpha: float = 1.0, n: int = 1) -> VoltageWaveform:
     """beta * (t + alpha)**(-n); alpha > 0 keeps the pole left of t = 0."""
+    _finite(beta=beta)
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     if n < 1:
@@ -124,6 +134,7 @@ def power_decay(beta: float = 1.0, alpha: float = 1.0, n: int = 1) -> VoltageWav
 
 
 def polynomial(beta: float = 1.0, alpha: float = 0.0, n: int = 1) -> VoltageWaveform:
+    _finite(beta=beta, alpha=alpha)
     if n < 1:
         raise ValueError("n must be a positive integer")
     return VoltageWaveform(kind=f"polynomial({beta}, {alpha}, {n})",

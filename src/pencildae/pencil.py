@@ -11,6 +11,7 @@ quadrature; they cross-validate each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,6 +38,8 @@ _RCOND_FLOOR = 1e-10
 MAX_NODE_COUNT = 2 ** 16
 # Complex entries (16 MB) per stacked inverse of projectors_residue's nodes
 _STACK_ENTRIES = 2 ** 20
+# fractional parts of the golden ratio and of sqrt(2) in 53-bit fixed point
+_PHI, _ROOT2 = (math.isqrt(5 << 106) - 2 ** 53) >> 1, math.isqrt(2 << 106) - 2 ** 53
 
 
 class NotRegularError(Exception):
@@ -141,12 +144,20 @@ class SpectralDecomposition:
         return self.x2_basis.shape[1]
 
 
+def _probe_points(sample_count: int, seed: int) -> np.ndarray:
+    """4 frac(seed*sqrt(2) + j*phi) - 2, j < sample_count: Weyl's golden-ratio
+    sequence on [-2, 2), exact in 53-bit fixed point (uint64 wraps modulo 2**64),
+    so distinct and evenly spread, with an offset per seed modulo 2**53."""
+    steps = np.arange(sample_count, dtype=np.uint64) * np.uint64(_PHI)
+    fractions = (steps + np.uint64(seed * _ROOT2 % 2 ** 53)) & np.uint64(2 ** 53 - 1)
+    return fractions * 2.0 ** -51 - 2.0
+
+
 def _best_shift(pencil: MatrixPencil, sample_count: int, seed: int) -> tuple[float, float]:
     """``(lambda, sigma_min/sigma_max)`` of the best-conditioned lambda*A + B
-    over ``sample_count`` pseudo-random real points (rcond 0 if all vanish)."""
-    rng = np.random.default_rng(seed)
+    over the scaled probe points (rcond 0 if all vanish)."""
     scale = (1.0 + np.linalg.norm(pencil.b, 2)) / (1.0 + np.linalg.norm(pencil.a, 2))
-    samples = rng.uniform(-2.0, 2.0, size=sample_count) * scale
+    samples = _probe_points(sample_count, seed) * scale
     s = np.linalg.svd(samples[:, None, None] * pencil.a + pencil.b, compute_uv=False)
     rcond = np.divide(s[:, -1], s[:, 0], out=np.zeros(sample_count), where=s[:, 0] > 0.0)
     best = int(np.argmax(rcond))
@@ -154,12 +165,13 @@ def _best_shift(pencil: MatrixPencil, sample_count: int, seed: int) -> tuple[flo
 
 
 def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0) -> float:
-    """Probabilistic regularity test: find lambda0 with det(lambda0*A + B) != 0.
+    """Regularity test: find lambda0 with det(lambda0*A + B) != 0.
 
-    Evaluates the pencil at ``sample_count`` pseudo-random real points and
-    returns the best-conditioned one.  A regular pencil has at most n roots of
-    det(lambda*A + B), so random samples miss them almost surely; if every
-    sample is numerically singular the pencil is declared non-regular.
+    Evaluates the pencil at ``sample_count`` distinct real points, Weyl's
+    golden-ratio sequence whose offset ``seed`` selects, and returns the
+    best-conditioned one.  A regular pencil has at most n roots of
+    det(lambda*A + B), so more than n points include a regular one; if every
+    point is numerically singular the pencil is declared non-regular.
 
     Raises
     ------

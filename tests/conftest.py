@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pencildae import (MatrixPencil, SemilinearDAE, VoltageWaveform, get_preset, jacobian,
-                       projectors_algebraic)
+from pencildae import (MatrixPencil, Mesh, SemilinearDAE, SolveOutcome, SolveStatus,
+                       Trajectory, VoltageWaveform, get_preset, jacobian, projectors_algebraic)
 
 
 def constraint_residual(dae, decomp, t, x) -> tuple[np.ndarray, float]:
@@ -13,6 +13,21 @@ def constraint_residual(dae, decomp, t, x) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     vec = decomp.q2 @ (dae.pencil.b @ x - dae.f(t, x))
     return vec, float(np.linalg.norm(vec))
+
+
+def trajectory_from_states(mesh: Mesh, states, decomp, residuals=None,
+                           status=SolveStatus(SolveOutcome.COMPLETED)) -> Trajectory:
+    """Wrap exact (or externally computed) states at the first len(states)
+    nodes of ``mesh`` as a Trajectory, split as z = P1 x and c = N^T P2 x."""
+    states = np.asarray(states, dtype=float)
+    nodes = len(states)
+    if states.ndim != 2 or states.shape[1] != decomp.n or not 0 < nodes <= mesh.n_steps + 1:
+        raise ValueError(f"states must have shape (m, {decomp.n}), 0 < m <= {mesh.n_steps + 1}")
+    basis = decomp.x2_basis
+    return Trajectory(times=mesh.times()[:nodes], z_history=states @ decomp.p1.T,
+                      coords=states @ decomp.p2.T @ basis, x2_basis=basis,
+                      residuals=np.zeros(nodes) if residuals is None else np.asarray(residuals),
+                      status=status, mesh=mesh)
 
 
 def exponential(beta: float = 1.0, alpha: float = 1.0) -> VoltageWaveform:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import trajectory_from_states
 from pencildae import PRESET_IDS, cli, get_preset
-from pencildae.integrators import _row_norms
+from pencildae.integrators import _BLOCK, _row_norms
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -359,15 +360,19 @@ class TestTrajectoryCsv:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_extreme_values(self, tmp_path):
-        from pencildae import Mesh, SolveOutcome, SolveStatus, Trajectory
+        from pencildae import (MatrixPencil, Mesh, SolveOutcome, SolveStatus,
+                               projectors_algebraic)
+        # X1 = span(e1, e2) and X2 = span(e3), so z and u split the columns exactly
+        decomp = projectors_algebraic(MatrixPencil(a=np.diag([1.0, 1.0, 0.0]), b=np.eye(3)))
         states = np.array([[-1.5, 1e-300, -0.0], [1e300, -2.5e-308, 1.0 / 3.0],
                            [-7.0, 123456789.125, -1e-17], [np.inf, -np.inf, np.nan]])
-        traj = Trajectory(times=np.array([0.0, 0.1, 0.2, 0.30000000000000004]),
-                          states=states, z_history=0.5 * states, u_history=-0.5 * states,
-                          residuals=np.array([0.0, 1e-300, 4.2e-16, np.inf]),
-                          status=SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=0.3),
-                          mesh=Mesh(0.0, 0.4, 4))
+        traj = trajectory_from_states(
+            Mesh(0.0, 0.4, 4), states, decomp,
+            residuals=np.array([0.0, 1e-300, 4.2e-16, np.inf]),
+            status=SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=0.3))
+        assert traj.times[-1] == 0.30000000000000004 and traj.states[1, 1] == -2.5e-308
         self.assert_same_bytes(tmp_path, traj)
 
     def test_truncated_blow_up_run(self, tmp_path):
@@ -380,12 +385,12 @@ class TestTrajectoryCsv:
 
     @pytest.mark.parametrize("n_steps", [4095, 4096])
     def test_block_boundaries(self, tmp_path, n_steps):
-        # exactly one full block of cli._CSV_BLOCK rows, then one row more
+        # exactly one full block of integrators._BLOCK rows, then one row more
         from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
         preset = get_preset("sec5_cubic")
         traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
                              Mesh(0.0, 1.0, n_steps), preset.x0)
-        assert len(traj) == n_steps + 1 and cli._CSV_BLOCK == 4096
+        assert len(traj) == n_steps + 1 and _BLOCK == 4096
         self.assert_same_bytes(tmp_path, traj)
 
     def test_truncated_blow_up_run_across_a_block_boundary(self, tmp_path):
@@ -394,7 +399,7 @@ class TestTrajectoryCsv:
         traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
                              Mesh(0.0, 0.2, 20000), preset.x0)
         assert traj.status.outcome.value == "blow_up"
-        assert cli._CSV_BLOCK < len(traj) < 2 * cli._CSV_BLOCK
+        assert _BLOCK < len(traj) < 2 * _BLOCK
         self.assert_same_bytes(tmp_path, traj)
 
     def test_single_row(self, tmp_path):
@@ -461,14 +466,31 @@ class TestBoundary:
                           "nested": {"x": None, "ok": 2.5}, "count": 3}
 
 
-def test_no_command_imports_scipy(tmp_path):
-    # scipy serves only the tests and the benchmark's references, and no
-    # command pays for a schema library either; each runs in a fresh process
+def modules_left_by(tmp_path, runs, packages) -> list:
+    """Run each (command, config) in a fresh interpreter; return, per run, the
+    loaded modules that are one of ``packages`` or inside one."""
     import os
     import subprocess
     import sys
 
     import pencildae
+    src = str(Path(pencildae.__file__).resolve().parents[1])
+    found = []
+    for i, (command, cfg) in enumerate(runs):
+        path = write_config(tmp_path, cfg, name=f"config{i}.json")
+        code = ("import sys, pencildae.cli as c; "
+                f"assert c.main([{command!r}, {path!r}, '--quiet']) == 0; "
+                "print(sorted(m for m in sys.modules "
+                f"if any(m == p or m.startswith(p + '.') for p in {tuple(packages)!r})))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        found.append((command, out.stdout.strip()))
+    return found
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy serves only the tests and the benchmark's references, and no
+    # command pays for a schema library either; each runs in a fresh process
     inline = {"model": {"a": [[1, 0], [0, 0]], "b": [[-1, 1], [1, 1]]},
               "outputs": {"summary_json": str(tmp_path / "inline.json")}}
     runs = [("solve", base_solve_config(tmp_path)),
@@ -477,16 +499,24 @@ def test_no_command_imports_scipy(tmp_path):
                             "outputs": {"summary_json": str(tmp_path / "proj.json")}}),
             ("projectors", inline),
             ("validate", base_solve_config(tmp_path))]
-    src = str(Path(pencildae.__file__).resolve().parents[1])
-    for i, (command, cfg) in enumerate(runs):
-        path = write_config(tmp_path, cfg, name=f"config{i}.json")
-        code = ("import sys, pencildae.cli as c; "
-                f"assert c.main([{command!r}, {path!r}, '--quiet']) == 0; "
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('scipy', 'jsonschema')))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), check=True)
-        assert out.stdout.strip() == "[]", (command, out.stdout)
+    for command, modules in modules_left_by(tmp_path, runs, ("scipy", "jsonschema")):
+        assert modules == "[]", (command, modules)
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # the regularity probe's points are a closed-form sequence: numpy.random
+    # (with hashlib and secrets) would cost each command ~6 MB and ~15 ms
+    inline = base_solve_config(tmp_path, study={"refinements": 3}, initial_state={"x0": [1, 1]},
+                               model={"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]],
+                                      "f_matrix": [[0, 0], [1, 0]]})  # x2 = x1
+    proj = {"summary_json": str(tmp_path / "proj.json")}
+    runs = [(command, cfg) for cfg in (base_solve_config(tmp_path, study={"refinements": 3}),
+                                       inline)
+            for command in ("solve", "converge")]
+    runs += [("projectors", {"model": "sec5_cubic", "outputs": proj}),
+             ("projectors", dict(inline, outputs=proj))]
+    for command, modules in modules_left_by(tmp_path, runs, ("numpy.random",)):
+        assert modules == "[]", (command, modules)
 
 
 def test_blow_up_verdict_depends_on_the_corrector(tmp_path):

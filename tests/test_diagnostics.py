@@ -3,23 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import trajectory_from_states
 from pencildae import (DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
                        Method, SemilinearDAE, SolveOutcome, SolverConfig, SolveStatus,
-                       Trajectory, diagnostics, empirical_order, get_preset,
+                       diagnostics, empirical_order, get_preset,
                        method1_solve, projectors_algebraic, solve, stability_report,
                        windowed_deviation)
-
-
-def trajectory_from_states(mesh: Mesh, states, decomp) -> Trajectory:
-    """Wrap exact (or externally computed) states as a reference Trajectory."""
-    states = np.asarray(states, dtype=float)
-    if states.shape != (mesh.n_steps + 1, decomp.n):
-        raise ValueError(f"states must have shape ({mesh.n_steps + 1}, {decomp.n})")
-    z_hist = states @ decomp.p1.T
-    u_hist = states @ decomp.p2.T
-    return Trajectory(times=mesh.times(), states=states, z_history=z_hist,
-                      u_history=u_hist, residuals=np.zeros(mesh.n_steps + 1),
-                      status=SolveStatus(SolveOutcome.COMPLETED), mesh=mesh)
 
 
 @pytest.fixture(scope="module")

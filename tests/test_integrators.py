@@ -254,6 +254,34 @@ class TestTrajectoryInvariants:
         assert traj.states.shape == (101, 3)
         assert traj.residuals.shape == (101,)
 
+    @staticmethod
+    def stored_bytes(traj) -> int:
+        """Bytes of the buffers behind the per-node arrays (a view keeps its base alive)."""
+        arrays = (traj.times, traj.z_history, traj.coords, traj.residuals)
+        return sum(a.nbytes if a.base is None else a.base.nbytes for a in arrays)
+
+    @pytest.mark.parametrize("problem", ["k1", "k3", "k1_truncated"])
+    def test_stores_z_and_c_only(self, sec5_preset, sec5_decomp, problem):
+        if problem == "k3":
+            dae, decomp, x0 = affine_cubic_problem()
+            traj = method2_solve(dae, decomp, Mesh(0.0, 1.0, 500), x0)
+        elif problem == "k1":
+            dae, decomp = sec5_preset.dae, sec5_decomp
+            traj = method1_solve(dae, decomp, Mesh(0.0, 2.0, 500), np.array([0.5, -0.5, 0.25]))
+        else:
+            preset = get_preset("sec6_blowup")
+            dae, decomp = preset.dae, projectors_algebraic(preset.dae.pencil)
+            traj = method1_solve(dae, decomp, Mesh(0.0, 2.0, 2000), preset.x0)
+            assert traj.status.outcome is SolveOutcome.BLOW_UP and len(traj) < 2001
+        n, k = decomp.n, decomp.algebraic_dim
+        assert traj.coords.shape == (len(traj), k) and traj.x2_basis is decomp.x2_basis
+        assert self.stored_bytes(traj) <= (n + k + 2) * 8 * len(traj)
+        # states and u_history are formed on access, the same bytes as node by node
+        u = np.array([decomp.x2_basis @ c for c in traj.coords])
+        assert traj.u_history.tobytes() == u.tobytes()
+        assert traj.states.tobytes() == (traj.z_history + u).tobytes()
+        assert traj.states is not traj.states
+
     def test_inconsistent_initial_state_rejected(self, sec5_preset, sec5_decomp):
         with pytest.raises(InconsistentInitialStateError):
             method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 10),

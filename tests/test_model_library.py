@@ -35,6 +35,13 @@ class TestNonlinearities:
             with pytest.raises(ValueError, match="alpha must be positive and finite"):
                 odd_power(alpha, 3)
 
+    def test_odd_power_rejects_fractional_exponents(self):
+        # 3.5 % 2 == 1.5 passed the odd test, and (-2.0) ** 3.5 is complex
+        for exponent in (3.5, 1.5, 2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="exponent must be an odd positive integer"):
+                odd_power(1.0, exponent)
+        assert odd_power(1.0, 3.0).value(-2.0) == -8.0
+
     def test_sine_and_squares(self):
         assert sine(2.0).value(math.pi / 2) == pytest.approx(2.0)
         assert sine(2.0).derivative(0.0) == pytest.approx(2.0)
@@ -99,6 +106,21 @@ class TestWaveforms:
         for alpha in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="alpha must be positive and finite"):
                 power_decay(1.0, alpha, 2)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: sine(v), "alpha"),
+        (lambda v: sinusoidal(beta=v), "beta"),
+        (lambda v: sinusoidal(omega=v), "omega"),
+        (lambda v: sinusoidal(theta=v), "theta"),
+        (lambda v: power_decay(v, 1.0), "beta"),
+        (lambda v: polynomial(beta=v), "beta"),
+        (lambda v: polynomial(alpha=v), "alpha"),
+    ])
+    def test_non_finite_parameters_are_refused(self, build, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                build(value)
+        build(-0.5)  # any finite value is accepted
 
     # dyadic times make t + period exact in binary floating point, so the
     # periodicity assertion can be exact equality, for t < 0 too

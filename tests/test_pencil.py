@@ -5,7 +5,7 @@ from pencildae import (ContourSolveFailedError, IndexTooHighError, MatrixPencil,
                        NotRegularError, PencilIndex, PoleOnContourError, classify_index,
                        contour_radius, projectors_algebraic, projectors_residue,
                        regularity_probe, validate_decomposition)
-from pencildae.pencil import _eigenvalue_moduli, _radius
+from pencildae.pencil import _eigenvalue_moduli, _probe_points, _radius
 
 from conftest import random_conditioned, random_index1_pencil, weierstrass_pencil
 from reference_residue import reference_moduli, reference_residue
@@ -65,6 +65,27 @@ class TestRegularityProbe:
         a = regularity_probe(sec5_preset.dae.pencil, sample_count=16, seed=7)
         b = regularity_probe(sec5_preset.dae.pencil, sample_count=16, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 70 + 3])
+    def test_probe_points_distinct_and_in_range(self, sec5_preset, seed):
+        points = _probe_points(32, seed)
+        np.testing.assert_array_equal(points, _probe_points(32, seed))
+        assert len(set(points.tolist())) == 32
+        assert np.all((points >= -2.0) & (points < 2.0))
+        # evenly spread: the golden-ratio sequence's circular gaps differ by at most phi^2
+        gaps = np.diff(np.r_[np.sort(points), points.min() + 4.0])
+        assert gaps.max() <= 2.62 * gaps.min()
+        # the probe returns one of them, scaled into [-2, 2) * (1 + ||B||) / (1 + ||A||)
+        pen = sec5_preset.dae.pencil
+        scale = (1.0 + np.linalg.norm(pen.b, 2)) / (1.0 + np.linalg.norm(pen.a, 2))
+        lam = regularity_probe(pen, sample_count=32, seed=seed)
+        assert lam in (points * scale).tolist() and -2.0 * scale <= lam < 2.0 * scale
+
+    def test_seeds_give_disjoint_points(self):
+        sets = [set(_probe_points(32, seed).tolist()) for seed in range(10)]
+        for i, points in enumerate(sets):
+            for other in sets[i + 1:]:
+                assert points.isdisjoint(other)
 
 
 class TestClassifyIndex:
