@@ -102,8 +102,7 @@ def _fit_orders(step_sizes, errors) -> ComponentOrder:
                           pairwise_orders=pairwise, asymptotic_order=slope)
 
 
-def _reference_samples(reference: Trajectory, mesh_base: Mesh, base_nodes: np.ndarray):
-    """(z, u) of an external reference at the base nodes, once it is checked."""
+def _check_external_reference(reference: Trajectory, mesh_base: Mesh) -> int:
     ref_mesh = reference.mesh
     if abs(ref_mesh.t0 - mesh_base.t0) > 1e-12 * (1 + abs(mesh_base.t0)) or \
        abs(ref_mesh.t_end - mesh_base.t_end) > 1e-12 * (1 + abs(mesh_base.t_end)):
@@ -112,8 +111,7 @@ def _reference_samples(reference: Trajectory, mesh_base: Mesh, base_nodes: np.nd
         raise ValueError("external reference nodes must contain the base nodes")
     if not reference.status.completed:
         raise ValueError("external reference trajectory is incomplete")
-    nodes = base_nodes * (ref_mesh.n_steps // mesh_base.n_steps)
-    return reference.z_history[nodes], reference.u_rows(nodes)
+    return ref_mesh.n_steps // mesh_base.n_steps  # the stride of the base nodes in it
 
 
 def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: Method,
@@ -128,8 +126,6 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
     refinements above it, so the level in between is never read and never
     solved: the solves are levels 0..refinements-2 in ascending order, then
     the finest.  With an external reference every level is solved and fitted.
-    A level keeps only its values at the base nodes, so at most one level's
-    trajectory is alive at a time.
 
     Raises
     ------
@@ -143,7 +139,6 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
     if operator.index(refinements) < 3:
         raise ValueError("refinements must be at least 3")
     base_config = replace(config or SolverConfig(), method=method)
-    base_nodes = np.arange(mesh_base.n_steps + 1)
 
     def base_samples(level: int):  # (h, z, u) at the base nodes; the trajectory is freed
         mesh = mesh_base.refined(2 ** level)
@@ -152,15 +147,16 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
             raise LadderSolveError(
                 f"ladder solve at h={mesh.h:g} ended with {traj.status.outcome.value}",
                 traj.status, mesh.h)
-        nodes = base_nodes * 2 ** level
-        return mesh.h, traj.z_history[nodes], traj.u_rows(nodes)
+        nodes = slice(None, None, 2 ** level)
+        return mesh.h, traj.z_history[nodes].copy(), traj.u_rows(nodes)
 
     if reference is None:
         samples = [base_samples(level) for level in [*range(refinements - 1), refinements]]
         _, z_ref, u_ref = samples.pop()
     else:
         samples = [base_samples(level) for level in range(refinements + 1)]
-        z_ref, u_ref = _reference_samples(reference, mesh_base, base_nodes)
+        nodes = slice(None, None, _check_external_reference(reference, mesh_base))
+        z_ref, u_ref = reference.z_history[nodes], reference.u_rows(nodes)
     step_sizes, z_levels, u_levels = zip(*samples)
     z_fit = _fit_orders(step_sizes, [_max_node_error(z, z_ref) for z in z_levels])
     u_fit = _fit_orders(step_sizes, [_max_node_error(u, u_ref) for u in u_levels]) \

@@ -134,8 +134,7 @@ class SolveStatus:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Mesh values of an approximate solution x_i = z_i + N c_i; only z and c are
-    stored, and ``states`` and ``u_history`` are formed on each access.
+    """Mesh values of an approximate solution x_i = z_i + N c_i, stored as z and c.
 
     On early termination the arrays are truncated at the offending node
     (never padded); ``status`` records why.
@@ -154,16 +153,13 @@ class Trajectory:
 
     def u_rows(self, rows=slice(None)) -> np.ndarray:
         """u_i = N c_i of the nodes ``rows`` (a slice or an index array)."""
-        c = self.coords[rows]
-        return np.matmul(self.x2_basis, c.reshape(len(c), c.shape[1], 1))[:, :, 0]
+        return np.matmul(self.x2_basis, self.coords[rows, :, None])[:, :, 0]
 
     def state_rows(self, rows=slice(None)) -> np.ndarray:
-        """x_i = z_i + N c_i of the nodes ``rows``, each rounded alike whatever
-        the rows asked for."""
+        """x_i = z_i + N c_i of the nodes ``rows``, rounded alike for any rows."""
         return self.z_history[rows] + self.u_rows(rows)
 
-    states = property(state_rows)
-    u_history = property(u_rows)
+    states, u_history = property(state_rows), property(u_rows)  # formed on each access
 
     @property
     def max_norm(self) -> float:
@@ -174,13 +170,10 @@ class Trajectory:
         return self.state_rows([-1])[0]
 
 
-# nodes per block of a pass over a whole run (residuals, norms, CSV rows): few
-# numpy calls and %-formats, and the temporaries of one block, not of the run
-_BLOCK = 4096
+_BLOCK = 4096  # nodes per block of a pass over a run (residuals, norms, CSV rows)
 
 
-def _blocks(count: int):
-    """Slices of at most ``_BLOCK`` nodes covering nodes 0..count-1 in order."""
+def _blocks(count: int):  # slices of at most _BLOCK nodes covering nodes 0..count-1
     return (slice(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK))
 
 
@@ -221,11 +214,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _stopped(x: np.ndarray, i: int, times: np.ndarray) -> tuple[SolveStatus, int]:
+def _stopped(x: np.ndarray, i: int, node_t: memoryview) -> tuple[SolveStatus, int]:
     """(status, last node kept) of a run whose node i failed the norm test: a
     finite state blew up, a non-finite one fails the step that made it."""
     if np.isfinite(x).all():
-        return SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=float(times[i])), i
+        return SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[i]), i
     return SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i), i - 1
 
 
@@ -261,7 +254,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     correct, lift = newton.correct, newton.lift
 
     times = mesh.times()
-    t0 = t = float(mesh.t0)                       # t: the time of node i
+    node_t = memoryview(times)                    # its items are Python floats
     z_hist = np.empty((n_steps + 1, n))
     coords = np.empty(n_steps + 1 if newton.scalar else (n_steps + 1, newton.k))
     f_values = np.empty((n_steps + 1, n))        # f(t_i, x_i) of the z-steps
@@ -274,7 +267,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
 
     # the split initial point must lie on the constraint manifold
     try:
-        fi = f_values[0] = f(t, x)
+        fi = f_values[0] = f(mesh.t0, x)
     except _MODEL_ERRORS as exc:
         raise InconsistentInitialStateError(
             f"f cannot be evaluated at the initial point: {type(exc).__name__}: {exc}"
@@ -295,17 +288,16 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
         try:
             for i in range(n_steps):
                 if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                    status, last = _stopped(x, i, times)
+                    status, last = _stopped(x, i, node_t)
                     break
                 if i:
-                    fi = f_values[i] = f(t, x) if fc is None else fc
+                    fi = f_values[i] = f(node_t[i], x) if fc is None else fc
                     known = i + 1
                 if leapfrog and i:
                     z_next = z_prev + leap_drive(fi) - leap_decay(z)
                 else:
                     z_next = euler(z) + drive(fi)
-                t = t0 + (i + 1) * h                  # as Mesh.times() forms it
-                c, error, fc, xc = correct(f, jac, t, z_next, c, tol, max_iter, u)
+                c, error, fc, xc = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter, u)
                 if error is not None:
                     status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
                     last = i
@@ -319,19 +311,18 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                 z_hist[i + 1], coords[i + 1] = z, c
             else:
                 if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                    status, last = _stopped(x, n_steps, times)
+                    status, last = _stopped(x, n_steps, node_t)
         except _MODEL_ERRORS:  # f could not be evaluated at node i
             status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
             last = i
 
     if last < n_steps:  # truncated at the offending node, never padded
         times, z_hist, coords = (a[:last + 1].copy() for a in (times, z_hist, coords))
-    traj = Trajectory(times=times, z_history=z_hist, coords=coords.reshape(last + 1, newton.k),
-                      x2_basis=decomp.x2_basis, residuals=np.full(last + 1, np.inf),
-                      status=status, mesh=mesh)
+    traj = Trajectory(times, z_hist, coords.reshape(last + 1, newton.k), decomp.x2_basis,
+                      np.full(last + 1, np.inf), status, mesh)
     if known == last:
         try:  # f may overflow at an exploded state; its residual is then inf
-            f_values[last] = f(float(times[last]), traj.final_state) if fc is None else fc
+            f_values[last] = f(node_t[last], traj.final_state) if fc is None else fc
             known += 1
         except _MODEL_ERRORS:
             pass

@@ -145,12 +145,10 @@ class SpectralDecomposition:
 
 
 def _probe_points(sample_count: int, seed: int) -> np.ndarray:
-    """4 frac(seed*sqrt(2) + j*phi) - 2, j < sample_count: Weyl's golden-ratio
-    sequence on [-2, 2), exact in 53-bit fixed point (uint64 wraps modulo 2**64),
-    so distinct and evenly spread, with an offset per seed modulo 2**53."""
-    steps = np.arange(sample_count, dtype=np.uint64) * np.uint64(_PHI)
-    fractions = (steps + np.uint64(seed * _ROOT2 % 2 ** 53)) & np.uint64(2 ** 53 - 1)
-    return fractions * 2.0 ** -51 - 2.0
+    """4 frac(seed sqrt(2) + j phi) - 2, j < sample_count, in exact 53-bit fixed point:
+    Weyl's golden-ratio sequence on [-2, 2), distinct, evenly spread, offset per seed."""
+    fractions = [(seed * _ROOT2 + j * _PHI) % 2 ** 53 for j in range(sample_count)]
+    return np.array(fractions) * 2.0 ** -51 - 2.0
 
 
 def _best_shift(pencil: MatrixPencil, sample_count: int, seed: int) -> tuple[float, float]:
@@ -167,11 +165,10 @@ def _best_shift(pencil: MatrixPencil, sample_count: int, seed: int) -> tuple[flo
 def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0) -> float:
     """Regularity test: find lambda0 with det(lambda0*A + B) != 0.
 
-    Evaluates the pencil at ``sample_count`` distinct real points, Weyl's
-    golden-ratio sequence whose offset ``seed`` selects, and returns the
-    best-conditioned one.  A regular pencil has at most n roots of
-    det(lambda*A + B), so more than n points include a regular one; if every
-    point is numerically singular the pencil is declared non-regular.
+    Evaluates the pencil at ``sample_count`` distinct real points (a golden-ratio
+    sequence, offset by ``seed``) and returns the best-conditioned one.  A regular
+    pencil has at most n roots of det(lambda*A + B), so more than n points include
+    a regular one; if every point is numerically singular the pencil is non-regular.
 
     Raises
     ------

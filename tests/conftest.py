@@ -18,11 +18,15 @@ def constraint_residual(dae, decomp, t, x) -> tuple[np.ndarray, float]:
 def trajectory_from_states(mesh: Mesh, states, decomp, residuals=None,
                            status=SolveStatus(SolveOutcome.COMPLETED)) -> Trajectory:
     """Wrap exact (or externally computed) states at the first len(states)
-    nodes of ``mesh`` as a Trajectory, split as z = P1 x and c = N^T P2 x."""
+    nodes of ``mesh`` as a Trajectory, split as z = P1 x and c = N^T P2 x.
+    Only a run that did not complete may stop short of the last node."""
     states = np.asarray(states, dtype=float)
     nodes = len(states)
-    if states.ndim != 2 or states.shape[1] != decomp.n or not 0 < nodes <= mesh.n_steps + 1:
-        raise ValueError(f"states must have shape (m, {decomp.n}), 0 < m <= {mesh.n_steps + 1}")
+    full = mesh.n_steps + 1
+    if states.ndim != 2 or states.shape[1] != decomp.n or not 0 < nodes <= full \
+            or (status.completed and nodes != full):
+        raise ValueError(f"states must have shape ({full}, {decomp.n}), or (m, {decomp.n}) "
+                         f"with 0 < m < {full} if the run did not complete")
     basis = decomp.x2_basis
     return Trajectory(times=mesh.times()[:nodes], z_history=states @ decomp.p1.T,
                       coords=states @ decomp.p2.T @ basis, x2_basis=basis,

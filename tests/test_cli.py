@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import trajectory_from_states
 from pencildae import PRESET_IDS, cli, get_preset
 from pencildae.integrators import _BLOCK, _row_norms
 
@@ -360,19 +359,28 @@ class TestTrajectoryCsv:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_extreme_values(self, tmp_path):
-        from pencildae import (MatrixPencil, Mesh, SolveOutcome, SolveStatus,
-                               projectors_algebraic)
-        # X1 = span(e1, e2) and X2 = span(e3), so z and u split the columns exactly
-        decomp = projectors_algebraic(MatrixPencil(a=np.diag([1.0, 1.0, 0.0]), b=np.eye(3)))
-        states = np.array([[-1.5, 1e-300, -0.0], [1e300, -2.5e-308, 1.0 / 3.0],
-                           [-7.0, 123456789.125, -1e-17], [np.inf, -np.inf, np.nan]])
-        traj = trajectory_from_states(
-            Mesh(0.0, 0.4, 4), states, decomp,
-            residuals=np.array([0.0, 1e-300, 4.2e-16, np.inf]),
-            status=SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=0.3))
-        assert traj.times[-1] == 0.30000000000000004 and traj.states[1, 1] == -2.5e-308
+        from pencildae import Mesh, SolveOutcome, SolveStatus, Trajectory
+        states = np.array([[-1.5, 1e-300, 0.0], [1e300, -2.5e-308, 1.0 / 3.0],
+                           [-7.0, 123456789.125, -1e-17], [np.inf, -np.inf, np.nan],
+                           [np.inf, np.inf, np.inf], [1e300, 1e300, 1e300]])
+        # built by hand: splitting x by the projectors would spread inf and NaN
+        # over every column. With N = (1, 1, 1)^T, u_i = (c_i, c_i, c_i), and a c
+        # of -0.0 or one below z's ulp leaves x = z bit for bit, except that
+        # N c sums from +0.0, so -0.0 + N(-0.0) is +0.0: the residuals carry -0.0
+        z = states.copy()
+        z[0, 2], z[4], z[5] = -0.0, [1.0, -2.0, 0.5], [0.0, -0.0, 0.0]
+        traj = Trajectory(times=np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]),
+                          z_history=z, coords=np.array([[-0.0], [-0.0], [2.5e-308], [-0.0],
+                                                        [np.inf], [1e300]]),
+                          x2_basis=np.ones((3, 1)),
+                          residuals=np.array([0.0, 1e-300, 4.2e-16, np.inf, np.nan, -0.0]),
+                          status=SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=0.5),
+                          mesh=Mesh(0.0, 0.6, 6))
+        assert traj.states.tobytes() == states.tobytes()
+        norms = np.column_stack((_row_norms(traj.z_history), _row_norms(traj.u_history)))
+        assert np.isnan(norms[3, 0]) and norms[4, 1] == np.inf and norms[5, 0] == 0.0
+        assert 0.0 < norms[2, 1] < 1e-307 and np.isfinite(norms[1]).all()
         self.assert_same_bytes(tmp_path, traj)
 
     def test_truncated_blow_up_run(self, tmp_path):

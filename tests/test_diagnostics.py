@@ -252,3 +252,12 @@ def test_trajectory_from_states_splits_consistently(sec5_decomp):
     ref = trajectory_from_states(mesh, states, sec5_decomp)
     np.testing.assert_allclose(ref.z_history + ref.u_history, states, atol=1e-14)
     assert ref.status.completed
+
+
+def test_trajectory_from_states_refuses_a_short_completed_run(sec5_decomp):
+    mesh = Mesh(0.0, 1.0, 4)
+    states = np.ones((3, 3))
+    with pytest.raises(ValueError, match="did not complete"):
+        trajectory_from_states(mesh, states, sec5_decomp)
+    stopped = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=0.5)
+    assert len(trajectory_from_states(mesh, states, sec5_decomp, status=stopped)) == 3
