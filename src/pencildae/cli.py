@@ -21,8 +21,10 @@ line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -33,7 +35,7 @@ from . import dae_model, diagnostics, model_library, pencil
 from .integrators import (InconsistentInitialStateError, Mesh, Method, SolveOutcome,
                           SolverConfig, _blocks, _row_norms, solve)
 
-__all__ = ["main", "load_config"]
+__all__ = ["main", "run", "load_config"]
 
 
 class ConfigError(Exception):
@@ -456,5 +458,20 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """``main``, then flush stdout and stderr and ``os._exit``: no interpreter
+    teardown (module clearing, final collections); main closes every file."""
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed by >&-
+            stream.flush()
+    except OSError as exc:  # an unwritable output: a full disk or a closed pipe
+        code = EXIT_CONFIG
+        with contextlib.suppress(OSError):  # exit 1 silently if stderr fails too
+            if sys.stderr is not None:
+                print(_EXITS[OSError][1].format(exc), file=sys.stderr, flush=True)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

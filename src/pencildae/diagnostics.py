@@ -206,9 +206,11 @@ def stability_report(dae: SemilinearDAE, decomp: SpectralDecomposition,
     """
     if len(trajectory) == 0:
         raise ValueError("trajectory is empty")
+    if operator.index(max_samples) < 1:
+        raise ValueError("max_samples must be at least 1")
     ginv_b = decomp.g_inv @ dae.pencil.b
     ginv_q1 = decomp.g_inv @ decomp.q1
-    nodes = slice(None, None, max(1, len(trajectory) // max_samples))
+    nodes = slice(None, None, -(-len(trajectory) // max_samples))  # ceil: <= max_samples
     m1 = max(float(np.linalg.norm(ginv_q1 @ jacobian(dae, t, x), 2))
              for t, x in zip(trajectory.times[nodes].tolist(), trajectory.state_rows(nodes)))
     return StabilityReport(

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -474,15 +478,17 @@ class TestBoundary:
                           "nested": {"x": None, "ok": 2.5}, "count": 3}
 
 
+def fresh_python(args, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this pencildae;
+    ``env`` overrides variables of the environment, and a None value unsets one."""
+    env = {**os.environ, **dict(env), "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], **kwargs,
+                          env={key: value for key, value in env.items() if value is not None})
+
+
 def modules_left_by(tmp_path, runs, packages) -> list:
     """Run each (command, config) in a fresh interpreter; return, per run, the
     loaded modules that are one of ``packages`` or inside one."""
-    import os
-    import subprocess
-    import sys
-
-    import pencildae
-    src = str(Path(pencildae.__file__).resolve().parents[1])
     found = []
     for i, (command, cfg) in enumerate(runs):
         path = write_config(tmp_path, cfg, name=f"config{i}.json")
@@ -490,8 +496,7 @@ def modules_left_by(tmp_path, runs, packages) -> list:
                 f"assert c.main([{command!r}, {path!r}, '--quiet']) == 0; "
                 "print(sorted(m for m in sys.modules "
                 f"if any(m == p or m.startswith(p + '.') for p in {tuple(packages)!r})))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        out = fresh_python(["-c", code], capture_output=True, text=True, check=True)
         found.append((command, out.stdout.strip()))
     return found
 
@@ -753,3 +758,91 @@ def test_failure_line_is_written_without_quiet_too(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("solve sec6_blowup: blow_up, max norm")
     assert err.startswith("blow-up: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the process entry point: ``run`` flushes stdout and stderr and ends with
+# os._exit, without interpreter teardown; a fresh ``python -m pencildae.cli``
+# must end exactly as ``main`` does in process
+
+def take_output_files(out_dir: Path) -> dict:
+    """Remove the files a run wrote and return them as {name: bytes}, with the
+    summary's wall time (the one field that differs between two runs) masked."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        files[path.name] = re.sub(rb'"wall_time": [^\n]*', b'"wall_time": -', path.read_bytes())
+        path.unlink()
+    return files
+
+
+SOLVE_FILES = ["summary.json", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("argv, config, code, written", [
+    (["solve"], {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 200}},
+     0, SOLVE_FILES),
+    (["validate"], {"model": "sec5_cubic", "seed": -1}, 1, []),
+    (["projectors"], {"model": {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 0]]}}, 2, []),
+    (["converge"], {"model": "sec6_blowup", "study": {"refinements": 3},
+                    "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50}}, 3, ["summary.json"]),
+    (["solve"], {"model": "sec6_blowup", "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 2000},
+                 "corrector": {"mode": "iterate", "tol": 1e-10}}, 4, SOLVE_FILES),
+    (["solve", "--no-such-flag"], {"model": "sec5_cubic"}, 2, []),   # an argparse usage error
+], ids=["exit0", "exit1", "exit2", "exit3", "exit4", "usage"])
+def test_fresh_process_ends_as_main_does(tmp_path, argv, config, code, written):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args = [argv[0], write_config(tmp_path, config), "--out-dir", str(out_dir), *argv[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            got = cli.main(args)
+        except SystemExit as exc:
+            got = exc.code
+    files = take_output_files(out_dir)
+    fresh = fresh_python(["-m", "pencildae.cli", *args], capture_output=True)
+    assert (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()) == \
+        (got, out.getvalue(), err.getvalue()) and got == code
+    assert take_output_files(out_dir) == files and list(files) == written
+
+
+def test_fresh_process_skips_interpreter_teardown(tmp_path):
+    # an atexit handler runs at teardown, so it runs after main() returns
+    # normally but never after run()
+    path = write_config(tmp_path, {"model": "sec5_cubic"})
+    prologue = ("import atexit, sys; atexit.register(print, 'teardown'); "
+                f"sys.argv = ['pencildae', 'validate', {path!r}]; ")
+    entry = fresh_python(["-c", prologue + "import runpy; "
+                          "runpy.run_module('pencildae.cli', run_name='__main__')"],
+                         capture_output=True, text=True)
+    assert (entry.returncode, entry.stdout, entry.stderr) == (0, "config OK\n", "")
+    plain = fresh_python(["-c", prologue + "import pencildae.cli as c; sys.exit(c.main())"],
+                         capture_output=True, text=True)
+    assert (plain.returncode, plain.stdout, plain.stderr) == (0, "config OK\nteardown\n", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_stdout_that_cannot_be_flushed_is_config_error(tmp_path, buffered):
+    # buffered, the write fails only in run()'s final flush; unbuffered,
+    # inside the command: both end in exit 1 and one stderr line
+    path = write_config(tmp_path, {"model": "sec5_cubic"})
+    with open("/dev/full", "w") as full:
+        fresh = fresh_python(["-m", "pencildae.cli", "validate", path], stdout=full,
+                             stderr=subprocess.PIPE, text=True,
+                             env={"PYTHONUNBUFFERED": None if buffered else "1"})
+    assert fresh.returncode == 1
+    assert fresh.stderr == "config error: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_exits_0(tmp_path):
+    path = write_config(tmp_path, {"model": "sec5_cubic"})
+    fresh = fresh_python(["-m", "pencildae.cli", "validate", path], stderr=subprocess.PIPE,
+                         text=True, preexec_fn=lambda: os.close(1))
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+
+
+def test_console_script_is_the_process_entry_point():
+    # a text check: Python 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^pencildae = "pencildae\.cli:run"$', pyproject, re.MULTILINE)

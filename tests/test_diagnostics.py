@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +221,29 @@ class TestStabilityReport:
         traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]))
         payload = stability_report(dae, decomp, traj, 0.1).to_json()
         assert set(payload) == {"h", "norm_ginv_b", "m1_estimate", "g_of_h", "ghat_norm"}
+
+    def test_samples_at_most_max_samples_states(self, sec5_preset, sec5_decomp):
+        # 3999 nodes: a floor stride of 3999 // 2000 = 1 would sample them all
+        calls = []
+
+        def counted(t, x):
+            calls.append(t)
+            return sec5_preset.dae.jac_f(t, x)
+
+        dae = replace(sec5_preset.dae, jac_f=counted)
+        traj = method1_solve(dae, sec5_decomp, Mesh(0.0, 4.0, 3998), sec5_preset.x0)
+        for max_samples in (2000, 3999, 1):
+            calls.clear()
+            stability_report(dae, sec5_decomp, traj, 1e-3, max_samples=max_samples)
+            assert 0 < len(calls) <= max_samples, (max_samples, len(calls))
+        assert len(calls) == 1 and calls[0] == 0.0
+
+    @pytest.mark.parametrize("max_samples", [0, -1])
+    def test_max_samples_below_one_is_refused(self, scalar_decay, max_samples):
+        dae, decomp = scalar_decay
+        traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]))
+        with pytest.raises(ValueError, match="max_samples"):
+            stability_report(dae, decomp, traj, 0.1, max_samples=max_samples)
 
 
 class TestWindowedDeviation:
