@@ -10,12 +10,12 @@ a method-2 mesh under 2 steps.  Trajectories are written as CSV with
 
 Every run ends in one row of ``_EXITS``: exit 0 writes nothing to stderr,
 any other exit exactly one line and no traceback.  Exit 1: a config error (the
-contract, a non-finite mesh step, a mesh too large to allocate), an initial
-state off the constraint or where f cannot be evaluated, or a study whose
-errors underflow the measurable floor; 2: a pencil that is not regular, has
-index > 1, or whose projectors fail; 3: blow-up of a finite state; 4: corrector
-failure or a non-finite state.  Exits 3 and 4 write their outputs, then their
-line.
+contract, a command-line usage error, a non-finite mesh step, a mesh too large
+to allocate), an initial state off the constraint or where f cannot be
+evaluated, or a study whose errors underflow the measurable floor; 2: a pencil
+that is not regular, has index > 1, or whose projectors fail; 3: blow-up of a
+finite state; 4: corrector failure or a non-finite state.  Exits 3 and 4 write
+their outputs, then their line.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ __all__ = ["main", "run", "load_config"]
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error (a missing config, an unknown flag) is a config error;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 EXIT_OK = 0
@@ -427,7 +435,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pencildae",
         description="Semilinear DAE solver with spectral-projector reduction.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,9 +449,8 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--out-dir", default=None, help="redirect output files here")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         # overflow and invalid-value warnings would add stray stderr lines; the
         # library's own finiteness checks decide every outcome
         with np.errstate(all="ignore"):
@@ -453,7 +460,7 @@ def main(argv=None) -> int:
         outcome = next(cls for cls in type(exc).__mro__ if cls in _EXITS)
         detail = exc
     code, line = _EXITS[outcome]
-    if line is not None:
+    if line is not None and sys.stderr is not None:  # None: closed by 2>&-
         print(line.format(detail), file=sys.stderr)
     return code
 

@@ -33,10 +33,6 @@ __all__ = [
 RhsFunc = Callable[[float, np.ndarray], np.ndarray]
 JacFunc = Callable[[float, np.ndarray], np.ndarray]
 
-# what a model's f or Jacobian raises where it cannot be evaluated (overflow,
-# a pole, a math domain error, a non-finite Jacobian)
-_MODEL_ERRORS = (ArithmeticError, ValueError)
-
 
 class NonFiniteJacobianError(ArithmeticError):
     """The Jacobian evaluation produced NaN or Inf entries."""
@@ -52,6 +48,13 @@ class NoConvergenceError(Exception):
     def __init__(self, message: str, last_residual: float):
         super().__init__(message)
         self.last_residual = last_residual
+
+
+# what a model's f or Jacobian raises where it cannot be evaluated (overflow,
+# a pole, a math domain error, a non-finite Jacobian)
+_MODEL_ERRORS = (ArithmeticError, ValueError)
+# what X2Newton.correct raises: each fails the step it was called for
+_STEP_ERRORS = (SingularNewtonMatrixError, NoConvergenceError) + _MODEL_ERRORS
 
 
 @dataclass(frozen=True)
@@ -124,60 +127,53 @@ class X2Newton:
         self._eye = 1.0 if self.scalar else np.eye(self.k)
 
     def correct(self, f: RhsFunc, jac: JacFunc, t: float, z: np.ndarray,
-                c: float | np.ndarray, tol: float | None = None, max_iter: int = 50,
-                u: np.ndarray | None = None):
-        """Correct the coordinates ``c`` at (t, z); returns ``(c, error, fx, x)``.
+                c: float | np.ndarray, u: np.ndarray, tol: float | None = None,
+                max_iter: int = 50):
+        """Correct the coordinates ``c`` at (t, z); returns ``(c, u, x, fx)``.
 
-        ``u``, when given, is ``lift(c)`` already formed by the caller; the
-        first correction then starts from x = z + u without forming N c again.
+        ``u`` is ``lift(c)`` of the given c, formed by the caller.  With
+        ``tol=None`` exactly one correction is made.  Otherwise corrections
+        repeat until ||c - W f|| <= ``tol``, at most ``max_iter`` times.  The
+        returned c is the corrected one, u = lift(c) and x = z + u; ``fx`` is
+        f(t, x) where the converged ``tol`` test evaluated it, else None.
 
-        With ``tol=None`` exactly one correction is made.  Otherwise corrections
-        repeat until ||c - W f|| <= ``tol``, at most ``max_iter`` times.
-        ``error`` is None on success; on failure it is the exception, not
-        raised, that describes it: SingularNewtonMatrixError for a singular
-        matrix or a non-finite step, NoConvergenceError when ``tol`` is missed,
-        or what ``f`` or ``jac`` raised (one of ``_MODEL_ERRORS``).  Where the
-        converged ``tol`` test evaluated f, ``x`` is the point z + N c of the
-        returned c and ``fx`` is f(t, x); otherwise both are None.
+        Raises SingularNewtonMatrixError for a singular matrix or a non-finite
+        step, NoConvergenceError when ``tol`` is missed, or what ``f`` or
+        ``jac`` raised (one of ``_MODEL_ERRORS``).
         A singular k > 1 matrix gives a NaN step and sets numpy's invalid flag:
         call this inside ``np.errstate(invalid="ignore")`` to keep it silent.
         """
         if not self.k:
-            return c, None, None, None
+            return c, u, z + u, None
         basis, lift, scalar, coeff = self.basis, self.lift, self.scalar, self._coeff_dot
-        if u is None:
-            u = lift(c)
         updates = 0
-        try:
-            while True:
-                x = z + u
-                fx = f(t, x)
-                r = c - coeff(fx)
-                if tol is not None:
-                    last = abs(r) if scalar else math.sqrt(r.dot(r))
-                    if last <= tol:
-                        return c, None, fx, x
-                    if updates >= max_iter:
-                        return c, NoConvergenceError(
-                            f"restricted Newton stalled at residual {last:.3e} "
-                            f"after {updates} corrections", last_residual=last), None, None
-                newton = self._eye - coeff(jac(t, x).dot(basis))
-                if scalar:  # a finite pivot and a finite quotient
-                    step = r / newton if newton and math.isfinite(newton) else math.nan
-                    finite = math.isfinite(step)
-                else:  # NaN if singular; per-entry math.isfinite beats np.isfinite here
-                    step = _solve1(newton, r)
-                    finite = all(map(math.isfinite, step.tolist()))
-                if not finite:
-                    return c, SingularNewtonMatrixError(
-                        f"restricted Newton step singular or non-finite at t={t}"), None, None
-                c = c - step
-                if tol is None:
-                    return c, None, None, None
-                u = lift(c)
-                updates += 1
-        except _MODEL_ERRORS as exc:  # f or jac could not be evaluated at x
-            return c, exc, None, None
+        while True:
+            x = z + u
+            fx = f(t, x)
+            r = c - coeff(fx)
+            if tol is not None:
+                last = abs(r) if scalar else math.sqrt(r.dot(r))
+                if last <= tol:
+                    return c, u, x, fx
+                if updates >= max_iter:
+                    raise NoConvergenceError(
+                        f"restricted Newton stalled at residual {last:.3e} "
+                        f"after {updates} corrections", last_residual=last)
+            newton = self._eye - coeff(jac(t, x).dot(basis))
+            if scalar:  # a finite pivot and a finite quotient
+                step = r / newton if newton and math.isfinite(newton) else math.nan
+                finite = math.isfinite(step)
+            else:  # NaN if singular; per-entry math.isfinite beats np.isfinite here
+                step = _solve1(newton, r)
+                finite = all(map(math.isfinite, step.tolist()))
+            if not finite:
+                raise SingularNewtonMatrixError(
+                    f"restricted Newton step singular or non-finite at t={t}")
+            c = c - step
+            u = lift(c)
+            if tol is None:
+                return c, u, z + u, None
+            updates += 1
 
 
 def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
@@ -211,12 +207,7 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
     if not np.abs(decomp.p1 @ z0 - z0).max() <= 1e-8 * (1.0 + np.abs(z0).max()):
         raise ValueError("z0 must lie in X1 (apply P1 first)")
     newton = X2Newton(decomp)
-    if newton.k == 0:
-        return np.zeros(decomp.n)
     c0 = 0.0 if newton.scalar else np.zeros(newton.k)
     with np.errstate(invalid="ignore"):
-        c, error, _, _ = newton.correct(dae.f, jacobian_function(dae), t0, z0, c0,
-                                        tol=tol, max_iter=max_iter)
-    if error is not None:
-        raise error
-    return newton.lift(c)
+        return newton.correct(dae.f, jacobian_function(dae), t0, z0, c0, newton.lift(c0),
+                              tol, max_iter)[1]

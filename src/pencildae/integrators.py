@@ -23,7 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dae_model import _MODEL_ERRORS, SemilinearDAE, X2Newton, jacobian_function
+from .dae_model import (_MODEL_ERRORS, _STEP_ERRORS, SemilinearDAE, X2Newton,
+                        jacobian_function)
 from .pencil import SpectralDecomposition
 
 __all__ = [
@@ -251,7 +252,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     euler, drive = (np.eye(n) - h * ginv_b).dot, drive_mat.dot
     leap_drive, leap_decay = (2.0 * drive_mat).dot, ((2.0 * h) * ginv_b).dot
     newton = X2Newton(decomp)
-    correct, lift = newton.correct, newton.lift
+    correct = newton.correct
 
     times = mesh.times()
     node_t = memoryview(times)                    # its items are Python floats
@@ -261,7 +262,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
 
     z = decomp.p1 @ x0
     c = newton.basis.T @ (decomp.p2 @ x0)
-    u = lift(c)                                   # N c of the newest node, None if not formed
+    u = newton.lift(c)                            # N c of the newest node
     x = z + u
     z_hist[0], coords[0] = z, c
 
@@ -297,22 +298,13 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                     z_next = z_prev + leap_drive(fi) - leap_decay(z)
                 else:
                     z_next = euler(z) + drive(fi)
-                c, error, fc, xc = correct(f, jac, node_t[i + 1], z_next, c, tol, max_iter, u)
-                if error is not None:
-                    status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
-                    last = i
-                    break
+                c, u, x, fc = correct(f, jac, node_t[i + 1], z_next, c, u, tol, max_iter)
                 z_prev, z = z, z_next
-                if xc is None:
-                    u = lift(c)
-                    x = z + u
-                else:  # iterate mode: the corrector's converged point
-                    x, u = xc, None
                 z_hist[i + 1], coords[i + 1] = z, c
             else:
                 if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
                     status, last = _stopped(x, n_steps, node_t)
-        except _MODEL_ERRORS:  # f could not be evaluated at node i
+        except _STEP_ERRORS:  # the step to node i + 1 failed; node i is kept
             status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
             last = i
 

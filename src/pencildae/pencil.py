@@ -298,16 +298,16 @@ def _eigenvalue_moduli(pencil: MatrixPencil) -> np.ndarray:
     return mags[np.where(np.arange(2 * n)[keep] < n, scaled <= 2.0, scaled >= 0.5)]
 
 
-def _radius(mags: np.ndarray, safety: float) -> float:
+def _radius(mags: np.ndarray) -> float:
     nonzero = mags[mags > 1e-12 * (1.0 + mags.max())] if mags.size else mags
-    return float(safety * nonzero.min()) if nonzero.size else 1.0
+    return float(0.5 * nonzero.min()) if nonzero.size else 1.0
 
 
-def contour_radius(pencil: MatrixPencil, safety: float = 0.5) -> float:
-    """Default contour radius for :func:`projectors_residue`: ``safety`` times
-    the smallest nonzero modulus of the mu-roots of det(A + mu*B) = 0; 1.0 when
-    no nonzero finite root exists, since then mu = 0 is the only candidate pole."""
-    return _radius(_eigenvalue_moduli(pencil), safety)
+def contour_radius(pencil: MatrixPencil) -> float:
+    """Default contour radius for :func:`projectors_residue`: half the smallest
+    nonzero modulus of the mu-roots of det(A + mu*B) = 0; 1.0 when no nonzero
+    finite root exists, since then mu = 0 is the only candidate pole."""
+    return _radius(_eigenvalue_moduli(pencil))
 
 
 class ResidueProjectors(tuple):
@@ -334,11 +334,11 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
     """
     if not 8 <= node_count <= MAX_NODE_COUNT:
         raise ValueError(f"node_count must be between 8 and {MAX_NODE_COUNT}")
-    if radius is not None and radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     mags = _eigenvalue_moduli(pencil)
     if radius is None:
-        radius = _radius(mags, 0.5)
+        radius = _radius(mags)
     near = mags[np.abs(mags - radius) < 0.1 * radius]
     if near.size:
         raise PoleOnContourError(
@@ -399,7 +399,7 @@ class ValidationReport:
 def validate_decomposition(pencil: MatrixPencil, decomp: SpectralDecomposition,
                            tol: float) -> ValidationReport:
     """Report the max-norm residual of every projector/G identity."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     d, eye = decomp, np.eye(pencil.n)
     a, b = pencil.a, pencil.b

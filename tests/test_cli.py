@@ -787,7 +787,7 @@ SOLVE_FILES = ["summary.json", "trajectory.csv"]
                     "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50}}, 3, ["summary.json"]),
     (["solve"], {"model": "sec6_blowup", "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 2000},
                  "corrector": {"mode": "iterate", "tol": 1e-10}}, 4, SOLVE_FILES),
-    (["solve", "--no-such-flag"], {"model": "sec5_cubic"}, 2, []),   # an argparse usage error
+    (["solve", "--no-such-flag"], {"model": "sec5_cubic"}, 1, []),   # an argparse usage error
 ], ids=["exit0", "exit1", "exit2", "exit3", "exit4", "usage"])
 def test_fresh_process_ends_as_main_does(tmp_path, argv, config, code, written):
     out_dir = tmp_path / "out"
@@ -840,6 +840,13 @@ def test_closed_stdout_exits_0(tmp_path):
     fresh = fresh_python(["-m", "pencildae.cli", "validate", path], stderr=subprocess.PIPE,
                          text=True, preexec_fn=lambda: os.close(1))
     assert (fresh.returncode, fresh.stderr) == (0, "")
+
+
+def test_closed_stderr_keeps_the_failure_off_stdout(tmp_path):
+    path = write_config(tmp_path, {"model": "sec5_cubic", "seed": -1})
+    fresh = fresh_python(["-m", "pencildae.cli", "validate", path], stdout=subprocess.PIPE,
+                         text=True, preexec_fn=lambda: os.close(2))
+    assert (fresh.returncode, fresh.stdout) == (1, "")
 
 
 def test_console_script_is_the_process_entry_point():

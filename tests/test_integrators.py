@@ -197,10 +197,9 @@ class TestIndex0Equivalence:
 def correct_u(dae, decomp, t_next, z_next, u_prev, tol=None, max_iter=1):
     """The u-update of both schemes, by X2Newton.correct, in full coordinates."""
     newton = X2Newton(decomp)
-    c, error, _, _ = newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
-                                    newton.basis.T @ u_prev, tol, max_iter)
-    assert error is None
-    return newton.lift(c)
+    c = newton.basis.T @ u_prev
+    return newton.correct(dae.f, lambda t, x: jacobian(dae, t, x), t_next, z_next,
+                          c, newton.lift(c), tol, max_iter)[1]
 
 
 class TestAlgebraicUpdate:
@@ -504,13 +503,15 @@ class TestKernelEquivalence:
         assert_matches_reference(traj, ref, "blow_up")
         assert np.all(np.isfinite(traj.residuals))
 
-    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
-    def test_corrector_failure_rows(self, method):
-        # the Jacobian turns non-finite from t = 0.5 on, so step 51 fails
+    @staticmethod
+    def late_jacobian_rows(method, late_df2dx2, tol=None, max_iter=1):
+        """A linear constraint x2 = 0.3 x1 + 0.25 x2 + 0.1 cos t whose Jacobian
+        entry df2/dx2 is exact before t = 0.5 and ``late_df2dx2`` from then on,
+        solved by the kernel and the oracle on 100 steps of [0, 1]."""
         pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.array([[0.5, 0.0], [0.0, 1.0]]))
 
         def jac(t, x):
-            return np.array([[0.0, 0.0], [0.3, 0.25 if t < 0.5 else np.nan]])
+            return np.array([[0.0, 0.0], [0.3, 0.25 if t < 0.5 else late_df2dx2]])
 
         dae = SemilinearDAE(pencil=pencil,
                             f=lambda t, x: np.array([math.sin(t), 0.3 * x[0] + 0.25 * x[1]
@@ -519,8 +520,26 @@ class TestKernelEquivalence:
         decomp = projectors_algebraic(pencil)
         x0 = np.array([1.0, (0.3 + 0.1) / 0.75])
         mesh = Mesh(0.0, 1.0, 100)
-        traj = solve(dae, decomp, mesh, x0, SolverConfig(method=method))
-        ref = reference_solve(dae, decomp, mesh, x0, leapfrog=method is Method.METHOD2)
+        traj = solve(dae, decomp, mesh, x0, SolverConfig(method=method, tol=tol,
+                                                         max_iter=max_iter))
+        ref = reference_solve(dae, decomp, mesh, x0, leapfrog=method is Method.METHOD2,
+                              tol=tol, max_iter=max_iter)
+        return traj, ref
+
+    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
+    def test_corrector_failure_rows(self, method):
+        # the Jacobian turns non-finite from t = 0.5 on, so step 50 fails
+        traj, ref = self.late_jacobian_rows(method, np.nan)
+        assert_matches_reference(traj, ref, "corrector_failed", detail=50)
+        assert len(traj) == 50
+
+    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
+    def test_missed_tolerance_rows(self, method):
+        # from t = 0.5 on the Newton pivot is 7.5 for a true 0.75: each
+        # correction shrinks the residual by 0.9 only, so 20 corrections miss
+        # 1e-12 and step 50 fails with NoConvergenceError
+        tol, max_iter = self.CORRECTORS["iterate"]
+        traj, ref = self.late_jacobian_rows(method, -6.5, tol, max_iter)
         assert_matches_reference(traj, ref, "corrector_failed", detail=50)
         assert len(traj) == 50
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,11 @@ class TestProjectorsResidue:
         with pytest.raises(ValueError):
             projectors_residue(identity_pencil(), radius=1.0, node_count=4)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_radius_that_is_not_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            projectors_residue(identity_pencil(), radius=radius)
+
     def test_rejects_node_count_above_the_cap(self):
         # refused before the first node, not after 10**18 of them
         from pencildae.pencil import MAX_NODE_COUNT
@@ -286,7 +293,7 @@ class TestResidueAgainstReference:
 
     def test_default_radius_matches_qz(self, pencils):
         for pencil in pencils:
-            want = _radius(reference_moduli(pencil), 0.5)
+            want = _radius(reference_moduli(pencil))
             assert abs(contour_radius(pencil) - want) <= 1e-10 * want
 
     def test_same_pole_on_contour_verdicts(self, pencils):
@@ -320,7 +327,7 @@ class TestResidueAgainstReference:
         # either contour the resolvent I - mu B + mu^2 B^2 loses every digit
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
         pencil = MatrixPencil(a=np.eye(3), b=q @ NILPOTENT @ q.T)
-        assert contour_radius(pencil) > 1e4 and _radius(reference_moduli(pencil), 0.5) > 1e4
+        assert contour_radius(pencil) > 1e4 and _radius(reference_moduli(pencil)) > 1e4
         assert outcome(projectors_residue, pencil) is ContourSolveFailedError
         assert outcome(reference_residue, pencil) is ContourSolveFailedError
 
@@ -372,6 +379,12 @@ class TestValidateDecomposition:
         report = validate_decomposition(sec5_preset.dae.pencil, corrupted, tol=1e-10)
         assert not report.passed
         assert "P2^2=P2" in report.failing()
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_a_tol_that_is_not_positive(self, tol):
+        pencil = identity_pencil()
+        with pytest.raises(ValueError, match="tol must be positive"):
+            validate_decomposition(pencil, projectors_algebraic(pencil), tol)
 
     def test_json_round_trip(self, sec5_preset, sec5_decomp):
         import json
