@@ -18,8 +18,8 @@ from .model_library import (CircuitParams, ModelPreset, Nonlinearity, PRESET_IDS
                             VoltageWaveform, build_circuit_dae,
                             circuit_consistency_check, get_preset)
 from .pencil import (ContourSolveFailedError, DecompositionFailedError,
-                     IndexTooHighError, MatrixPencil, NotRegularError, PencilIndex,
-                     PoleOnContourError, SpectralDecomposition, ValidationReport,
+                     IndexTooHighError, MatrixPencil, NotRegularError, PencilError,
+                     PencilIndex, PoleOnContourError, SpectralDecomposition, ValidationReport,
                      classify_index, contour_radius, projectors_algebraic,
                      projectors_residue, regularity_probe, validate_decomposition)
 

@@ -73,11 +73,7 @@ _EXITS = {
     ArithmeticError: (EXIT_CONFIG, "initial-state error: " + _NAMED),
     ValueError: (EXIT_CONFIG, "initial-state error: " + _NAMED),
     diagnostics.DegenerateFitError: (EXIT_CONFIG, "study error: {0}"),
-    pencil.NotRegularError: (EXIT_PENCIL, "pencil error: " + _NAMED),
-    pencil.IndexTooHighError: (EXIT_PENCIL, "pencil error: " + _NAMED),
-    pencil.DecompositionFailedError: (EXIT_PENCIL, "pencil error: " + _NAMED),
-    pencil.PoleOnContourError: (EXIT_PENCIL, "pencil error: " + _NAMED),
-    pencil.ContourSolveFailedError: (EXIT_PENCIL, "pencil error: " + _NAMED),
+    pencil.PencilError: (EXIT_PENCIL, "pencil error: " + _NAMED),
     SolveOutcome.BLOW_UP: (EXIT_BLOW_UP, "blow-up: {0}"),
     SolveOutcome.CORRECTOR_FAILED: (EXIT_CORRECTOR, "corrector failure: {0}"),
 }
@@ -369,8 +365,8 @@ def cmd_converge(config: dict, out_dir: str | None, quiet: bool):
 
     try:
         estimate = diagnostics.empirical_order(
-            preset.dae, decomp, solver_config.method, mesh, x0,
-            refinements=int(config["study"]["refinements"]), config=solver_config)
+            preset.dae, decomp, mesh, x0, refinements=int(config["study"]["refinements"]),
+            config=solver_config)
     except diagnostics.LadderSolveError as exc:
         payload["ladder_failure"] = {"h": exc.h, "status": exc.status.to_json()}
         _write_json(json_path, payload)
@@ -426,11 +422,12 @@ def cmd_validate(config: dict, out_dir: str | None, quiet: bool):
     return _DONE
 
 
+# name: (command, help string), read by the parser and the dispatch alike
 _COMMANDS = {
-    "solve": cmd_solve,
-    "converge": cmd_converge,
-    "projectors": cmd_projectors,
-    "validate": cmd_validate,
+    "solve": (cmd_solve, "integrate a model and emit trajectory CSV + summary JSON"),
+    "converge": (cmd_converge, "run a mesh-refinement convergence study"),
+    "projectors": (cmd_projectors, "emit projectors, validation report and residue agreement"),
+    "validate": (cmd_validate, "check a config file against its contract and exit"),
 }
 
 
@@ -439,12 +436,7 @@ def main(argv=None) -> int:
         prog="pencildae",
         description="Semilinear DAE solver with spectral-projector reduction.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "integrate a model and emit trajectory CSV + summary JSON"),
-        ("converge", "run a mesh-refinement convergence study"),
-        ("projectors", "emit projectors, validation report and residue agreement"),
-        ("validate", "check a config file against its contract and exit"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--out-dir", default=None, help="redirect output files here")
@@ -454,8 +446,8 @@ def main(argv=None) -> int:
         # overflow and invalid-value warnings would add stray stderr lines; the
         # library's own finiteness checks decide every outcome
         with np.errstate(all="ignore"):
-            outcome, detail = _COMMANDS[args.command](load_config(args.config),
-                                                      args.out_dir, args.quiet)
+            outcome, detail = _COMMANDS[args.command][0](load_config(args.config),
+                                                         args.out_dir, args.quiet)
     except _FAILURES as exc:
         outcome = next(cls for cls in type(exc).__mro__ if cls in _EXITS)
         detail = exc

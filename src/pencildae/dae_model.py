@@ -192,13 +192,13 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
         If ``max_iter`` iterations do not reach ``tol``.
     ArithmeticError, ValueError
         What ``f`` or its Jacobian raised; ValueError also for a ``tol`` that
-        is not positive (NaN included), a ``max_iter`` below 1, and a
+        is not positive and finite (NaN included), a ``max_iter`` below 1, and a
         non-finite ``z0`` or one not in X1.
     TypeError
         For a non-integral ``max_iter``.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if operator.index(max_iter) < 1:
         raise ValueError("max_iter must be a positive integer")
     z0 = np.asarray(z0, dtype=float)

@@ -11,12 +11,12 @@ against a reference run.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dae_model import SemilinearDAE, jacobian
-from .integrators import Mesh, Method, SolverConfig, SolveStatus, Trajectory, solve
+from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, solve
 from .pencil import SpectralDecomposition
 
 __all__ = [
@@ -114,14 +114,14 @@ def _check_external_reference(reference: Trajectory, mesh_base: Mesh) -> int:
     return ref_mesh.n_steps // mesh_base.n_steps  # the stride of the base nodes in it
 
 
-def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: Method,
-                    mesh_base: Mesh, x0, refinements: int = 4,
-                    reference: Trajectory | None = None,
+def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base: Mesh,
+                    x0, refinements: int = 4, reference: Trajectory | None = None,
                     config: SolverConfig | None = None) -> OrderEstimate:
     """Estimate the convergence order on the ladder h, h/2, ..., h/2^refinements.
 
-    Errors are discrete max norms over the base-mesh nodes (shared exactly by
-    every level).  With the default self-refined reference, the finest mesh
+    Every level is solved with ``config`` (default ``SolverConfig()``).  Errors
+    are discrete max norms over the base-mesh nodes (shared exactly by every
+    level).  With the default self-refined reference, the finest mesh
     h/2^refinements serves as reference and the fitted levels stop two
     refinements above it, so the level in between is never read and never
     solved: the solves are levels 0..refinements-2 in ascending order, then
@@ -138,11 +138,11 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, method: M
     """
     if operator.index(refinements) < 3:
         raise ValueError("refinements must be at least 3")
-    base_config = replace(config or SolverConfig(), method=method)
+    config = config or SolverConfig()
 
     def base_samples(level: int):  # (h, z, u) at the base nodes; the trajectory is freed
         mesh = mesh_base.refined(2 ** level)
-        traj = solve(dae, decomp, mesh, x0, base_config)
+        traj = solve(dae, decomp, mesh, x0, config)
         if not traj.status.completed:
             raise LadderSolveError(
                 f"ladder solve at h={mesh.h:g} ended with {traj.status.outcome.value}",
@@ -197,9 +197,8 @@ class StabilityReport:
 
 
 def stability_report(dae: SemilinearDAE, decomp: SpectralDecomposition,
-                     trajectory: Trajectory, h: float,
-                     max_samples: int = 2000) -> StabilityReport:
-    """Evaluate the stability coefficients along a computed trajectory.
+                     trajectory: Trajectory, max_samples: int = 2000) -> StabilityReport:
+    """Evaluate the stability coefficients along a computed trajectory at its step h.
 
     At most ``max_samples`` states are sampled (uniform stride) when the
     trajectory is long.
@@ -210,6 +209,7 @@ def stability_report(dae: SemilinearDAE, decomp: SpectralDecomposition,
         raise ValueError("max_samples must be at least 1")
     ginv_b = decomp.g_inv @ dae.pencil.b
     ginv_q1 = decomp.g_inv @ decomp.q1
+    h = trajectory.mesh.h
     nodes = slice(None, None, -(-len(trajectory) // max_samples))  # ceil: <= max_samples
     m1 = max(float(np.linalg.norm(ginv_q1 @ jacobian(dae, t, x), 2))
              for t, x in zip(trajectory.times[nodes].tolist(), trajectory.state_rows(nodes)))

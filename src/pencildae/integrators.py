@@ -100,8 +100,8 @@ class SolverConfig:
     blow_up_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.tol is not None and not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if operator.index(self.max_iter) < 1:
             raise ValueError("max_iter must be a positive integer")
         if not self.blow_up_threshold > 0.0:

@@ -127,7 +127,7 @@ def power_decay(beta: float = 1.0, alpha: float = 1.0, n: int = 1) -> VoltageWav
     _finite(beta=beta)
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    if n < 1:
+    if not (float(n).is_integer() and n >= 1):
         raise ValueError("n must be a positive integer")
     return VoltageWaveform(kind=f"power_decay({beta}, {alpha}, {n})",
                            value=lambda t: beta * (t + alpha) ** (-n))
@@ -135,7 +135,7 @@ def power_decay(beta: float = 1.0, alpha: float = 1.0, n: int = 1) -> VoltageWav
 
 def polynomial(beta: float = 1.0, alpha: float = 0.0, n: int = 1) -> VoltageWaveform:
     _finite(beta=beta, alpha=alpha)
-    if n < 1:
+    if not (float(n).is_integer() and n >= 1):
         raise ValueError("n must be a positive integer")
     return VoltageWaveform(kind=f"polynomial({beta}, {alpha}, {n})",
                            value=lambda t: beta * (t + alpha) ** n)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "MatrixPencil", "PencilIndex", "SpectralDecomposition", "ValidationReport",
+    "MatrixPencil", "PencilIndex", "SpectralDecomposition", "ValidationReport", "PencilError",
     "ResidueProjectors", "NotRegularError", "IndexTooHighError", "DecompositionFailedError",
     "PoleOnContourError", "ContourSolveFailedError", "regularity_probe", "classify_index",
     "projectors_algebraic", "projectors_residue", "contour_radius", "validate_decomposition",
@@ -42,23 +42,27 @@ _STACK_ENTRIES = 2 ** 20
 _PHI, _ROOT2 = (math.isqrt(5 << 106) - 2 ** 53) >> 1, math.isqrt(2 << 106) - 2 ** 53
 
 
-class NotRegularError(Exception):
+class PencilError(Exception):
+    """The pencil cannot be decomposed: the base of every error of this module."""
+
+
+class NotRegularError(PencilError):
     """The pencil appears singular: det(lambda*A + B) vanishes identically."""
 
 
-class IndexTooHighError(Exception):
+class IndexTooHighError(PencilError):
     """The pencil is regular but of index 2 or higher; unsupported downstream."""
 
 
-class DecompositionFailedError(Exception):
+class DecompositionFailedError(PencilError):
     """Rank decisions were inconsistent; the input is too ill-conditioned."""
 
 
-class PoleOnContourError(Exception):
+class PoleOnContourError(PencilError):
     """A generalized eigenvalue lies inside the safety band of the contour."""
 
 
-class ContourSolveFailedError(Exception):
+class ContourSolveFailedError(PencilError):
     """The resolvent could not be evaluated reliably on the contour."""
 
 
@@ -188,8 +192,8 @@ def _split(pencil: MatrixPencil):
     """The index decision: ``(index, kernel, x1, why)``.
 
     ``kernel`` is an orthonormal basis N (n x k) of X2 = kernel(A).  ``x1`` is
-    an orthonormal basis of X1 = {x : B x in range(A)} when the index is 1 and
-    None otherwise; ``why`` says which test a higher index failed.
+    an orthonormal basis of X1 = {x : B x in range(A)} (I for index 0) when the
+    index is at most 1 and None otherwise; ``why`` says which test failed.
     """
     n = pencil.n
     rtol = _RANK_SAFETY * n * _EPS
@@ -197,7 +201,7 @@ def _split(pencil: MatrixPencil):
     rank = int(np.sum(s > rtol * s[0]))
     kernel = vt[rank:].T
     if rank == n:
-        return PencilIndex.INDEX0, kernel, None, None
+        return PencilIndex.INDEX0, kernel, np.eye(n), None
     range_a = u[:, :rank]
     m = (np.eye(n) - range_a @ range_a.T) @ pencil.b
     _, s2, vt2 = np.linalg.svd(m)
@@ -233,9 +237,9 @@ def _inverse(m: np.ndarray, what: str) -> np.ndarray:
 def projectors_algebraic(pencil: MatrixPencil) -> SpectralDecomposition:
     """Construct the spectral projectors and G by explicit subspace bases.
 
-    For index 0 the decomposition is trivial (P1 = Q1 = I, G = A).  For index 1
-    it builds X2 = kernel(A), X1 = {x : B x in range(A)}, Y1 = range(A),
-    Y2 = B X2 and forms the oblique projectors onto each pair.
+    It builds X2 = kernel(A), X1 = {x : B x in range(A)}, Y1 = range(A),
+    Y2 = B X2 and forms the oblique projectors onto each pair.  For index 0
+    (X2 = Y2 = 0) these give P1 = Q1 = I, P2 = Q2 = 0 and G = A.
 
     Raises
     ------
@@ -246,12 +250,6 @@ def projectors_algebraic(pencil: MatrixPencil) -> SpectralDecomposition:
     """
     n = pencil.n
     index, kernel, x1, why = _split(pencil)
-    if index is PencilIndex.INDEX0:
-        eye = np.eye(n)
-        return SpectralDecomposition(
-            p1=eye, p2=np.zeros((n, n)), q1=eye.copy(), q2=np.zeros((n, n)),
-            g=pencil.a.copy(), g_inv=_inverse(pencil.a, "A"), index=PencilIndex.INDEX0,
-            x2_basis=np.zeros((n, 0)))
     if index is PencilIndex.INDEX_HIGHER:
         raise IndexTooHighError(why)
 
@@ -272,7 +270,7 @@ def projectors_algebraic(pencil: MatrixPencil) -> SpectralDecomposition:
     if not np.all(np.isfinite(g_inv)):
         raise DecompositionFailedError("G inverse is non-finite")
     return SpectralDecomposition(p1=p1, p2=p2, q1=q1, q2=q2, g=g, g_inv=g_inv,
-                                 index=PencilIndex.INDEX1, x2_basis=kernel)
+                                 index=index, x2_basis=kernel)
 
 
 def _eigenvalue_moduli(pencil: MatrixPencil) -> np.ndarray:
@@ -298,16 +296,20 @@ def _eigenvalue_moduli(pencil: MatrixPencil) -> np.ndarray:
     return mags[np.where(np.arange(2 * n)[keep] < n, scaled <= 2.0, scaled >= 0.5)]
 
 
-def _radius(mags: np.ndarray) -> float:
+def _radius(pencil: MatrixPencil, mags: np.ndarray) -> float:
     nonzero = mags[mags > 1e-12 * (1.0 + mags.max())] if mags.size else mags
-    return float(0.5 * nonzero.min()) if nonzero.size else 1.0
+    radius = float(0.5 * nonzero.min()) if nonzero.size else 1.0
+    b_norm = float(np.linalg.norm(pencil.b, 2))
+    cap = float(np.linalg.norm(pencil.a, 2)) / b_norm if b_norm else math.inf
+    return min(radius, cap) if 0.0 < cap < math.inf else radius
 
 
 def contour_radius(pencil: MatrixPencil) -> float:
     """Default contour radius for :func:`projectors_residue`: half the smallest
-    nonzero modulus of the mu-roots of det(A + mu*B) = 0; 1.0 when no nonzero
-    finite root exists, since then mu = 0 is the only candidate pole."""
-    return _radius(_eigenvalue_moduli(pencil))
+    nonzero modulus of the mu-roots of det(A + mu*B) = 0 (1.0 if there is none,
+    as mu = 0 is then the only candidate pole), capped at ||A||_2 / ||B||_2 when
+    that is positive and finite: A + mu*B stays accurately invertible within it."""
+    return _radius(pencil, _eigenvalue_moduli(pencil))
 
 
 class ResidueProjectors(tuple):
@@ -338,7 +340,7 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
         raise ValueError("radius must be positive and finite")
     mags = _eigenvalue_moduli(pencil)
     if radius is None:
-        radius = _radius(mags)
+        radius = _radius(pencil, mags)
     near = mags[np.abs(mags - radius) < 0.1 * radius]
     if near.size:
         raise PoleOnContourError(
@@ -399,8 +401,8 @@ class ValidationReport:
 def validate_decomposition(pencil: MatrixPencil, decomp: SpectralDecomposition,
                            tol: float) -> ValidationReport:
     """Report the max-norm residual of every projector/G identity."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     d, eye = decomp, np.eye(pencil.n)
     a, b = pencil.a, pencil.b
     res = {

@@ -23,7 +23,7 @@ def reference_residue(pencil, radius=None, node_count=64):
     """(p1, q1) by the trapezoidal rule, one inverse per node."""
     mags = reference_moduli(pencil)
     if radius is None:
-        radius = _radius(mags)
+        radius = _radius(pencil, mags)
     near = mags[np.abs(mags - radius) < 0.1 * radius]
     if near.size:
         raise PoleOnContourError(

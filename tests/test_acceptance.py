@@ -62,8 +62,8 @@ ORDER_X0 = np.array([0.5, -0.5, 0.25])
 
 def test_criterion_2_method1_first_order(sec5_preset, sec5_decomp):
     start = time.perf_counter()
-    estimate = empirical_order(sec5_preset.dae, sec5_decomp, Method.METHOD1,
-                               Mesh(0.0, 1.0, 100), ORDER_X0, refinements=4)
+    estimate = empirical_order(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100),
+                               ORDER_X0, refinements=4)
     elapsed = time.perf_counter() - start
     oz, ou = estimate.z.asymptotic_order, estimate.u.asymptotic_order
     ok = 0.8 <= oz <= 1.2 and 0.8 <= ou <= 1.2 and elapsed < 30.0
@@ -73,8 +73,8 @@ def test_criterion_2_method1_first_order(sec5_preset, sec5_decomp):
 
 def test_criterion_3_method2_second_order(sec5_preset, sec5_decomp):
     start = time.perf_counter()
-    estimate = empirical_order(sec5_preset.dae, sec5_decomp, Method.METHOD2,
-                               Mesh(0.0, 1.0, 100), ORDER_X0, refinements=4)
+    estimate = empirical_order(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100),
+                               ORDER_X0, refinements=4, config=SolverConfig(Method.METHOD2))
     elapsed = time.perf_counter() - start
     oz, ou = estimate.z.asymptotic_order, estimate.u.asymptotic_order
     ok = 1.7 <= oz <= 2.3 and 1.7 <= ou <= 2.3 and elapsed < 30.0

@@ -295,6 +295,12 @@ class TestConverge:
         assert "study" in capsys.readouterr().err
 
 
+def rotated_nilpotent() -> list:
+    """Q J Q^T, J a 3x3 Jordan block at 0, Q a seeded random orthogonal matrix."""
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    return (q @ np.diag([1.0, 1.0], 1) @ q.T).tolist()
+
+
 class TestProjectors:
     def test_circuit_projectors(self, tmp_path):
         cfg = {"model": "sec5_cubic",
@@ -327,6 +333,21 @@ class TestProjectors:
         payload = json.loads((tmp_path / "proj.json").read_text())
         assert payload["index"] == "index0"
         np.testing.assert_allclose(payload["p1"], np.eye(2))
+
+    @pytest.mark.parametrize("a, b", [
+        # the spurious moduli (~4e5) of B's infinite root put the uncapped
+        # contour where the resolvent loses every digit
+        (np.eye(3).tolist(), rotated_nilpotent()),
+        # ||B|| = 1e14: the uncapped contour left an agreement of 1e-7
+        ([[1, -1, -1], [2, 0, 1e-14], [-1, 2, 0]], [[1e14, 2, 0], [1e-14, 2, 0], [0, 2, 1]]),
+    ], ids=["rotated_nilpotent_b", "b_norm_1e14"])
+    def test_capped_radius_passes(self, tmp_path, a, b):
+        cfg = {"model": {"a": a, "b": b},
+               "outputs": {"summary_json": str(tmp_path / "proj.json")}}
+        assert cli.main(["projectors", write_config(tmp_path, cfg), "--quiet"]) == 0
+        payload = strict_json(tmp_path / "proj.json")
+        assert payload["passed"] is True
+        assert payload["residue_agreement"] <= 1e-13
 
     def test_non_regular_pencil_exit_2(self, tmp_path):
         cfg = {"model": {"a": [[1.0, 0.0], [0.0, 0.0]], "b": [[0.0, 0.0], [0.0, 0.0]]}}
@@ -685,12 +706,12 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
     ("solve", {"model": {"a": [[2, 1e14], [0, 0]], "b": [[-1, 1e-14], [3, -1]]}, "mesh": MESH,
                "initial_state": {"z0": [1e50, -3]}},
      1, "initial-state error: ValueError: z0 must lie in X1"),
-    # the resolvent (1e-310 I)^-1 overflows at every node of the contour
-    ("projectors", {"model": {"a": [[1e-310, 0], [0, 1e-310]], "b": [[0, 0], [0, 0]]}},
+    # G is ill-conditioned (1e6): the contour integral keeps an imaginary
+    # residue of 4.8e-7
+    ("projectors", {"model": {"a": [[1, 1], [0, 0]], "b": [[1, 1], [1, 1 + 1e-6]]}},
      2, "pencil error: ContourSolveFailedError: "),
-    # the algebraic projectors fail their identity or residue check
-    ("projectors", {"model": {"a": [[1, -1, -1], [2, 0, 1e-14], [-1, 2, 0]],
-                              "b": [[1e14, 2, 0], [1e-14, 2, 0], [0, 2, 1]]}},
+    # the algebraic projectors fail their identity check (G^-1 of norm 1e6)
+    ("projectors", {"model": {"a": [[1, 0], [0, 0]], "b": [[0, 1], [1, 1e-6]]}},
      2, "pencil error: DecompositionFailedError: projectors of <inline> failed their check"),
     # the errors of a study from the origin underflow the measurable floor
     ("converge", {"model": "sec5_cubic", "method": "method2",
@@ -734,6 +755,10 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
     # more residue nodes than the cap: refused, not looped over for ever
     ("projectors", {"model": "sec5_cubic", "projector_node_count": 10**18},
      1, "config error: config field 'projector_node_count': must be <= 65536"),
+    # an index-0 pencil whose G^-1 = (1e-310 I)^-1 overflows, refused as index 1 is
+    ("solve", {"model": {"a": [[1e-310, 0], [0, 1e-310]], "b": [[0, 0], [0, 0]]},
+               "mesh": MESH, "initial_state": {"x0": [1, 0]}},
+     2, "pencil error: DecompositionFailedError: G inverse is non-finite"),
 ])
 def test_failure_ends_in_one_stderr_line(tmp_path, command, config, code, prefix):
     got, err = run_cli(command, config, tmp_path)
@@ -847,6 +872,22 @@ def test_closed_stderr_keeps_the_failure_off_stdout(tmp_path):
     fresh = fresh_python(["-m", "pencildae.cli", "validate", path], stdout=subprocess.PIPE,
                          text=True, preexec_fn=lambda: os.close(2))
     assert (fresh.returncode, fresh.stdout) == (1, "")
+
+
+def test_help_lists_each_command_with_its_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")   # one line per command
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for name, text in [
+        ("solve", "integrate a model and emit trajectory CSV + summary JSON"),
+        ("converge", "run a mesh-refinement convergence study"),
+        ("projectors", "emit projectors, validation report and residue agreement"),
+        ("validate", "check a config file against its contract and exit"),
+    ]:
+        assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.MULTILINE), out
+    assert "{solve,converge,projectors,validate}" in out
 
 
 def test_console_script_is_the_process_entry_point():

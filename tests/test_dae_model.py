@@ -276,7 +276,7 @@ class TestConsistentInitialize:
                 consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0,
                                       np.array([bad, 0.0, 0.0]))
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
     def test_rejects_a_tol_that_is_not_positive(self, sec5_preset, sec5_decomp, tol):
         # refused as bad input, not run to a stall at "residual 0.000e+00"
         z0 = sec5_decomp.p1 @ np.array([1.0, 1.0, 0.0])

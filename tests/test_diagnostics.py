@@ -59,8 +59,8 @@ class TestEmpiricalOrder:
         # slope here is ~1.185, not 1.0, because the reference is itself an
         # Euler run two levels below the finest fitted mesh
         dae, decomp = scalar_decay
-        estimate = empirical_order(dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 10),
-                                   np.array([1.0]), refinements=4)
+        estimate = empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]),
+                                   refinements=4)
         oracle_errors, oracle_slope = euler_decay_error_oracle(10, 4)
         np.testing.assert_allclose(estimate.z.errors, oracle_errors, rtol=1e-9)
         assert estimate.z.asymptotic_order == pytest.approx(oracle_slope, abs=1e-9)
@@ -72,26 +72,24 @@ class TestEmpiricalOrder:
         base = Mesh(0.0, 1.0, 10)
         exact = np.exp(-base.times())[:, None]
         reference = trajectory_from_states(base, exact, decomp)
-        estimate = empirical_order(dae, decomp, Method.METHOD2, base,
-                                   np.array([1.0]), refinements=4,
-                                   reference=reference)
+        estimate = empirical_order(dae, decomp, base, np.array([1.0]), refinements=4,
+                                   reference=reference, config=SolverConfig(Method.METHOD2))
         assert estimate.z.asymptotic_order == pytest.approx(2.0, abs=0.2)
 
     def test_circuit_orders_both_components(self, sec5_preset, sec5_decomp):
         x0 = np.array([0.5, -0.5, 0.25])
-        est1 = empirical_order(sec5_preset.dae, sec5_decomp, Method.METHOD1,
-                               Mesh(0.0, 1.0, 100), x0, refinements=4)
+        est1 = empirical_order(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100), x0,
+                               refinements=4)
         assert 0.8 <= est1.z.asymptotic_order <= 1.2
         assert 0.8 <= est1.u.asymptotic_order <= 1.2
-        est2 = empirical_order(sec5_preset.dae, sec5_decomp, Method.METHOD2,
-                               Mesh(0.0, 1.0, 100), x0, refinements=4)
+        est2 = empirical_order(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100), x0,
+                               refinements=4, config=SolverConfig(Method.METHOD2))
         assert 1.7 <= est2.z.asymptotic_order <= 2.3
         assert 1.7 <= est2.u.asymptotic_order <= 2.3
 
     def test_errors_monotone_after_coarsest(self, sec5_preset, sec5_decomp):
-        est = empirical_order(sec5_preset.dae, sec5_decomp, Method.METHOD1,
-                              Mesh(0.0, 1.0, 100), np.array([0.5, -0.5, 0.25]),
-                              refinements=5)
+        est = empirical_order(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100),
+                              np.array([0.5, -0.5, 0.25]), refinements=5)
         errs = np.array(est.z.errors)
         assert np.all(np.diff(errs[1:]) <= 0.0)
 
@@ -102,15 +100,14 @@ class TestEmpiricalOrder:
                             jac_f=lambda t, x: np.zeros((1, 1)))
         decomp = projectors_algebraic(pencil)
         with pytest.raises(DegenerateFitError):
-            empirical_order(dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 10),
-                            np.array([1.0]), refinements=3)
+            empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=3)
 
     def test_ladder_blow_up_propagates(self):
         preset = get_preset("sec6_blowup")
         decomp = projectors_algebraic(preset.dae.pencil)
         with pytest.raises(LadderSolveError) as info:
-            empirical_order(preset.dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 100),
-                            preset.x0, refinements=3)
+            empirical_order(preset.dae, decomp, Mesh(0.0, 1.0, 100), preset.x0,
+                            refinements=3)
         assert info.value.h == 0.01     # the first level already blows up
         assert info.value.status.outcome is SolveOutcome.BLOW_UP
 
@@ -123,8 +120,8 @@ class TestEmpiricalOrder:
         dae, decomp = sec5_preset.dae, sec5_decomp
         base, x0 = Mesh(0.0, 1.0, 20), np.array([0.5, -0.5, 0.25])
         config = SolverConfig(method=Method.METHOD2, tol=tol)
-        estimate = empirical_order(dae, decomp, Method.METHOD2, base, x0,
-                                   refinements=refinements, config=config)
+        estimate = empirical_order(dae, decomp, base, x0, refinements=refinements,
+                                   config=config)
         levels = [*range(refinements - 1), refinements]
         assert ladder_steps == [20 * 2 ** level for level in levels]
 
@@ -153,8 +150,8 @@ class TestEmpiricalOrder:
         dae, decomp = scalar_decay
         base = Mesh(0.0, 1.0, 10)
         reference = trajectory_from_states(base, np.exp(-base.times())[:, None], decomp)
-        estimate = empirical_order(dae, decomp, Method.METHOD1, base, np.array([1.0]),
-                                   refinements=4, reference=reference)
+        estimate = empirical_order(dae, decomp, base, np.array([1.0]), refinements=4,
+                                   reference=reference)
         assert ladder_steps == [10, 20, 40, 80, 160]
         assert len(estimate.step_sizes) == 5
 
@@ -165,8 +162,8 @@ class TestEmpiricalOrder:
                             f=lambda t, x: np.array([1e12 if t == 0.0125 else 0.0]),
                             jac_f=lambda t, x: np.zeros((1, 1)))
         with pytest.raises(LadderSolveError) as info:
-            empirical_order(dae, projectors_algebraic(pencil), Method.METHOD1,
-                            Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=3)
+            empirical_order(dae, projectors_algebraic(pencil), Mesh(0.0, 1.0, 10),
+                            np.array([1.0]), refinements=3)
         assert ladder_steps == [10, 20, 80]
         assert info.value.h == 1.0 / 80
         assert info.value.status.outcome is SolveOutcome.BLOW_UP
@@ -174,16 +171,14 @@ class TestEmpiricalOrder:
     def test_refinements_floor(self, scalar_decay):
         dae, decomp = scalar_decay
         with pytest.raises(ValueError):
-            empirical_order(dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 10),
-                            np.array([1.0]), refinements=2)
+            empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=2)
         with pytest.raises(TypeError):
-            empirical_order(dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 10),
-                            np.array([1.0]), refinements=3.5)
+            empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=3.5)
 
     def test_json_serialization(self, scalar_decay):
         dae, decomp = scalar_decay
-        est = empirical_order(dae, decomp, Method.METHOD1, Mesh(0.0, 1.0, 10),
-                              np.array([1.0]), refinements=4)
+        est = empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]),
+                              refinements=4)
         payload = json.loads(json.dumps(est.to_json()))
         assert len(payload["step_sizes"]) == len(payload["z"]["errors"])
         assert payload["u"] is None
@@ -193,7 +188,8 @@ class TestStabilityReport:
     def test_linear_problem_m1_zero(self, scalar_decay):
         dae, decomp = scalar_decay
         traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]))
-        report = stability_report(dae, decomp, traj, h=0.1)
+        report = stability_report(dae, decomp, traj)
+        assert report.h == traj.mesh.h == 0.1   # the step of the trajectory's own mesh
         assert report.m1_estimate == 0.0
         assert report.g_of_h == pytest.approx(
             np.linalg.norm(np.eye(1) - 0.1 * decomp.g_inv @ dae.pencil.b, 2))
@@ -201,7 +197,7 @@ class TestStabilityReport:
     def test_leapfrog_coefficient_dominates(self, sec5_preset, sec5_decomp):
         traj = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 2.0, 2000),
                              sec5_preset.x0)
-        report = stability_report(sec5_preset.dae, sec5_decomp, traj, h=1e-3)
+        report = stability_report(sec5_preset.dae, sec5_decomp, traj)
         assert report.ghat_norm > report.g_of_h
         assert report.ghat_norm >= 1.0
 
@@ -212,14 +208,14 @@ class TestStabilityReport:
         mesh = Mesh(0.0, 2.0, 2000)
         base_traj = method1_solve(sec5_preset.dae, sec5_decomp, mesh, sec5_preset.x0)
         relaxed_traj = method1_solve(relaxed.dae, relaxed_decomp, mesh, relaxed.x0)
-        base = stability_report(sec5_preset.dae, sec5_decomp, base_traj, 1e-3)
-        better = stability_report(relaxed.dae, relaxed_decomp, relaxed_traj, 1e-3)
+        base = stability_report(sec5_preset.dae, sec5_decomp, base_traj)
+        better = stability_report(relaxed.dae, relaxed_decomp, relaxed_traj)
         assert better.ghat_norm < base.ghat_norm
 
     def test_json(self, scalar_decay):
         dae, decomp = scalar_decay
         traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]))
-        payload = stability_report(dae, decomp, traj, 0.1).to_json()
+        payload = stability_report(dae, decomp, traj).to_json()
         assert set(payload) == {"h", "norm_ginv_b", "m1_estimate", "g_of_h", "ghat_norm"}
 
     def test_samples_at_most_max_samples_states(self, sec5_preset, sec5_decomp):
@@ -234,7 +230,7 @@ class TestStabilityReport:
         traj = method1_solve(dae, sec5_decomp, Mesh(0.0, 4.0, 3998), sec5_preset.x0)
         for max_samples in (2000, 3999, 1):
             calls.clear()
-            stability_report(dae, sec5_decomp, traj, 1e-3, max_samples=max_samples)
+            stability_report(dae, sec5_decomp, traj, max_samples=max_samples)
             assert 0 < len(calls) <= max_samples, (max_samples, len(calls))
         assert len(calls) == 1 and calls[0] == 0.0
 
@@ -243,7 +239,7 @@ class TestStabilityReport:
         dae, decomp = scalar_decay
         traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]))
         with pytest.raises(ValueError, match="max_samples"):
-            stability_report(dae, decomp, traj, 0.1, max_samples=max_samples)
+            stability_report(dae, decomp, traj, max_samples=max_samples)
 
 
 class TestWindowedDeviation:

@@ -50,7 +50,7 @@ class TestMesh:
 
 class TestSolverConfig:
     def test_tol_must_be_a_positive_number(self):
-        for tol in (math.nan, 0.0, -1e-12):
+        for tol in (math.nan, 0.0, -1e-12, math.inf):
             with pytest.raises(ValueError, match="tol"):
                 SolverConfig(tol=tol)
         assert SolverConfig(tol=1e-12).tol == 1e-12

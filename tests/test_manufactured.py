@@ -84,8 +84,8 @@ FINEST_ERRORS = {
                          ids=["method1", "method2"])
 def test_order_against_the_true_solution(problem, method, order, tol):
     name, dae, decomp, x0, reference = problem
-    estimate = empirical_order(dae, decomp, method, MESH, x0, refinements=4,
-                               reference=reference, config=SolverConfig(tol=tol))
+    estimate = empirical_order(dae, decomp, MESH, x0, refinements=4,
+                               reference=reference, config=SolverConfig(method, tol=tol))
     expected = FINEST_ERRORS[name, method.value, tol]
     for component, finest in zip((estimate.z, estimate.u), expected):
         assert order - 0.1 <= component.asymptotic_order <= order + 0.1, component

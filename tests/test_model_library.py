@@ -106,6 +106,13 @@ class TestWaveforms:
         for alpha in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="alpha must be positive and finite"):
                 power_decay(1.0, alpha, 2)
+        # odd_power's rule: a whole number >= 1 (NaN would make a NaN drive)
+        for n in (0, -1, 1.5, math.nan, math.inf):
+            for build in (lambda: power_decay(1.0, 1.0, n), lambda: polynomial(n=n)):
+                with pytest.raises(ValueError, match="n must be a positive integer"):
+                    build()
+        assert power_decay(1.0, 1.0, 2.0).value(1.0) == 0.25
+        assert polynomial(n=2.0).value(3.0) == 9.0
 
     @pytest.mark.parametrize("build, name", [
         (lambda v: sine(v), "alpha"),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pencildae import (ContourSolveFailedError, IndexTooHighError, MatrixPencil,
+from pencildae import (ContourSolveFailedError, DecompositionFailedError,
+                       IndexTooHighError, MatrixPencil,
                        NotRegularError, PencilIndex, PoleOnContourError, classify_index,
                        contour_radius, projectors_algebraic, projectors_residue,
                        regularity_probe, validate_decomposition)
@@ -128,6 +129,27 @@ class TestProjectorsAlgebraic:
         np.testing.assert_allclose(d.q2, 0.0)
         np.testing.assert_allclose(d.g, pencil.a)
         assert d.x2_basis.shape == (2, 0)
+
+    def test_index0_is_the_index1_construction_bit_for_bit(self):
+        # with X2 = Y2 = 0 the general formulas give I, 0, I, 0, A and inv(A) exactly
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            a = random_conditioned(n, rng) * 10.0 ** rng.uniform(-6.0, 6.0)
+            pencil = MatrixPencil(a=a, b=rng.standard_normal((n, n)))
+            d = projectors_algebraic(pencil)
+            assert d.index is PencilIndex.INDEX0 and d.x2_basis.shape == (n, 0)
+            eye, zero = np.eye(n), np.zeros((n, n))
+            for got, want in zip((d.p1, d.p2, d.q1, d.q2, d.g, d.g_inv),
+                                 (eye, zero, eye, zero, a, np.linalg.inv(a))):
+                assert np.array_equal(got, want)
+
+    def test_index0_with_an_overflowing_inverse_is_refused(self):
+        # inv(1e-310 I) is inf: the check on G^-1 covers index 0 as it does index 1
+        pencil = MatrixPencil(a=1e-310 * np.eye(2), b=np.zeros((2, 2)))
+        assert classify_index(pencil) is PencilIndex.INDEX0
+        with pytest.raises(DecompositionFailedError, match="G inverse is non-finite"):
+            projectors_algebraic(pencil)
 
     def test_diag_pencil_closed_form(self):
         d = projectors_algebraic(diag_index1_pencil())
@@ -292,9 +314,21 @@ class TestResidueAgainstReference:
         return pencils
 
     def test_default_radius_matches_qz(self, pencils):
+        # the rule on the QZ moduli; never above half the smallest nonzero one
+        # (1.0 without one), nor above a positive finite ||A|| / ||B||
+        capped = 0
         for pencil in pencils:
-            want = _radius(reference_moduli(pencil))
-            assert abs(contour_radius(pencil) - want) <= 1e-10 * want
+            mags = reference_moduli(pencil)
+            want = _radius(pencil, mags)
+            got = contour_radius(pencil)
+            assert abs(got - want) <= 1e-10 * want
+            nonzero = mags[mags > 1e-12 * (1.0 + mags.max())] if mags.size else mags
+            half = 0.5 * nonzero.min() if nonzero.size else 1.0
+            assert got <= half * (1.0 + 1e-10)
+            a_norm, b_norm = np.linalg.norm(pencil.a, 2), np.linalg.norm(pencil.b, 2)
+            assert got * b_norm <= a_norm * (1.0 + 1e-15) or not a_norm * b_norm
+            capped += got < half * (1.0 - 1e-10)
+        assert capped
 
     def test_same_pole_on_contour_verdicts(self, pencils):
         # a contour through any nonzero root is refused by both
@@ -324,25 +358,28 @@ class TestResidueAgainstReference:
         # B = Q J Q^T with J a 3x3 Jordan block: det(I + mu*B) = 1 has no finite
         # root, but the defective infinite one is perturbed by about eps**(1/3)
         # into spurious finite moduli, by QZ (~9e7) as by the shift (~4e5); on
-        # either contour the resolvent I - mu B + mu^2 B^2 loses every digit
+        # a contour that large the resolvent I - mu B + mu^2 B^2 loses every
+        # digit, so the radius is capped at ||A|| / ||B|| = 1
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
         pencil = MatrixPencil(a=np.eye(3), b=q @ NILPOTENT @ q.T)
-        assert contour_radius(pencil) > 1e4 and _radius(reference_moduli(pencil)) > 1e4
-        assert outcome(projectors_residue, pencil) is ContourSolveFailedError
-        assert outcome(reference_residue, pencil) is ContourSolveFailedError
+        assert _eigenvalue_moduli(pencil).min() > 1e4 and reference_moduli(pencil).min() > 1e4
+        assert contour_radius(pencil) == pytest.approx(1.0, rel=1e-12)
+        assert _radius(pencil, reference_moduli(pencil)) == contour_radius(pencil)
+        for p1, q1 in (projectors_residue(pencil), reference_residue(pencil)):
+            assert max(np.abs(p1 - np.eye(3)).max(), np.abs(q1 - np.eye(3)).max()) <= 1e-13
 
     def test_infinite_root_that_qz_returns_finite(self):
         # det(A + mu*B) = mu*(1e-14 - 2): B is singular, so the second root is
-        # infinite; QZ returns it as -9.9e15, and the resolvent cannot be
-        # evaluated on a contour of radius 5e15
+        # infinite; QZ returns it as -9.9e15, where the resolvent could not be
+        # evaluated on a contour of radius 5e15, but the cap ||A|| / ||B|| =
+        # 2 / sqrt(20) holds both routes to radius 0.447
         pencil = MatrixPencil(a=np.array([[0.0, 2.0], [0.0, 1e-14]]),
                               b=np.array([[1.0, 3.0], [1.0, 3.0]]))
         assert reference_moduli(pencil).max() > 1e15
-        assert outcome(reference_residue, pencil) is ContourSolveFailedError
-        assert contour_radius(pencil) == 1.0
-        p1, q1 = projectors_residue(pencil)
+        assert contour_radius(pencil) == pytest.approx(2.0 / math.sqrt(20.0), rel=1e-12)
         d = projectors_algebraic(pencil)
-        assert max(np.abs(p1 - d.p1).max(), np.abs(q1 - d.q1).max()) <= 1e-13
+        for p1, q1 in (projectors_residue(pencil), reference_residue(pencil)):
+            assert max(np.abs(p1 - d.p1).max(), np.abs(q1 - d.q1).max()) <= 1e-13
 
     def test_clustered_small_roots(self):
         # ||B|| = 1e14 puts the shift near 1e13 while the three roots of
@@ -380,7 +417,7 @@ class TestValidateDecomposition:
         assert not report.passed
         assert "P2^2=P2" in report.failing()
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_a_tol_that_is_not_positive(self, tol):
         pencil = identity_pencil()
         with pytest.raises(ValueError, match="tol must be positive"):

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import pencildae
+from pencildae import cli, pencil
+from pencildae.diagnostics import LadderSolveError
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(pencildae.__path__))
 
@@ -50,3 +52,29 @@ def test_benchmark_harness_names_exist():
         assert [n for n in names if not hasattr(module, n)] == [], module_name
     params = inspect.signature(pencildae.pencil.regularity_probe).parameters
     assert {"sample_count", "seed"} <= set(params)
+
+
+def exported_exceptions(module_name: str) -> list[type]:
+    module = importlib.import_module(f"pencildae.{module_name}")
+    return [obj for obj in map(module.__dict__.get, module.__all__)
+            if isinstance(obj, type) and issubclass(obj, BaseException)]
+
+
+def exit_row(cls: type):
+    """The ``_EXITS`` row of the first class in the MRO that has one, as main takes it."""
+    return next((cli._EXITS[k] for k in cls.__mro__ if k in cli._EXITS), None)
+
+
+def test_every_pencil_exception_is_a_pencil_error_that_exits_2():
+    exceptions = exported_exceptions("pencil")
+    assert pencil.PencilError in exceptions and len(exceptions) > 1
+    for cls in exceptions:
+        assert issubclass(cls, pencil.PencilError), cls
+        assert exit_row(cls) == (cli.EXIT_PENCIL, "pencil error: " + cli._NAMED), cls
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_exception_has_an_exit_row(name):
+    # cmd_converge handles LadderSolveError itself: it exits with the ladder's outcome
+    for cls in exported_exceptions(name):
+        assert cls is LadderSolveError or exit_row(cls) is not None, cls
