@@ -10,9 +10,10 @@ a method-2 mesh under 2 steps.  Trajectories are written as CSV with
 
 Every run ends in one row of ``_EXITS``: exit 0 writes nothing to stderr,
 any other exit exactly one line and no traceback.  Exit 1: a config error (the
-contract, a command-line usage error, a non-finite mesh step, a mesh too large
-to allocate), an initial state off the constraint or where f cannot be
-evaluated, or a study whose errors underflow the measurable floor; 2: a pencil
+contract, a command-line usage error, an inline pencil whose norm overflows, a
+non-finite mesh step, a mesh too large to allocate), an initial state that is
+not consistent or from which none is found (``InconsistentInitialStateError``),
+or a study whose errors underflow the measurable floor; 2: a pencil
 that is not regular, has index > 1, or whose projectors fail; 3: blow-up of a
 finite state; 4: corrector failure or a non-finite state.  Exits 3 and 4 write
 their outputs, then their line.
@@ -32,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dae_model, diagnostics, model_library, pencil
-from .integrators import (InconsistentInitialStateError, Mesh, Method, SolveOutcome,
-                          SolverConfig, _blocks, _row_norms, solve)
+from .integrators import (Mesh, Method, SolveOutcome, SolverConfig, _blocks, _row_norms,
+                          solve)
 
 __all__ = ["main", "run", "load_config"]
 
@@ -66,12 +67,7 @@ _EXITS = {
     ConfigError: (EXIT_CONFIG, "config error: {0}"),
     OSError: (EXIT_CONFIG, "config error: {0}"),  # an output path that cannot be written
     MemoryError: (EXIT_CONFIG, "config error: {0}"),  # a mesh too large to allocate
-    InconsistentInitialStateError: (EXIT_CONFIG, "initial-state error: {0}"),
-    dae_model.NoConvergenceError: (EXIT_CONFIG, "initial-state error: {0}"),
-    dae_model.SingularNewtonMatrixError: (EXIT_CONFIG, "initial-state error: {0}"),
-    # consistent_initialize: what f or its Jacobian raised, or z0 not in X1
-    ArithmeticError: (EXIT_CONFIG, "initial-state error: " + _NAMED),
-    ValueError: (EXIT_CONFIG, "initial-state error: " + _NAMED),
+    dae_model.InconsistentInitialStateError: (EXIT_CONFIG, "initial-state error: {0}"),
     diagnostics.DegenerateFitError: (EXIT_CONFIG, "study error: {0}"),
     pencil.PencilError: (EXIT_PENCIL, "pencil error: " + _NAMED),
     SolveOutcome.BLOW_UP: (EXIT_BLOW_UP, "blow-up: {0}"),
@@ -88,7 +84,9 @@ def _fail(where: str, reason: str):
 def _number(low=None, integer=False, strict=False, high=None):
     """A number (not a boolean) that converts to a finite float, integral if
     ``integer`` (4.0 counts), >= ``low``, or > ``low`` if ``strict``, and <=
-    ``high``."""
+    ``high`` (for an integer, by default sys.maxsize - 1, the library's largest count)."""
+    high = sys.maxsize - 1 if integer and high is None else high
+
     def walk(value, where):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(where, "expected an integer" if integer else "expected a number")
@@ -156,8 +154,9 @@ _CONFIG = _object({
     "model": _object({"a": _MATRIX, "b": _MATRIX, "f_const": _VECTOR, "f_matrix": _MATRIX},
                      required=("a", "b"), string=_string()),
     "method": _string("method1", "method2"),
+    # a mesh's node times (8 bytes each) fit one numpy array (under 2**63 bytes)
     "mesh": _object({"t0": _number(), "t_end": _number(),
-                     "n_steps": _number(1, integer=True)},
+                     "n_steps": _number(1, integer=True, high=sys.maxsize // 16)},
                     required=("t0", "t_end", "n_steps")),
     "initial_state": _object({"x0": _VECTOR, "z0": _VECTOR}, exactly_one=True,
                              string=_string("preset_default")),
@@ -407,13 +406,11 @@ def cmd_projectors(config: dict, out_dir: str | None, quiet: bool):
         "passed": passed,
     }
     _write_json(json_path, payload)
-    _say(quiet, f"projectors {preset.preset_id}: index {decomp.index.value}, "
-                f"validation {'pass' if report.passed else 'FAIL'}, "
-                f"residue agreement {agreement:.3e}")
+    check = f"validation {'pass' if report.passed else 'FAIL'}, residue agreement {agreement:.3e}"
+    _say(quiet, f"projectors {preset.preset_id}: index {decomp.index.value}, {check}")
     if not passed:
         raise pencil.DecompositionFailedError(
-            f"projectors of {preset.preset_id} failed their check: validation "
-            f"{'pass' if report.passed else 'FAIL'}, residue agreement {agreement:.3e}")
+            f"projectors of {preset.preset_id} failed their check: {check}")
     return _DONE
 
 

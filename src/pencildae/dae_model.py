@@ -9,7 +9,6 @@ part given the differential one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -17,13 +16,14 @@ from typing import Callable
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's LAPACK gesv
 
-from .pencil import MatrixPencil, SpectralDecomposition
+from .pencil import MatrixPencil, SpectralDecomposition, _count, _positive_finite
 
 __all__ = [
     "SemilinearDAE",
     "NonFiniteJacobianError",
     "SingularNewtonMatrixError",
     "NoConvergenceError",
+    "InconsistentInitialStateError",
     "jacobian",
     "jacobian_function",
     "consistent_initialize",
@@ -50,11 +50,22 @@ class NoConvergenceError(Exception):
         self.last_residual = last_residual
 
 
+class InconsistentInitialStateError(Exception):
+    """The initial point is not finite or not consistent, or none is found from z0."""
+
+
 # what a model's f or Jacobian raises where it cannot be evaluated (overflow,
 # a pole, a math domain error, a non-finite Jacobian)
 _MODEL_ERRORS = (ArithmeticError, ValueError)
 # what X2Newton.correct raises: each fails the step it was called for
 _STEP_ERRORS = (SingularNewtonMatrixError, NoConvergenceError) + _MODEL_ERRORS
+
+
+def _initial_failure(exc: Exception) -> InconsistentInitialStateError:
+    """One of ``_STEP_ERRORS`` met at the initial point, as the error to raise from it."""
+    return InconsistentInitialStateError(
+        f"f cannot be evaluated at the initial point: {type(exc).__name__}: {exc}"
+        if isinstance(exc, _MODEL_ERRORS) else str(exc))
 
 
 @dataclass(frozen=True)
@@ -72,8 +83,7 @@ class SemilinearDAE:
     fd_step: float = 1e-7
 
     def __post_init__(self):
-        if not 0.0 < self.fd_step < math.inf:
-            raise ValueError("fd_step must be positive and finite")
+        _positive_finite("fd_step", self.fd_step)
 
     @property
     def n(self) -> int:
@@ -186,28 +196,25 @@ def consistent_initialize(dae: SemilinearDAE, decomp: SpectralDecomposition,
 
     Raises
     ------
-    SingularNewtonMatrixError
-        If the restricted Newton matrix is numerically singular.
-    NoConvergenceError
-        If ``max_iter`` iterations do not reach ``tol``.
-    ArithmeticError, ValueError
-        What ``f`` or its Jacobian raised; ValueError also for a ``tol`` that
-        is not positive and finite (NaN included), a ``max_iter`` below 1, and a
-        non-finite ``z0`` or one not in X1.
-    TypeError
-        For a non-integral ``max_iter``.
+    InconsistentInitialStateError
+        For a non-finite ``z0`` or one not in X1, or from what failed the
+        Newton iteration: f or its Jacobian (worded as by ``solve`` at x0), a
+        singular restricted Newton matrix, or ``tol`` missed in ``max_iter``.
+    ValueError
+        For a ``tol`` that is not positive and finite, or a bad ``max_iter``.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if operator.index(max_iter) < 1:
-        raise ValueError("max_iter must be a positive integer")
+    _positive_finite("tol", tol)
+    _count("max_iter", max_iter)
     z0 = np.asarray(z0, dtype=float)
     if not np.isfinite(z0).all():
-        raise ValueError("z0 must be finite")
+        raise InconsistentInitialStateError("z0 must be finite")
     if not np.abs(decomp.p1 @ z0 - z0).max() <= 1e-8 * (1.0 + np.abs(z0).max()):
-        raise ValueError("z0 must lie in X1 (apply P1 first)")
+        raise InconsistentInitialStateError("z0 must lie in X1 (apply P1 first)")
     newton = X2Newton(decomp)
     c0 = 0.0 if newton.scalar else np.zeros(newton.k)
-    with np.errstate(invalid="ignore"):
-        return newton.correct(dae.f, jacobian_function(dae), t0, z0, c0, newton.lift(c0),
-                              tol, max_iter)[1]
+    try:
+        with np.errstate(invalid="ignore"):
+            return newton.correct(dae.f, jacobian_function(dae), t0, z0, c0, newton.lift(c0),
+                                  tol, max_iter)[1]
+    except _STEP_ERRORS as exc:
+        raise _initial_failure(exc) from exc

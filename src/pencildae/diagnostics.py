@@ -10,14 +10,13 @@ against a reference run.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dae_model import SemilinearDAE, jacobian
 from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, solve
-from .pencil import SpectralDecomposition
+from .pencil import SpectralDecomposition, _count
 
 __all__ = [
     "DegenerateFitError",
@@ -136,8 +135,7 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
     DegenerateFitError
         If an error drops below 1e-13 and the fit would chase roundoff.
     """
-    if operator.index(refinements) < 3:
-        raise ValueError("refinements must be at least 3")
+    _count("refinements", refinements, low=3)
     config = config or SolverConfig()
 
     def base_samples(level: int):  # (h, z, u) at the base nodes; the trajectory is freed
@@ -205,8 +203,7 @@ def stability_report(dae: SemilinearDAE, decomp: SpectralDecomposition,
     """
     if len(trajectory) == 0:
         raise ValueError("trajectory is empty")
-    if operator.index(max_samples) < 1:
-        raise ValueError("max_samples must be at least 1")
+    _count("max_samples", max_samples)
     ginv_b = decomp.g_inv @ dae.pencil.b
     ginv_q1 = decomp.g_inv @ decomp.q1
     h = trajectory.mesh.h

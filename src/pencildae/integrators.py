@@ -16,16 +16,15 @@ problem objects and may run concurrently.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .dae_model import (_MODEL_ERRORS, _STEP_ERRORS, SemilinearDAE, X2Newton,
-                        jacobian_function)
-from .pencil import SpectralDecomposition
+from .dae_model import (_MODEL_ERRORS, _STEP_ERRORS, InconsistentInitialStateError,
+                        SemilinearDAE, X2Newton, _initial_failure, jacobian_function)
+from .pencil import SpectralDecomposition, _count, _positive_finite
 
 __all__ = [
     "Mesh",
@@ -41,11 +40,6 @@ __all__ = [
 ]
 
 
-class InconsistentInitialStateError(Exception):
-    """The initial point is not finite, violates the constraint manifold beyond
-    tolerance, or f cannot be evaluated there."""
-
-
 @dataclass(frozen=True)
 class Mesh:
     """Uniform mesh t_i = t0 + i*h, i = 0..n_steps, h = (t_end - t0)/n_steps.
@@ -59,14 +53,11 @@ class Mesh:
     n_steps: int
 
     def __post_init__(self):
-        if operator.index(self.n_steps) < 1:
-            raise ValueError("n_steps must be a positive integer")
+        _count("n_steps", self.n_steps)
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
         if not np.isfinite(self.h):
             raise ValueError("the step (t_end - t0)/n_steps must be finite")
-        if self.n_steps >= sys.maxsize:  # numpy cannot index so many nodes
-            raise ValueError(f"n_steps must be below {sys.maxsize}")
 
     @property
     def h(self) -> float:
@@ -100,10 +91,9 @@ class SolverConfig:
     blow_up_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-        if operator.index(self.max_iter) < 1:
-            raise ValueError("max_iter must be a positive integer")
+        if self.tol is not None:
+            _positive_finite("tol", self.tol)
+        _count("max_iter", self.max_iter)
         if not self.blow_up_threshold > 0.0:
             raise ValueError("blow_up_threshold must be positive")
 
@@ -270,9 +260,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     try:
         fi = f_values[0] = f(mesh.t0, x)
     except _MODEL_ERRORS as exc:
-        raise InconsistentInitialStateError(
-            f"f cannot be evaluated at the initial point: {type(exc).__name__}: {exc}"
-        ) from exc
+        raise _initial_failure(exc) from exc
     res0 = float(_node_residuals(b_mat, q2, x[None], f_values[:1])[0])
     init_tol = _INIT_RESIDUAL_RTOL * (1.0 + np.linalg.norm(b_mat, 2)) * \
         (1.0 + float(_row_norms(x0[None])[0]))

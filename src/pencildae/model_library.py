@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .dae_model import SemilinearDAE
-from .pencil import MatrixPencil
+from .pencil import MatrixPencil, _count, _positive_finite
 
 __all__ = [
     "UNIT_SCALE",
@@ -77,10 +77,9 @@ def _finite(**params: float) -> None:
 
 def odd_power(alpha: float = 1.0, exponent: int = 3) -> Nonlinearity:
     """alpha * x**(2k-1) with alpha > 0 and an odd exponent."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not (float(exponent).is_integer() and exponent >= 1 and exponent % 2 == 1):
-        raise ValueError("exponent must be an odd positive integer")
+    _positive_finite("alpha", alpha)
+    if _count("exponent", exponent) % 2 == 0:
+        raise ValueError("exponent must be odd")
     return Nonlinearity(
         kind=f"odd_power({alpha}, {exponent})",
         value=lambda x: alpha * x ** exponent,
@@ -125,18 +124,15 @@ def sinusoidal(beta: float = 1.0, omega: float = 1.0, theta: float = 0.0) -> Vol
 def power_decay(beta: float = 1.0, alpha: float = 1.0, n: int = 1) -> VoltageWaveform:
     """beta * (t + alpha)**(-n); alpha > 0 keeps the pole left of t = 0."""
     _finite(beta=beta)
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not (float(n).is_integer() and n >= 1):
-        raise ValueError("n must be a positive integer")
+    _positive_finite("alpha", alpha)
+    _count("n", n)
     return VoltageWaveform(kind=f"power_decay({beta}, {alpha}, {n})",
                            value=lambda t: beta * (t + alpha) ** (-n))
 
 
 def polynomial(beta: float = 1.0, alpha: float = 0.0, n: int = 1) -> VoltageWaveform:
     _finite(beta=beta, alpha=alpha)
-    if not (float(n).is_integer() and n >= 1):
-        raise ValueError("n must be a positive integer")
+    _count("n", n)
     return VoltageWaveform(kind=f"polynomial({beta}, {alpha}, {n})",
                            value=lambda t: beta * (t + alpha) ** n)
 
@@ -179,8 +175,7 @@ class CircuitParams:
 
     def __post_init__(self):
         for name in ("l_ind", "c_cap", "r_res", "g_cond"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be strictly positive and finite")
+            _positive_finite(name, getattr(self, name))
 
 
 def circuit_pencil(params: CircuitParams) -> MatrixPencil:

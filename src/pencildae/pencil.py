@@ -12,6 +12,8 @@ quadrature; they cross-validate each other.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,8 +23,7 @@ __all__ = [
     "MatrixPencil", "PencilIndex", "SpectralDecomposition", "ValidationReport", "PencilError",
     "ResidueProjectors", "NotRegularError", "IndexTooHighError", "DecompositionFailedError",
     "PoleOnContourError", "ContourSolveFailedError", "regularity_probe", "classify_index",
-    "projectors_algebraic", "projectors_residue", "contour_radius", "validate_decomposition",
-    "MAX_NODE_COUNT",
+    "projectors_algebraic", "projectors_residue", "validate_decomposition", "MAX_NODE_COUNT",
 ]
 
 _EPS = np.finfo(float).eps
@@ -72,6 +73,20 @@ class PencilIndex(Enum):
     INDEX_HIGHER = "index_higher"
 
 
+def _positive_finite(name: str, value) -> None:
+    """Refuse a ``value`` that is a bool or not in (0, inf), NaN included."""
+    if isinstance(value, bool) or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int: an integer (not a bool) from ``low`` to below sys.maxsize."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") \
+            or not low <= operator.index(value) < sys.maxsize:
+        raise ValueError(f"{name} must be an integer in [{low}, {sys.maxsize})")
+    return operator.index(value)
+
+
 def _as_square_matrix(m, name: str) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -108,6 +123,8 @@ class MatrixPencil:
             raise ValueError("pencil dimension must be at least 1")
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "b", _readonly(b))
+        if not math.isfinite(self.norm_scale()):
+            raise ValueError("1 + ||A||_2 + ||B||_2 overflows")
 
     @property
     def n(self) -> int:
@@ -115,7 +132,7 @@ class MatrixPencil:
 
     def norm_scale(self) -> float:
         """1 + ||A||_2 + ||B||_2, the scale used for relative tolerances."""
-        return 1.0 + np.linalg.norm(self.a, 2) + np.linalg.norm(self.b, 2)
+        return 1.0 + float(np.linalg.norm(self.a, 2)) + float(np.linalg.norm(self.b, 2))
 
 
 @dataclass(frozen=True)
@@ -179,8 +196,7 @@ def regularity_probe(pencil: MatrixPencil, sample_count: int = 16, seed: int = 0
     NotRegularError
         If no sample reaches ``_RCOND_FLOOR`` in sigma_min/sigma_max.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
+    _count("sample_count", sample_count)
     lam, rcond = _best_shift(pencil, sample_count, seed)
     if rcond <= _RCOND_FLOOR:
         raise NotRegularError(
@@ -297,19 +313,17 @@ def _eigenvalue_moduli(pencil: MatrixPencil) -> np.ndarray:
 
 
 def _radius(pencil: MatrixPencil, mags: np.ndarray) -> float:
-    nonzero = mags[mags > 1e-12 * (1.0 + mags.max())] if mags.size else mags
-    radius = float(0.5 * nonzero.min()) if nonzero.size else 1.0
+    """Default contour radius of :func:`projectors_residue`: half the smallest nonzero
+    one of the mu-root moduli ``mags`` of det(A + mu*B) = 0 (1.0 if none, mu = 0 being
+    the only candidate pole), capped at r = ||A||_2 / ||B||_2 if positive and finite:
+    A + mu*B stays accurately invertible within it.  Roots scale with r, so a modulus
+    below 1e-12 r counts as 0 (below 1e-12 (1 + max |mu|) for any other r)."""
     b_norm = float(np.linalg.norm(pencil.b, 2))
     cap = float(np.linalg.norm(pencil.a, 2)) / b_norm if b_norm else math.inf
-    return min(radius, cap) if 0.0 < cap < math.inf else radius
-
-
-def contour_radius(pencil: MatrixPencil) -> float:
-    """Default contour radius for :func:`projectors_residue`: half the smallest
-    nonzero modulus of the mu-roots of det(A + mu*B) = 0 (1.0 if there is none,
-    as mu = 0 is then the only candidate pole), capped at ||A||_2 / ||B||_2 when
-    that is positive and finite: A + mu*B stays accurately invertible within it."""
-    return _radius(pencil, _eigenvalue_moduli(pencil))
+    scaled = 0.0 < cap < math.inf
+    nonzero = mags[mags > 1e-12 * (cap if scaled else 1.0 + mags.max())] if mags.size else mags
+    radius = float(0.5 * nonzero.min()) if nonzero.size else 1.0
+    return min(radius, cap) if scaled else radius
 
 
 class ResidueProjectors(tuple):
@@ -330,17 +344,16 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
     The integrals (1/2*pi*i) * contour-int (A + mu B)^-1 A dmu/mu and its
     transpose-ordered counterpart are evaluated with the trapezoidal rule on
     ``node_count`` equispaced nodes of the circle |mu| = radius (default
-    :func:`contour_radius`), spectrally accurate for this analytic integrand:
+    :func:`_radius`), spectrally accurate for this analytic integrand:
     P1 = R A and Q1 = A R for R the mean of the resolvents, inverted in stacks.
     Imaginary parts are checked to be negligible and dropped.
     """
-    if not 8 <= node_count <= MAX_NODE_COUNT:
+    if _count("node_count", node_count, low=8) > MAX_NODE_COUNT:
         raise ValueError(f"node_count must be between 8 and {MAX_NODE_COUNT}")
-    if radius is not None and not 0.0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
     mags = _eigenvalue_moduli(pencil)
     if radius is None:
         radius = _radius(pencil, mags)
+    _positive_finite("radius", radius)
     near = mags[np.abs(mags - radius) < 0.1 * radius]
     if near.size:
         raise PoleOnContourError(
@@ -401,8 +414,7 @@ class ValidationReport:
 def validate_decomposition(pencil: MatrixPencil, decomp: SpectralDecomposition,
                            tol: float) -> ValidationReport:
     """Report the max-norm residual of every projector/G identity."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _positive_finite("tol", tol)
     d, eye = decomp, np.eye(pencil.n)
     a, b = pencil.a, pencil.b
     res = {

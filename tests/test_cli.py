@@ -691,9 +691,9 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
     # f overflows at the initial point
     ("solve", {"model": "sec5_cubic", "mesh": MESH, "initial_state": {"x0": [1e200, 0, 0]}},
      1, "initial-state error: f cannot be evaluated at the initial point: OverflowError"),
-    # f overflows inside the consistent initialisation
+    # f overflows inside the consistent initialisation: the same line as for x0
     ("solve", {"model": "sec5_cubic", "mesh": MESH, "initial_state": {"z0": [1e200, 0, 0]}},
-     1, "initial-state error: OverflowError"),
+     1, "initial-state error: f cannot be evaluated at the initial point: OverflowError"),
     # the drive (2t + 10)^-2 has its pole at t0
     ("solve", {"model": "sec6_sine_powerdecay",
                "mesh": {"t0": -5.0, "t_end": 1.0, "n_steps": 2}},
@@ -705,7 +705,7 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
     # an ill-conditioned P1 leaves P1 z0 outside X1
     ("solve", {"model": {"a": [[2, 1e14], [0, 0]], "b": [[-1, 1e-14], [3, -1]]}, "mesh": MESH,
                "initial_state": {"z0": [1e50, -3]}},
-     1, "initial-state error: ValueError: z0 must lie in X1"),
+     1, "initial-state error: z0 must lie in X1"),
     # G is ill-conditioned (1e6): the contour integral keeps an imaginary
     # residue of 4.8e-7
     ("projectors", {"model": {"a": [[1, 1], [0, 0]], "b": [[1, 1], [1, 1 + 1e-6]]}},
@@ -747,11 +747,12 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
     # (t_end - t0) overflows to inf
     ("solve", {"model": "sec5_cubic", "mesh": {"t0": -1e308, "t_end": 1e308, "n_steps": 4}},
      1, "config error: config field 'mesh': the step (t_end - t0)/n_steps must be finite"),
-    # meshes no machine can allocate or numpy index
-    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**18)},
+    # a mesh no machine can allocate, and one whose node times numpy cannot
+    # hold in one array (2**59 steps and up)
+    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**17)},
      1, "config error: Unable to allocate"),
     ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**19)},
-     1, "config error: config field 'mesh': n_steps must be below"),
+     1, "config error: config field 'mesh/n_steps': must be <= 576460752303423487"),
     # more residue nodes than the cap: refused, not looped over for ever
     ("projectors", {"model": "sec5_cubic", "projector_node_count": 10**18},
      1, "config error: config field 'projector_node_count': must be <= 65536"),
@@ -759,6 +760,23 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
     ("solve", {"model": {"a": [[1e-310, 0], [0, 1e-310]], "b": [[0, 0], [0, 0]]},
                "mesh": MESH, "initial_state": {"x0": [1, 0]}},
      2, "pencil error: DecompositionFailedError: G inverse is non-finite"),
+    # the constraint x2 = x2 + 1: the Newton iteration for u0 has a zero pivot
+    ("solve", {"model": {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]],
+                         "f_const": [0, 1], "f_matrix": [[0, 0], [0, 1]]},
+               "mesh": MESH, "initial_state": {"z0": [1, 0]}},
+     1, "initial-state error: restricted Newton step singular or non-finite at t=0"),
+    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=2**59)},
+     1, "config error: config field 'mesh/n_steps': must be <= 576460752303423487"),
+    # a count the library refuses (sys.maxsize and up) is refused by the walk
+    ("validate", {"model": "sec5_cubic", "study": {"refinements": 2**63}},
+     1, "config error: config field 'study/refinements': must be <= 9223372036854775806"),
+    # pencils whose norm overflows, refused before any decomposition
+    ("projectors", {"model": {"a": [[1, 0], [0, 0]], "b": [[1e308, 1e308], [1e308, 1e308]]}},
+     1, "config error: inline model: 1 + ||A||_2 + ||B||_2 overflows"),
+    ("projectors", {"model": {"a": [[1e308, 1e308], [1e308, 1e308]], "b": [[1, 0], [0, 1]]}},
+     1, "config error: inline model: 1 + ||A||_2 + ||B||_2 overflows"),
+    ("projectors", {"model": {"a": [[1e308, 0], [0, 0]], "b": [[1e308, 0], [0, 1e308]]}},
+     1, "config error: inline model: 1 + ||A||_2 + ||B||_2 overflows"),
 ])
 def test_failure_ends_in_one_stderr_line(tmp_path, command, config, code, prefix):
     got, err = run_cli(command, config, tmp_path)

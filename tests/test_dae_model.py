@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pencildae import (MatrixPencil, NonFiniteJacobianError, SemilinearDAE,
-                       consistent_initialize, get_preset, jacobian, projectors_algebraic)
+from pencildae import (InconsistentInitialStateError, MatrixPencil, NonFiniteJacobianError,
+                       SemilinearDAE, consistent_initialize, get_preset, jacobian,
+                       projectors_algebraic)
 from pencildae.dae_model import X2Newton, jacobian_function
 from pencildae.model_library import PRESET_IDS
 
@@ -131,11 +132,11 @@ class TestJacobian:
         # a non-finite Jacobian is an arithmetic failure of the model
         assert issubclass(NonFiniteJacobianError, ArithmeticError)
 
-    @pytest.mark.parametrize("fd_step", [math.nan, math.inf, 0.0, -1e-7])
+    @pytest.mark.parametrize("fd_step", [math.nan, math.inf, 0.0, -1e-7, True, 0])
     def test_fd_step_must_be_positive_and_finite(self, fd_step):
         # refused at construction, not later as a non-finite Jacobian of the model
         pencil = MatrixPencil(a=np.eye(1), b=np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="fd_step"):
+        with pytest.raises(ValueError, match="^fd_step must be positive and finite$"):
             SemilinearDAE(pencil=pencil, f=lambda t, x: x, fd_step=fd_step)
 
     def test_jacobian_function(self, sec5_preset):
@@ -245,10 +246,11 @@ class TestConsistentInitialize:
     def test_no_convergence_reports_last_residual(self, sec5_preset, sec5_decomp):
         from pencildae import NoConvergenceError
         z0 = sec5_decomp.p1 @ np.array([1.0, 1.0, 0.0])
-        with pytest.raises(NoConvergenceError) as excinfo:
+        with pytest.raises(InconsistentInitialStateError, match="stalled") as excinfo:
             consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0,
                                   tol=1e-13, max_iter=1)
-        assert excinfo.value.last_residual > 1e-13
+        assert isinstance(excinfo.value.__cause__, NoConvergenceError)
+        assert excinfo.value.__cause__.last_residual > 1e-13
 
     def test_singular_newton_detected(self):
         from pencildae import SingularNewtonMatrixError
@@ -257,8 +259,9 @@ class TestConsistentInitialize:
         dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.array([0.0, x[1] + 1.0]),
                             jac_f=lambda t, x: np.array([[0.0, 0.0], [0.0, 1.0]]))
         decomp = projectors_algebraic(pencil)
-        with pytest.raises(SingularNewtonMatrixError):
+        with pytest.raises(InconsistentInitialStateError, match="singular") as excinfo:
             consistent_initialize(dae, decomp, 0.0, np.array([1.0, 0.0]))
+        assert isinstance(excinfo.value.__cause__, SingularNewtonMatrixError)
 
     def test_singular_k2_newton_detected(self):
         # the 2 x 2 Newton matrix [[1, 1], [1, 1]] is exactly singular
@@ -266,46 +269,50 @@ class TestConsistentInitialize:
         dae, decomp, _ = singular_k2_problem(t_singular=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularNewtonMatrixError):
+            with pytest.raises(InconsistentInitialStateError) as excinfo:
                 consistent_initialize(dae, decomp, 0.6, np.array([1.0, 0.0, 0.0]))
+        assert isinstance(excinfo.value.__cause__, SingularNewtonMatrixError)
 
     def test_rejects_non_finite_z0(self, sec5_preset, sec5_decomp):
         # named as non-finite, not as a point outside X1
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(InconsistentInitialStateError, match="z0 must be finite"):
                 consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0,
                                       np.array([bad, 0.0, 0.0]))
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True, 0])
     def test_rejects_a_tol_that_is_not_positive(self, sec5_preset, sec5_decomp, tol):
         # refused as bad input, not run to a stall at "residual 0.000e+00"
         z0 = sec5_decomp.p1 @ np.array([1.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
             consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0, tol=tol)
 
     def test_rejects_a_max_iter_below_one_or_fractional(self, sec5_preset, sec5_decomp):
         # 2.5 used to be accepted and stall "after 3 corrections"
         z0 = sec5_decomp.p1 @ np.array([1.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="max_iter"):
-            consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0, max_iter=0)
-        with pytest.raises(TypeError):
-            consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0, max_iter=2.5)
+        for max_iter in (0, 2.5, True, 2.0, 10**400):
+            with pytest.raises(ValueError, match="^max_iter must be an integer in \\[1, "):
+                consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0, z0, max_iter=max_iter)
 
     def test_rejects_z0_outside_x1(self, sec5_preset, sec5_decomp):
-        with pytest.raises(ValueError):
+        with pytest.raises(InconsistentInitialStateError, match="z0 must lie in X1"):
             consistent_initialize(sec5_preset.dae, sec5_decomp, 0.0,
                                   np.array([0.0, 0.0, 1.0]))
 
     def test_model_error_is_raised(self):
-        # f overflows like a Python-float power; the error reaches the caller
+        # f overflows like a Python-float power: the caller gets the line solve
+        # gives such an x0, raised from the overflow
         def f(t, x):
             return np.array([0.0, x[1] + math.exp(1000.0 * x[0])])
 
         pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
         dae = SemilinearDAE(pencil=pencil, f=f)
         decomp = projectors_algebraic(pencil)
-        with pytest.raises(OverflowError):
+        with pytest.raises(InconsistentInitialStateError,
+                           match="^f cannot be evaluated at the initial point: OverflowError: "
+                           ) as excinfo:
             consistent_initialize(dae, decomp, 0.0, np.array([1.0, 0.0]))
+        assert isinstance(excinfo.value.__cause__, OverflowError)
 
 
 class TestX2Newton:

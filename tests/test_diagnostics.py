@@ -170,10 +170,10 @@ class TestEmpiricalOrder:
 
     def test_refinements_floor(self, scalar_decay):
         dae, decomp = scalar_decay
-        with pytest.raises(ValueError):
-            empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=2)
-        with pytest.raises(TypeError):
-            empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=3.5)
+        for refinements in (2, 3.5, True, 2.5, 2.0, 10**400):
+            with pytest.raises(ValueError, match="^refinements must be an integer in \\[3, "):
+                empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]),
+                                refinements=refinements)
 
     def test_json_serialization(self, scalar_decay):
         dae, decomp = scalar_decay
@@ -234,11 +234,12 @@ class TestStabilityReport:
             assert 0 < len(calls) <= max_samples, (max_samples, len(calls))
         assert len(calls) == 1 and calls[0] == 0.0
 
-    @pytest.mark.parametrize("max_samples", [0, -1])
+    @pytest.mark.parametrize("max_samples", [0, -1, True, 2.5, 2.0,
+                                             pytest.param(10**400, id="10**400")])
     def test_max_samples_below_one_is_refused(self, scalar_decay, max_samples):
         dae, decomp = scalar_decay
         traj = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]))
-        with pytest.raises(ValueError, match="max_samples"):
+        with pytest.raises(ValueError, match="^max_samples must be an integer in \\[1, "):
             stability_report(dae, decomp, traj, max_samples=max_samples)
 
 

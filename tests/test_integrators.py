@@ -30,10 +30,9 @@ class TestMesh:
             Mesh(1.0, 1.0, 10)
         with pytest.raises(ValueError, match="finite"):
             Mesh(-1e308, 1e308, 4)          # t_end - t0 overflows
-        with pytest.raises(ValueError, match="below"):
-            Mesh(0.0, 1.0, 10**19)          # more nodes than numpy can index
-        for n_steps in (2.5, 4.0):          # 2.5 steps would put a node past t_end
-            with pytest.raises(TypeError):
+        # more nodes than numpy can index; 2.5 steps would put a node past t_end
+        for n_steps in (10**19, 2.5, 4.0, True, 2.0, 10**400):
+            with pytest.raises(ValueError, match="^n_steps must be an integer in \\[1, "):
                 Mesh(0.0, 1.0, n_steps)
         assert Mesh(0.0, 1.0, np.int64(4)).times()[-1] == 1.0
 
@@ -50,8 +49,8 @@ class TestMesh:
 
 class TestSolverConfig:
     def test_tol_must_be_a_positive_number(self):
-        for tol in (math.nan, 0.0, -1e-12, math.inf):
-            with pytest.raises(ValueError, match="tol"):
+        for tol in (math.nan, 0.0, -1e-12, math.inf, True, 0):
+            with pytest.raises(ValueError, match="^tol must be positive and finite$"):
                 SolverConfig(tol=tol)
         assert SolverConfig(tol=1e-12).tol == 1e-12
 
@@ -62,10 +61,9 @@ class TestSolverConfig:
                 SolverConfig(blow_up_threshold=threshold)
 
     def test_max_iter_must_be_a_positive_integer(self):
-        with pytest.raises(TypeError):
-            SolverConfig(tol=1e-300, max_iter=2.5)
-        with pytest.raises(ValueError, match="max_iter"):
-            SolverConfig(tol=1e-300, max_iter=0)
+        for max_iter in (0, 2.5, True, 2.0, 10**400):
+            with pytest.raises(ValueError, match="^max_iter must be an integer in \\[1, "):
+                SolverConfig(tol=1e-300, max_iter=max_iter)
         assert SolverConfig(tol=1e-3, max_iter=np.int64(3)).max_iter == 3
 
     def test_scheme_wrappers_set_the_method(self, sec5_preset, sec5_decomp):

@@ -31,16 +31,19 @@ class TestNonlinearities:
             odd_power(1.0, 2)
         with pytest.raises(ValueError):
             odd_power(-1.0, 3)
-        for alpha in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        for alpha in (math.nan, math.inf, -math.inf, True, 0):
+            with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
                 odd_power(alpha, 3)
 
     def test_odd_power_rejects_fractional_exponents(self):
-        # 3.5 % 2 == 1.5 passed the odd test, and (-2.0) ** 3.5 is complex
-        for exponent in (3.5, 1.5, 2.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="exponent must be an odd positive integer"):
+        # 3.5 % 2 == 1.5 passed the odd test, and (-2.0) ** 3.5 is complex; a
+        # float exponent, 3.0 too, is refused as every count refuses it
+        for exponent in (3.5, 1.5, 2.0, 3.0, math.nan, math.inf, True, 2.5, 10**400, 0):
+            with pytest.raises(ValueError, match="^exponent must be an integer in \\[1, "):
                 odd_power(1.0, exponent)
-        assert odd_power(1.0, 3.0).value(-2.0) == -8.0
+        with pytest.raises(ValueError, match="^exponent must be odd$"):
+            odd_power(1.0, 4)
+        assert odd_power(1.0, 3).value(-2.0) == -8.0
 
     def test_sine_and_squares(self):
         assert sine(2.0).value(math.pi / 2) == pytest.approx(2.0)
@@ -103,16 +106,17 @@ class TestWaveforms:
     def test_power_decay_validation(self):
         with pytest.raises(ValueError):
             power_decay(1.0, 0.0, 2)
-        for alpha in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        for alpha in (math.nan, math.inf, -math.inf, True, 0):
+            with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
                 power_decay(1.0, alpha, 2)
-        # odd_power's rule: a whole number >= 1 (NaN would make a NaN drive)
-        for n in (0, -1, 1.5, math.nan, math.inf):
+        # every count's rule: an integer from 1, not a bool or a float (NaN
+        # would make a NaN drive)
+        for n in (0, -1, 1.5, math.nan, math.inf, True, 2.5, 2.0, 10**400):
             for build in (lambda: power_decay(1.0, 1.0, n), lambda: polynomial(n=n)):
-                with pytest.raises(ValueError, match="n must be a positive integer"):
+                with pytest.raises(ValueError, match="^n must be an integer in \\[1, "):
                     build()
-        assert power_decay(1.0, 1.0, 2.0).value(1.0) == 0.25
-        assert polynomial(n=2.0).value(3.0) == 9.0
+        assert power_decay(1.0, 1.0, 2).value(1.0) == 0.25
+        assert polynomial(n=2).value(3.0) == 9.0
 
     @pytest.mark.parametrize("build, name", [
         (lambda v: sine(v), "alpha"),
@@ -161,10 +165,10 @@ class TestCircuitModel:
         with pytest.raises(ValueError):
             CircuitParams(5e-4, 5e-7, 2.0, -0.1)
         # NaN and inf pass a "<= 0" test; refused here, not later as a non-finite pencil
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="l_ind must be strictly positive"):
+        for value in (math.nan, math.inf, -math.inf, True, 0):
+            with pytest.raises(ValueError, match="^l_ind must be positive and finite$"):
                 CircuitParams(value, 5e-7, 2.0, 0.2)
-            with pytest.raises(ValueError, match="g_cond must be strictly positive"):
+            with pytest.raises(ValueError, match="^g_cond must be positive and finite$"):
                 CircuitParams(5e-4, 5e-7, 2.0, value)
 
     def test_unit_rescaling(self, sec5_preset):

@@ -6,7 +6,7 @@ import pytest
 from pencildae import (ContourSolveFailedError, DecompositionFailedError,
                        IndexTooHighError, MatrixPencil,
                        NotRegularError, PencilIndex, PoleOnContourError, classify_index,
-                       contour_radius, projectors_algebraic, projectors_residue,
+                       projectors_algebraic, projectors_residue,
                        regularity_probe, validate_decomposition)
 from pencildae.pencil import _eigenvalue_moduli, _probe_points, _radius
 
@@ -34,6 +34,16 @@ class TestMatrixPencil:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             MatrixPencil(a=np.eye(2), b=np.eye(3))
+
+    @pytest.mark.parametrize("a, b", [
+        (np.diag([1.0, 0.0]), np.full((2, 2), 1e308)),
+        (np.full((2, 2), 1e308), np.eye(2)),
+        (np.diag([1e308, 0.0]), 1e308 * np.eye(2)),
+    ])
+    def test_rejects_a_norm_that_overflows(self, a, b):
+        # refused here, not later as a failed SVD or a non-finite tolerance
+        with pytest.raises(ValueError, match="overflows"):
+            MatrixPencil(a=a, b=b)
 
     def test_rejects_non_finite(self):
         a = np.eye(2)
@@ -207,7 +217,8 @@ class TestProjectorsResidue:
 
     def test_default_radius_diag_pencil(self):
         # the only nonzero mu-root of det(A + mu*B) is mu = -1
-        assert contour_radius(diag_index1_pencil()) == pytest.approx(0.5)
+        pencil = diag_index1_pencil()
+        assert _radius(pencil, _eigenvalue_moduli(pencil)) == pytest.approx(0.5)
 
     def test_diag_pencil_quadrature(self):
         # 32 trapezoid nodes at radius/pole ratio 1/2 leave an error of
@@ -230,9 +241,9 @@ class TestProjectorsResidue:
         with pytest.raises(ValueError):
             projectors_residue(identity_pencil(), radius=1.0, node_count=4)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, True, 0])
     def test_rejects_a_radius_that_is_not_positive_and_finite(self, radius):
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
+        with pytest.raises(ValueError, match="^radius must be positive and finite$"):
             projectors_residue(identity_pencil(), radius=radius)
 
     def test_rejects_node_count_above_the_cap(self):
@@ -263,6 +274,25 @@ class TestProjectorsResidue:
         for got, want in zip(split, whole):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         assert split.quadrature_error == pytest.approx(whole.quadrature_error, rel=1e-6)
+
+    def test_tiny_a_keeps_its_roots_off_zero(self):
+        # the mu-roots scale with ||A|| / ||B||: for A of norm ~1e-12 they are
+        # ~1e-12 too, and an absolute zero threshold let the contour enclose
+        # some of them (129 of these 200 came back wrong or refused)
+        rng = np.random.default_rng(6)
+        pencils = []
+        for _ in range(100):
+            n = int(rng.integers(2, 8))
+            pencils.append(MatrixPencil(a=1e-12 * random_conditioned(n, rng),
+                                        b=random_conditioned(n, rng)))
+        for _ in range(100):
+            pencil = random_index1_pencil(rng)[0]
+            pencils.append(MatrixPencil(a=1e-12 * pencil.a, b=pencil.b))
+        for pencil in pencils:
+            d = projectors_algebraic(pencil)
+            p1, q1 = projectors_residue(pencil)
+            scale = pencil.norm_scale()
+            assert max(np.abs(p1 - d.p1).max(), np.abs(q1 - d.q1).max()) <= 1e-13 * scale
 
     def test_overflowing_resolvent_fails_on_the_contour(self):
         pencil = MatrixPencil(a=1e-310 * np.eye(2), b=np.zeros((2, 2)))
@@ -315,17 +345,20 @@ class TestResidueAgainstReference:
 
     def test_default_radius_matches_qz(self, pencils):
         # the rule on the QZ moduli; never above half the smallest nonzero one
-        # (1.0 without one), nor above a positive finite ||A|| / ||B||
+        # (1.0 without one; below 1e-12 ||A|| / ||B|| a modulus counts as 0),
+        # nor above a positive finite ||A|| / ||B||
         capped = 0
         for pencil in pencils:
             mags = reference_moduli(pencil)
             want = _radius(pencil, mags)
-            got = contour_radius(pencil)
+            got = _radius(pencil, _eigenvalue_moduli(pencil))
             assert abs(got - want) <= 1e-10 * want
-            nonzero = mags[mags > 1e-12 * (1.0 + mags.max())] if mags.size else mags
+            a_norm, b_norm = np.linalg.norm(pencil.a, 2), np.linalg.norm(pencil.b, 2)
+            ratio = a_norm / b_norm if b_norm else math.inf
+            zero = 1e-12 * (ratio if 0.0 < ratio < math.inf else 1.0 + mags.max(initial=0.0))
+            nonzero = mags[mags > zero]
             half = 0.5 * nonzero.min() if nonzero.size else 1.0
             assert got <= half * (1.0 + 1e-10)
-            a_norm, b_norm = np.linalg.norm(pencil.a, 2), np.linalg.norm(pencil.b, 2)
             assert got * b_norm <= a_norm * (1.0 + 1e-15) or not a_norm * b_norm
             capped += got < half * (1.0 - 1e-10)
         assert capped
@@ -363,8 +396,9 @@ class TestResidueAgainstReference:
         q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
         pencil = MatrixPencil(a=np.eye(3), b=q @ NILPOTENT @ q.T)
         assert _eigenvalue_moduli(pencil).min() > 1e4 and reference_moduli(pencil).min() > 1e4
-        assert contour_radius(pencil) == pytest.approx(1.0, rel=1e-12)
-        assert _radius(pencil, reference_moduli(pencil)) == contour_radius(pencil)
+        radius = _radius(pencil, _eigenvalue_moduli(pencil))
+        assert radius == pytest.approx(1.0, rel=1e-12)
+        assert _radius(pencil, reference_moduli(pencil)) == radius
         for p1, q1 in (projectors_residue(pencil), reference_residue(pencil)):
             assert max(np.abs(p1 - np.eye(3)).max(), np.abs(q1 - np.eye(3)).max()) <= 1e-13
 
@@ -376,7 +410,8 @@ class TestResidueAgainstReference:
         pencil = MatrixPencil(a=np.array([[0.0, 2.0], [0.0, 1e-14]]),
                               b=np.array([[1.0, 3.0], [1.0, 3.0]]))
         assert reference_moduli(pencil).max() > 1e15
-        assert contour_radius(pencil) == pytest.approx(2.0 / math.sqrt(20.0), rel=1e-12)
+        assert _radius(pencil, _eigenvalue_moduli(pencil)) == \
+            pytest.approx(2.0 / math.sqrt(20.0), rel=1e-12)
         d = projectors_algebraic(pencil)
         for p1, q1 in (projectors_residue(pencil), reference_residue(pencil)):
             assert max(np.abs(p1 - d.p1).max(), np.abs(q1 - d.q1).max()) <= 1e-13
@@ -417,10 +452,10 @@ class TestValidateDecomposition:
         assert not report.passed
         assert "P2^2=P2" in report.failing()
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True, 0])
     def test_rejects_a_tol_that_is_not_positive(self, tol):
         pencil = identity_pencil()
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
             validate_decomposition(pencil, projectors_algebraic(pencil), tol)
 
     def test_json_round_trip(self, sec5_preset, sec5_decomp):

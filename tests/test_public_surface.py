@@ -10,6 +10,8 @@ import pytest
 
 import pencildae
 from pencildae import cli, pencil
+from pencildae.dae_model import (NoConvergenceError, NonFiniteJacobianError,
+                                 SingularNewtonMatrixError)
 from pencildae.diagnostics import LadderSolveError
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(pencildae.__path__))
@@ -73,8 +75,34 @@ def test_every_pencil_exception_is_a_pencil_error_that_exits_2():
         assert exit_row(cls) == (cli.EXIT_PENCIL, "pencil error: " + cli._NAMED), cls
 
 
+# cmd_converge handles LadderSolveError itself: it exits with the ladder's
+# outcome; the Newton failures end a solve as corrector_failed and reach
+# consistent_initialize's callers as an InconsistentInitialStateError
+HANDLED = (LadderSolveError, NoConvergenceError, NonFiniteJacobianError,
+           SingularNewtonMatrixError)
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_every_exported_exception_has_an_exit_row(name):
-    # cmd_converge handles LadderSolveError itself: it exits with the ladder's outcome
     for cls in exported_exceptions(name):
-        assert cls is LadderSolveError or exit_row(cls) is not None, cls
+        assert cls in HANDLED or exit_row(cls) is not None, cls
+
+
+def test_each_input_rule_is_written_once():
+    # every count and every positive-finite refusal goes through pencil._count
+    # and pencil._positive_finite; cli._number walks the JSON config on its own
+    helpers = {"_count", "_positive_finite"}
+    found = []
+    for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        exempt = [(node.lineno, node.end_lineno) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and (node.name in helpers and path.name == "pencil.py"
+                       or node.name == "_number" and path.name == "cli.py")]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if any(first <= lineno <= last for first, last in exempt):
+                continue
+            for rule in ("operator.index(", ".is_integer()", "must be positive and finite"):
+                if rule in line:
+                    found.append(f"{path.name}:{lineno}: {rule}")
+    assert found == []
