@@ -2,11 +2,11 @@
 
 All behaviour is determined by a single JSON config file (no environment
 variables are read), so a run is reproducible from the file alone.
-``load_config`` holds its whole input contract, the walk ``_CONFIG`` plus one
-cross-field rule: it refuses, naming the field, a wrong type or range, an
-unknown key, a non-finite number (over-range integers too), a negative seed or
-a method-2 mesh under 2 steps.  Trajectories are written as CSV with
-17-significant-digit floats and LF line endings; summaries and studies as JSON.
+``load_config`` holds its whole input contract, the walk ``_CONFIG`` plus two
+cross-field rules: it refuses, naming the field, a wrong type or range, an unknown
+key, a non-finite number (over-range integers too), a negative seed, a method-2 mesh
+under 2 steps or a study finer than the largest mesh.  Trajectories are written as
+CSV with 17-significant-digit floats and LF line endings; summaries and studies as JSON.
 
 Every run ends in one row of ``_EXITS``: exit 0 writes nothing to stderr,
 any other exit exactly one line and no traceback.  Exit 1: a config error (the
@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dae_model, diagnostics, model_library, pencil
-from .integrators import (Mesh, Method, SolveOutcome, SolverConfig, _blocks, _row_norms,
-                          solve)
+from .integrators import (Mesh, Method, SolveOutcome, SolverConfig, _blocks, _in_child,
+                          _row_norms, solve)
 
 __all__ = ["main", "run", "load_config"]
 
@@ -146,6 +146,7 @@ def _object(fields: dict, required=(), exactly_one=False, string=None):
     return walk
 
 
+_MAX_STEPS = sys.maxsize // 16  # a mesh's node times (8 bytes each) fit one numpy array
 _MATRIX = _array(_array(_number()))
 _VECTOR = _array(_number())
 _CONFIG = _object({
@@ -154,9 +155,8 @@ _CONFIG = _object({
     "model": _object({"a": _MATRIX, "b": _MATRIX, "f_const": _VECTOR, "f_matrix": _MATRIX},
                      required=("a", "b"), string=_string()),
     "method": _string("method1", "method2"),
-    # a mesh's node times (8 bytes each) fit one numpy array (under 2**63 bytes)
     "mesh": _object({"t0": _number(), "t_end": _number(),
-                     "n_steps": _number(1, integer=True, high=sys.maxsize // 16)},
+                     "n_steps": _number(1, integer=True, high=_MAX_STEPS)},
                     required=("t0", "t_end", "n_steps")),
     "initial_state": _object({"x0": _VECTOR, "z0": _VECTOR}, exactly_one=True,
                              string=_string("preset_default")),
@@ -183,6 +183,9 @@ def load_config(path: str) -> dict:
     _CONFIG(config, "")
     if config.get("method") == "method2" and config.get("mesh", {}).get("n_steps", 2) < 2:
         _fail("mesh/n_steps", "method2 needs at least 2 steps")
+    n_steps = int(config.get("mesh", {}).get("n_steps", 1))  # min: 2**10**18 is never formed
+    if "study" in config and n_steps << min(int(config["study"]["refinements"]), 64) > _MAX_STEPS:
+        _fail("study/refinements", f"mesh/n_steps * 2**refinements must be <= {_MAX_STEPS}")
     return config
 
 
@@ -288,13 +291,20 @@ def _write_trajectory_csv(path: Path, traj) -> None:
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + \
         ",z_norm,u_norm,constraint_residual\n"
     row = ",".join(["%.17g"] * (n + 4)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        for rows in _blocks(len(traj)):  # one %-format per block, not per row
-            z, u = traj.z_history[rows], traj.u_rows(rows)
-            block = np.column_stack((traj.times[rows], z + u, _row_norms(z), _row_norms(u),
-                                     traj.residuals[rows]))
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+    def text(rows):  # one %-format per block, not per row
+        z, u = traj.z_history[rows], traj.u_rows(rows)
+        block = np.column_stack((traj.times[rows], z + u, _row_norms(z), _row_norms(u),
+                                 traj.residuals[rows]))
+        return (row * len(block) % tuple(block.ravel().tolist())).encode()
+    blocks = [*_blocks(len(traj))]
+    half = len(blocks) // 2  # a child formats blocks[half:] if there are 2 or more
+    back = lambda: b"".join(map(text, blocks[half:]))  # noqa: E731
+    with (_in_child(back) if half else contextlib.nullcontext(back)) as back_text, \
+            open(path, "wb") as fh:  # ASCII: its bytes are its UTF-8 with LF line ends
+        fh.write(header.encode())
+        fh.writelines(map(text, blocks[:half]))
+        fh.write(back_text())
 
 
 def _finite_or_none(node):

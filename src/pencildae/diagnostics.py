@@ -10,12 +10,13 @@ against a reference run.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dae_model import SemilinearDAE, jacobian
-from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, solve
+from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, _in_child, solve
 from .pencil import SpectralDecomposition, _count
 
 __all__ = [
@@ -123,8 +124,8 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
     level).  With the default self-refined reference, the finest mesh
     h/2^refinements serves as reference and the fitted levels stop two
     refinements above it, so the level in between is never read and never
-    solved: the solves are levels 0..refinements-2 in ascending order, then
-    the finest.  With an external reference every level is solved and fitted.
+    solved; a forked child solves the finest level while the caller solves the
+    others in ascending order.  With an external reference every level is solved and fitted.
 
     Raises
     ------
@@ -135,7 +136,10 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
     DegenerateFitError
         If an error drops below 1e-13 and the fit would chase roundoff.
     """
-    _count("refinements", refinements, low=3)
+    refinements = _count("refinements", refinements, low=3)
+    # n 2**R < sys.maxsize iff n has at most 63 - R bits (R >= 1); 2**R is never formed
+    if int(mesh_base.n_steps).bit_length() + refinements > sys.maxsize.bit_length():
+        raise ValueError(f"refinements must keep n_steps * 2**refinements below {sys.maxsize}")
     config = config or SolverConfig()
 
     def base_samples(level: int):  # (h, z, u) at the base nodes; the trajectory is freed
@@ -148,11 +152,12 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
         nodes = slice(None, None, 2 ** level)
         return mesh.h, traj.z_history[nodes].copy(), traj.u_rows(nodes)
 
+    with _in_child(lambda: base_samples(refinements)) as finest:
+        coarse = refinements - 1 if reference is None else refinements
+        samples = [*map(base_samples, range(coarse)), finest()]
     if reference is None:
-        samples = [base_samples(level) for level in [*range(refinements - 1), refinements]]
         _, z_ref, u_ref = samples.pop()
     else:
-        samples = [base_samples(level) for level in range(refinements + 1)]
         nodes = slice(None, None, _check_external_reference(reference, mesh_base))
         z_ref, u_ref = reference.z_history[nodes], reference.u_rows(nodes)
     step_sizes, z_levels, u_levels = zip(*samples)

@@ -10,11 +10,14 @@ component u and differ in the update of the differential component z:
   coefficient on long intervals.
 
 A single solve is strictly sequential; distinct solves share the immutable
-problem objects and may run concurrently.
+problem objects and may run concurrently: ``_in_child`` runs one of them in a
+forked child (on Linux, with one Python thread; else, or on failure, in process).
 """
 
 from __future__ import annotations
 
+import _thread
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -168,6 +171,45 @@ def _blocks(count: int):  # slices of at most _BLOCK nodes covering nodes 0..cou
     return (slice(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK))
 
 
+@contextlib.contextmanager
+def _in_child(work):
+    """``with _in_child(work) as result:`` runs ``work()`` in a forked child during the block;
+    ``result()`` returns the value the child pickled, else (no fork: off Linux or a second
+    Python thread; or no value) runs ``work()`` here, so errors surface as without a child."""
+    pid = None
+    if sys.platform == "linux" and not _thread._count():  # fork copies no other thread
+        import os, pickle, signal, tempfile, warnings  # noqa: E401
+        with contextlib.suppress(OSError), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r".* use of fork\(\)", DeprecationWarning)  # 3.12+
+            out = tempfile.TemporaryFile()  # unlinked
+            pid = os.fork()
+    if pid is None:
+        yield work
+        return
+    if not pid:  # the child exits 0 once its value is written, 1 on any failure
+        try:
+            pickle.dump(work(), out, pickle.HIGHEST_PROTOCOL)
+            out.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)
+
+    def result():
+        with contextlib.suppress(Exception):  # raised, crashed, killed or unreadable
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0:
+                out.seek(0)
+                return pickle.load(out)
+        return work()
+    try:
+        with out:
+            yield result
+    finally:  # leaving the block before result() kills the child
+        with contextlib.suppress(ChildProcessError):  # reaped by result()
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 # the split initial point may miss the constraint by this much, relative to
 # (1 + ||B||)(1 + ||x0||)
 _INIT_RESIDUAL_RTOL = 1e-8
@@ -262,7 +304,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     except _MODEL_ERRORS as exc:
         raise _initial_failure(exc) from exc
     res0 = float(_node_residuals(b_mat, q2, x[None], f_values[:1])[0])
-    init_tol = _INIT_RESIDUAL_RTOL * (1.0 + np.linalg.norm(b_mat, 2)) * \
+    init_tol = _INIT_RESIDUAL_RTOL * (1.0 + dae.pencil.b_norm) * \
         (1.0 + float(_row_norms(x0[None])[0]))
     if not res0 <= init_tol:
         raise InconsistentInitialStateError(

@@ -113,6 +113,8 @@ class MatrixPencil:
 
     a: np.ndarray
     b: np.ndarray
+    a_norm: float = field(init=False, repr=False, compare=False)  # ||A||_2, computed once
+    b_norm: float = field(init=False, repr=False, compare=False)  # ||B||_2
 
     def __post_init__(self):
         a = _as_square_matrix(self.a, "a")
@@ -121,8 +123,9 @@ class MatrixPencil:
             raise ValueError(f"a and b must share a shape, got {a.shape} vs {b.shape}")
         if a.shape[0] < 1:
             raise ValueError("pencil dimension must be at least 1")
-        object.__setattr__(self, "a", _readonly(a))
-        object.__setattr__(self, "b", _readonly(b))
+        for name, m in (("a", a), ("b", b)):
+            object.__setattr__(self, name, _readonly(m))
+            object.__setattr__(self, f"{name}_norm", float(np.linalg.norm(m, 2)))
         if not math.isfinite(self.norm_scale()):
             raise ValueError("1 + ||A||_2 + ||B||_2 overflows")
 
@@ -132,7 +135,7 @@ class MatrixPencil:
 
     def norm_scale(self) -> float:
         """1 + ||A||_2 + ||B||_2, the scale used for relative tolerances."""
-        return 1.0 + float(np.linalg.norm(self.a, 2)) + float(np.linalg.norm(self.b, 2))
+        return 1.0 + self.a_norm + self.b_norm
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ def _probe_points(sample_count: int, seed: int) -> np.ndarray:
 def _best_shift(pencil: MatrixPencil, sample_count: int, seed: int) -> tuple[float, float]:
     """``(lambda, sigma_min/sigma_max)`` of the best-conditioned lambda*A + B
     over the scaled probe points (rcond 0 if all vanish)."""
-    scale = (1.0 + np.linalg.norm(pencil.b, 2)) / (1.0 + np.linalg.norm(pencil.a, 2))
+    scale = (1.0 + pencil.b_norm) / (1.0 + pencil.a_norm)
     samples = _probe_points(sample_count, seed) * scale
     s = np.linalg.svd(samples[:, None, None] * pencil.a + pencil.b, compute_uv=False)
     rcond = np.divide(s[:, -1], s[:, 0], out=np.zeros(sample_count), where=s[:, 0] > 0.0)
@@ -221,7 +224,7 @@ def _split(pencil: MatrixPencil):
     range_a = u[:, :rank]
     m = (np.eye(n) - range_a @ range_a.T) @ pencil.b
     _, s2, vt2 = np.linalg.svd(m)
-    rank2 = int(np.sum(s2 > rtol * max(s2[0], np.linalg.norm(pencil.b, 2))))
+    rank2 = int(np.sum(s2 > rtol * max(s2[0], pencil.b_norm)))
     if rank2 != n - rank:
         return (PencilIndex.INDEX_HIGHER, kernel, None,
                 "dim{x : Bx in range(A)} != n - dim ker(A)")
@@ -318,8 +321,7 @@ def _radius(pencil: MatrixPencil, mags: np.ndarray) -> float:
     the only candidate pole), capped at r = ||A||_2 / ||B||_2 if positive and finite:
     A + mu*B stays accurately invertible within it.  Roots scale with r, so a modulus
     below 1e-12 r counts as 0 (below 1e-12 (1 + max |mu|) for any other r)."""
-    b_norm = float(np.linalg.norm(pencil.b, 2))
-    cap = float(np.linalg.norm(pencil.a, 2)) / b_norm if b_norm else math.inf
+    cap = pencil.a_norm / pencil.b_norm if pencil.b_norm else math.inf
     scaled = 0.0 < cap < math.inf
     nonzero = mags[mags > 1e-12 * (cap if scaled else 1.0 + mags.max())] if mags.size else mags
     radius = float(0.5 * nonzero.min()) if nonzero.size else 1.0

@@ -1,10 +1,13 @@
+import contextlib
 import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -14,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pencildae import PRESET_IDS, cli, get_preset
+from pencildae import PRESET_IDS, cli, diagnostics, get_preset
 from pencildae.integrators import _BLOCK, _row_norms
+from pencildae.integrators import _in_child as cli_in_child
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -289,6 +293,19 @@ class TestConverge:
         assert failure["status"]["outcome"] == "blow_up"
         assert 0.0 < failure["status"]["blow_up_time"] < 0.2
 
+    @pytest.mark.parametrize("model, code", [("toy_index1", 0), ("sec6_blowup", 3)])
+    def test_output_is_the_one_process_output(self, tmp_path, monkeypatch, model, code):
+        # the finest level solved in a forked child changes no byte of the study
+        cfg = {"model": model, "method": "method2",
+               "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50}, "study": {"refinements": 4}}
+        written = []
+        for out_dir in (tmp_path / "forked", tmp_path / "in_process"):
+            path = write_config(tmp_path, cfg)
+            assert cli.main(["converge", path, "--out-dir", str(out_dir), "--quiet"]) == code
+            written.append((out_dir / "summary.json").read_bytes())
+            monkeypatch.setattr(diagnostics, "_in_child", contextlib.nullcontext)
+        assert written[0] == written[1]
+
     def test_study_required(self, tmp_path, capsys):
         path = write_config(tmp_path, base_solve_config(tmp_path))
         assert cli.main(["converge", path, "--quiet"]) == 1
@@ -365,23 +382,35 @@ def per_value_csv(path, traj):
     """The trajectory CSV written one formatted value at a time (the row norms
     are the library's, checked on their own in test_integrators)."""
     fmt = lambda value: format(float(value), ".17g")  # noqa: E731
-    n = traj.states.shape[1]
+    states = traj.states  # formed on each access
+    n = states.shape[1]
     z_norms = _row_norms(traj.z_history)
     u_norms = _row_norms(traj.u_history)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(f"x{i + 1}" for i in range(n))
                  + ",z_norm,u_norm,constraint_residual\n")
         for i in range(len(traj)):
-            row = [fmt(traj.times[i])] + [fmt(v) for v in traj.states[i]]
+            row = [fmt(traj.times[i])] + [fmt(v) for v in states[i]]
             row += [fmt(z_norms[i]), fmt(u_norms[i]), fmt(traj.residuals[i])]
             fh.write(",".join(row) + "\n")
 
 
 class TestTrajectoryCsv:
-    def assert_same_bytes(self, tmp_path, traj):
+    def assert_same_bytes(self, tmp_path, traj, monkeypatch=None):
+        # with ``monkeypatch``, also check that a run of 2 or more blocks has its
+        # back half formatted by a forked child, and a shorter one no child
+        children = []
+        if monkeypatch is not None:
+            def in_child(work):
+                children.append(work)
+                return cli_in_child(work)
+            monkeypatch.setattr(cli, "_in_child", in_child)
         cli._write_trajectory_csv(tmp_path / "new.csv", traj)
         per_value_csv(tmp_path / "old.csv", traj)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert len(children) == (monkeypatch is not None and len(traj) > _BLOCK)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_extreme_values(self, tmp_path):
@@ -416,24 +445,35 @@ class TestTrajectoryCsv:
         assert not traj.status.completed and len(traj) < 2001
         self.assert_same_bytes(tmp_path, traj)
 
-    @pytest.mark.parametrize("n_steps", [4095, 4096])
-    def test_block_boundaries(self, tmp_path, n_steps):
+    @pytest.mark.parametrize("n_steps", [4095, 4096, 8192, 50000])
+    def test_block_boundaries(self, tmp_path, monkeypatch, n_steps):
         # exactly one full block of integrators._BLOCK rows, then one row more
+        # (two blocks), three blocks and the 13 blocks of a 50 000-step run
         from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
         preset = get_preset("sec5_cubic")
         traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
                              Mesh(0.0, 1.0, n_steps), preset.x0)
         assert len(traj) == n_steps + 1 and _BLOCK == 4096
-        self.assert_same_bytes(tmp_path, traj)
+        self.assert_same_bytes(tmp_path, traj, monkeypatch)
 
-    def test_truncated_blow_up_run_across_a_block_boundary(self, tmp_path):
+    def test_truncated_blow_up_run_across_a_block_boundary(self, tmp_path, monkeypatch):
         from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
         preset = get_preset("sec6_blowup")
         traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
                              Mesh(0.0, 0.2, 20000), preset.x0)
         assert traj.status.outcome.value == "blow_up"
         assert _BLOCK < len(traj) < 2 * _BLOCK
-        self.assert_same_bytes(tmp_path, traj)
+        self.assert_same_bytes(tmp_path, traj, monkeypatch)
+
+    def test_corrector_failure_across_a_block_boundary(self, tmp_path, monkeypatch):
+        from pencildae import (Mesh, SolverConfig, get_preset, projectors_algebraic,
+                               solve as library_solve)
+        preset = get_preset("sec6_blowup")
+        traj = library_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
+                             Mesh(0.0, 0.2, 20000), preset.x0, SolverConfig(tol=1e-10))
+        assert traj.status.outcome.value == "corrector_failed"
+        assert _BLOCK < len(traj) < 2 * _BLOCK
+        self.assert_same_bytes(tmp_path, traj, monkeypatch)
 
     def test_single_row(self, tmp_path):
         # a singular first correction keeps the initial node only
@@ -777,12 +817,34 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
      1, "config error: inline model: 1 + ||A||_2 + ||B||_2 overflows"),
     ("projectors", {"model": {"a": [[1e308, 0], [0, 0]], "b": [[1e308, 0], [0, 1e308]]}},
      1, "config error: inline model: 1 + ||A||_2 + ||B||_2 overflows"),
+    # a ladder whose finest mesh has more steps than the largest mesh, refused
+    # before 2**refinements is formed; 10 * 2**56 is the smallest such
+    ("converge", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10),
+                  "study": {"refinements": 10**18}},
+     1, "config error: config field 'study/refinements': mesh/n_steps * 2**refinements "
+        "must be <= 576460752303423487"),
+    ("converge", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10),
+                  "study": {"refinements": 56}},
+     1, "config error: config field 'study/refinements': mesh/n_steps * 2**refinements "),
+    ("validate", {"model": "sec5_cubic", "study": {"refinements": 59}},  # no mesh: 1 step
+     1, "config error: config field 'study/refinements': mesh/n_steps * 2**refinements "),
 ])
 def test_failure_ends_in_one_stderr_line(tmp_path, command, config, code, prefix):
     got, err = run_cli(command, config, tmp_path)
     assert got == code
     assert err.startswith(prefix) and err.count("\n") == 1, err
     assert_contract(got, err, tmp_path)
+
+
+@pytest.mark.parametrize("study, mesh", [({"refinements": 55}, {"n_steps": 10}),
+                                         ({"refinements": 58.0}, {})])
+def test_the_largest_refinements_accepted(tmp_path, capsys, study, mesh):
+    # 10 * 2**55 and 1 * 2**58 (no mesh: 1 step) are at most 2**63 // 16 = 2**59 - 1
+    cfg = {"model": "sec5_cubic", "study": study}
+    if mesh:
+        cfg["mesh"] = dict(MESH, **mesh)
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr() == ("config OK\n", "")
 
 
 def test_unwritable_output_is_config_error(tmp_path, capsys):
@@ -912,3 +974,93 @@ def test_console_script_is_the_process_entry_point():
     # a text check: Python 3.10 has no tomllib
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.search(r'^pencildae = "pencildae\.cli:run"$', pyproject, re.MULTILINE)
+
+
+# ---------------------------------------------------------------------------
+# converge and a run of 2 or more CSV blocks fork one child; it never outlives
+# the command, whatever way the command ends
+
+def processes_of(marker: str) -> list:
+    """The ids of the live processes whose command line holds ``marker`` (a
+    forked child keeps its parent's command line)."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError):
+            if marker.encode() in Path(f"/proc/{entry}/cmdline").read_bytes():
+                found.append(int(entry))
+    return found
+
+
+LADDER = {"model": {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]],
+                    "f_matrix": [[0, 0], [1, 0]]},   # x2 = x1
+          "initial_state": {"x0": [1, 1]}, "method": "method2",
+          "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 20}, "study": {"refinements": 4}}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("command, config", [
+    ("converge", LADDER),
+    ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 9000}}),
+], ids=["converge", "solve-3-blocks"])
+def test_fresh_process_with_warnings_as_errors(tmp_path, command, config):
+    # Python >= 3.12 warns of a fork in a process with a second OS thread (numpy's
+    # BLAS pool); that warning alone is silenced, around the fork
+    path = write_config(tmp_path, config)
+    fresh = fresh_python(["-W", "error", "-m", "pencildae.cli", command, path,
+                          "--out-dir", str(tmp_path), "--quiet"], capture_output=True)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, b"", b"")
+    assert processes_of(path) == []
+
+
+BLOW_UP_MESH = {"t0": 0.0, "t_end": 0.2, "n_steps": 20000}   # stops after node 4096
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("command, config, code", [
+    ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 9000},
+               "outputs": {"trajectory_csv": "missing/traj.csv"}}, 1),
+    ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 9000},
+               "outputs": {"trajectory_csv": "/dev/full"}}, 1),
+    ("converge", {"model": "sec5_cubic", "method": "method2", "study": {"refinements": 4},
+                  "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 100}}, 1),   # study error
+    ("projectors", {"model": {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 0]]}}, 2),
+    ("converge", {"model": "sec6_blowup", "study": {"refinements": 3},
+                  "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50}}, 3),
+    ("solve", {"model": "sec6_blowup", "mesh": BLOW_UP_MESH}, 3),
+    ("solve", {"model": "sec6_blowup", "mesh": BLOW_UP_MESH,
+               "corrector": {"mode": "iterate", "tol": 1e-10}}, 4),
+], ids=["unwritable-csv", "full-disk-csv", "study-error", "pencil", "ladder-blow-up",
+        "blow-up", "corrector-failure"])
+def test_no_exit_path_leaves_a_child(tmp_path, command, config, code):
+    if config.get("outputs", {}).get("trajectory_csv") == "/dev/full" \
+            and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    path = write_config(tmp_path, config)
+    fresh = fresh_python(["-m", "pencildae.cli", command, path, "--quiet"], cwd=tmp_path,
+                         capture_output=True, text=True)   # relative outputs land in tmp_path
+    assert fresh.returncode == code and fresh.stderr.count("\n") == 1, fresh.stderr
+    assert "Traceback" not in fresh.stderr
+    assert processes_of(path) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_an_interrupted_study_leaves_no_child(tmp_path):
+    # SIGINT to the command alone, once its child solves the finest level
+    config = dict(LADDER, mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 4000},
+                  study={"refinements": 6})
+    path = write_config(tmp_path, config)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "pencildae.cli", "converge", path,
+                             "--out-dir", str(tmp_path), "--quiet"], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(processes_of(path)) < 2 and proc.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=60) != 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert processes_of(path) == []

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -41,16 +42,20 @@ def euler_decay_error_oracle(base_n, refinements):
 
 
 @pytest.fixture
-def ladder_steps(monkeypatch):
-    """The step counts of the meshes empirical_order solves, in order."""
-    steps = []
+def ladder_steps(monkeypatch, tmp_path):
+    """A function that returns the (step count, process id) of each mesh
+    empirical_order has solved, sorted: the solves append to a file, so a
+    forked child's are seen too."""
+    log = tmp_path / "ladder_steps.txt"
+    log.touch()
 
     def counting_solve(dae, decomp, mesh, x0, config):
-        steps.append(mesh.n_steps)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{mesh.n_steps} {os.getpid()}\n")
         return solve(dae, decomp, mesh, x0, config)
 
     monkeypatch.setattr(diagnostics, "solve", counting_solve)
-    return steps
+    return lambda: sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
 
 
 class TestEmpiricalOrder:
@@ -122,8 +127,11 @@ class TestEmpiricalOrder:
         config = SolverConfig(method=Method.METHOD2, tol=tol)
         estimate = empirical_order(dae, decomp, base, x0, refinements=refinements,
                                    config=config)
+        # the finest level is solved once, in a forked child, the others in the caller
         levels = [*range(refinements - 1), refinements]
-        assert ladder_steps == [20 * 2 ** level for level in levels]
+        solved = ladder_steps()
+        assert [steps for steps, _ in solved] == [20 * 2 ** level for level in levels]
+        assert [pid == os.getpid() for _, pid in solved] == [True] * (refinements - 1) + [False]
 
         nodes = np.arange(21)
         ref = solve(dae, decomp, base.refined(2 ** refinements), x0, config)
@@ -152,21 +160,40 @@ class TestEmpiricalOrder:
         reference = trajectory_from_states(base, np.exp(-base.times())[:, None], decomp)
         estimate = empirical_order(dae, decomp, base, np.array([1.0]), refinements=4,
                                    reference=reference)
-        assert ladder_steps == [10, 20, 40, 80, 160]
+        assert [steps for steps, _ in ladder_steps()] == [10, 20, 40, 80, 160]
         assert len(estimate.step_sizes) == 5
 
-    def test_blow_up_at_the_finest_level_names_its_h(self, ladder_steps):
-        # f kicks the state past the threshold at t = 1/80, a node of level 3 alone
+    @staticmethod
+    def kicked_ladder(kick: float):
+        """A refinements=3 ladder on [0, 1] from 10 steps whose f kicks the state
+        past the blow-up threshold at t = ``kick``; returns its LadderSolveError."""
         pencil = MatrixPencil(a=np.eye(1), b=np.eye(1))
         dae = SemilinearDAE(pencil=pencil,
-                            f=lambda t, x: np.array([1e12 if t == 0.0125 else 0.0]),
+                            f=lambda t, x: np.array([1e12 if t == kick else 0.0]),
                             jac_f=lambda t, x: np.zeros((1, 1)))
         with pytest.raises(LadderSolveError) as info:
             empirical_order(dae, projectors_algebraic(pencil), Mesh(0.0, 1.0, 10),
                             np.array([1.0]), refinements=3)
-        assert ladder_steps == [10, 20, 80]
-        assert info.value.h == 1.0 / 80
         assert info.value.status.outcome is SolveOutcome.BLOW_UP
+        return info.value
+
+    def test_blow_up_at_the_finest_level_names_its_h(self, ladder_steps):
+        # t = 1/80 is a node of level 3 alone: the child's solve of it fails,
+        # so the caller solves it again and raises that failure
+        assert self.kicked_ladder(0.0125).h == 1.0 / 80
+        solved = ladder_steps()
+        assert [steps for steps, pid in solved if pid == os.getpid()] == [10, 20, 80]
+        assert [steps for steps, pid in solved if pid != os.getpid()] == [80]
+
+    def test_blow_up_at_a_coarse_level_is_named_first(self, ladder_steps):
+        # t = 1/20 is a node of levels 1 to 3: level 1 fails in the caller, which
+        # names it and kills the child before the finest level is read
+        assert self.kicked_ladder(0.05).h == 1.0 / 20
+        solved = ladder_steps()
+        assert [steps for steps, pid in solved if pid == os.getpid()] == [10, 20]
+        assert [steps for steps, pid in solved if pid != os.getpid()] in ([], [80])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_refinements_floor(self, scalar_decay):
         dae, decomp = scalar_decay
@@ -174,6 +201,28 @@ class TestEmpiricalOrder:
             with pytest.raises(ValueError, match="^refinements must be an integer in \\[3, "):
                 empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]),
                                 refinements=refinements)
+
+    @pytest.mark.parametrize("n_steps, refinements, refused", [
+        (10, 10**18, True),
+        (10, 60, True),     # 10 * 2**60 > sys.maxsize: the smallest refused
+        (10, 59, False),    # 10 * 2**59 < sys.maxsize: the largest accepted
+        (2**59, 4, True),
+        (2**59 - 1, 4, False),
+    ])
+    def test_refinements_past_the_largest_mesh(self, scalar_decay, monkeypatch, ladder_steps,
+                                               n_steps, refinements, refused):
+        # refused before any solve or fork; an accepted ladder gets as far as its
+        # first solve, which is stopped here (it would need far too much memory)
+        dae, decomp = scalar_decay
+        monkeypatch.setattr(Mesh, "times", lambda mesh: pytest.fail("solved"))
+        expected = (pytest.raises(ValueError, match="^refinements must keep n_steps") if refused
+                    else pytest.raises(pytest.fail.Exception, match="^solved$"))
+        with expected:
+            empirical_order(dae, decomp, Mesh(0.0, 1.0, n_steps), np.array([1.0]),
+                            refinements=refinements)
+        assert (ladder_steps() == []) == refused
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_json_serialization(self, scalar_decay):
         dae, decomp = scalar_decay

@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +13,7 @@ from pencildae import (InconsistentInitialStateError, MatrixPencil, Mesh, Method
                        consistent_initialize, get_preset, jacobian, method1_solve,
                        method2_solve, projectors_algebraic, solve)
 from pencildae.dae_model import X2Newton
-from pencildae.integrators import _row_norms
+from pencildae.integrators import _in_child, _row_norms
 
 from conftest import random_index1_pencil
 from reference_stepper import reference_solve
@@ -648,3 +652,89 @@ class TestEvaluationCounts:
                              preset.x0)
         assert traj.status.completed
         assert counts == {"f": 301, "jac": 0}
+
+
+class TestInChild:
+    """``_in_child``: a forked child's value, else the caller's own work."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_child_value_is_the_in_process_value(self):
+        work = lambda: (os.getpid(), np.linspace(0.0, 1.0, 7) / 3.0)  # noqa: E731
+        with _in_child(work) as result:
+            caller_pid, own = work()
+            child_pid, value = result()
+        assert child_pid != caller_pid == os.getpid()
+        assert value.tobytes() == own.tobytes()
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("in_child", [
+        lambda: 1 / 0,
+        lambda: os._exit(3),
+        lambda: os.kill(os.getpid(), signal.SIGKILL),
+        lambda: lambda: None,   # a value that cannot be pickled
+    ], ids=["raises", "exit3", "sigkill", "unpicklable"])
+    @pytest.mark.parametrize("caller_raises", [False, True])
+    def test_a_child_without_a_value_leaves_the_work_to_the_caller(
+            self, capfd, in_child, caller_raises):
+        parent = os.getpid()
+
+        def work():
+            if os.getpid() != parent:
+                return in_child()
+            if caller_raises:
+                raise LookupError("the caller's own error")
+            return "the caller's own value"
+
+        with _in_child(work) as result:
+            if caller_raises:
+                with pytest.raises(LookupError, match="^the caller's own error$"):
+                    result()
+            else:
+                assert result() == "the caller's own value"
+        self.assert_no_child_left()
+        assert capfd.readouterr() == ("", "")   # the child printed no traceback
+
+    def slow_in_child(self):
+        parent = os.getpid()
+        return lambda: time.sleep(60) if os.getpid() != parent else "caller"
+
+    def test_leaving_the_block_by_an_exception_kills_the_child(self):
+        start = time.monotonic()
+        with pytest.raises(RuntimeError):
+            with _in_child(self.slow_in_child()):
+                raise RuntimeError
+        self.assert_no_child_left()
+        assert time.monotonic() - start < 30
+
+    def test_an_interrupt_while_joining_kills_the_child(self):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        start, previous = time.monotonic(), signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(KeyboardInterrupt):
+                with _in_child(self.slow_in_child()) as result:
+                    result()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        self.assert_no_child_left()
+        assert time.monotonic() - start < 30
+
+    def test_no_child_with_a_second_thread(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with _in_child(os.getpid) as result:
+                assert result() == os.getpid()
+        finally:
+            release.set()
+            thread.join()
+        with _in_child(os.getpid) as result:   # the thread is gone: a child again
+            assert result() != os.getpid()

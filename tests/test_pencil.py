@@ -1,10 +1,12 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from pencildae import (ContourSolveFailedError, DecompositionFailedError,
-                       IndexTooHighError, MatrixPencil,
+                       IndexTooHighError, MatrixPencil, get_preset,
                        NotRegularError, PencilIndex, PoleOnContourError, classify_index,
                        projectors_algebraic, projectors_residue,
                        regularity_probe, validate_decomposition)
@@ -56,6 +58,35 @@ class TestMatrixPencil:
         p = identity_pencil()
         with pytest.raises(ValueError):
             p.a[0, 0] = 5.0
+
+
+    def test_stores_its_norms_out_of_repr_and_equality(self):
+        p = MatrixPencil(a=np.diag([3.0, 0.0]), b=np.array([[0.0, 2.0], [1.0, 0.0]]))
+        assert (p.a_norm, p.b_norm) == (3.0, 2.0)
+        assert "norm" not in repr(p)
+        assert [f.name for f in dataclasses.fields(p) if f.compare] == ["a", "b"]
+
+    @pytest.mark.parametrize("command, config", [
+        ("projectors", {"model": "sec5_cubic"}),
+        ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 100}}),
+    ])
+    def test_each_2_norm_is_computed_once(self, tmp_path, monkeypatch, command, config):
+        # one SVD of A and one of B per pencil, in __post_init__, for a whole command
+        from pencildae import cli
+        norm, seen = np.linalg.norm, []
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                seen.append(np.asarray(x).tobytes())
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([command, str(path), "--out-dir", str(tmp_path), "--quiet"]) == 0
+        pen = get_preset("sec5_cubic").dae.pencil
+        assert seen[2:] == [pen.a.tobytes(), pen.b.tobytes()]  # the preset just built
+        assert seen[:2] == seen[2:]   # the one the command built
 
 
 class TestRegularityProbe:
