@@ -15,14 +15,15 @@ non-finite mesh step, a mesh too large to allocate), an initial state that is
 not consistent or from which none is found (``InconsistentInitialStateError``),
 or a study whose errors underflow the measurable floor; 2: a pencil
 that is not regular, has index > 1, or whose projectors fail; 3: blow-up of a
-finite state; 4: corrector failure or a non-finite state.  Exits 3 and 4 write
-their outputs, then their line.
+finite state; 4: corrector failure or a non-finite state; 130: a SIGINT
+(``KeyboardInterrupt``).  Exits 3 and 4 write their outputs, then their line.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -33,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dae_model, diagnostics, model_library, pencil
-from .integrators import (Mesh, Method, SolveOutcome, SolverConfig, _blocks, _in_child,
-                          _row_norms, solve)
+from .integrators import (Mesh, Method, SolveOutcome, SolverConfig, _in_child, _row_norms,
+                          solve)
 
 __all__ = ["main", "run", "load_config"]
 
@@ -56,6 +57,7 @@ EXIT_CONFIG = 1
 EXIT_PENCIL = 2
 EXIT_BLOW_UP = 3
 EXIT_CORRECTOR = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _NAMED = "{0.__class__.__name__}: {0}"
 # How every way a run can end is reported: (exit code, stderr line formatted
@@ -72,6 +74,7 @@ _EXITS = {
     pencil.PencilError: (EXIT_PENCIL, "pencil error: " + _NAMED),
     SolveOutcome.BLOW_UP: (EXIT_BLOW_UP, "blow-up: {0}"),
     SolveOutcome.CORRECTOR_FAILED: (EXIT_CORRECTOR, "corrector failure: {0}"),
+    KeyboardInterrupt: (EXIT_INTERRUPTED, "interrupted"),  # SIGINT
 }
 _FAILURES = tuple(key for key in _EXITS if isinstance(key, type))
 _DONE = (SolveOutcome.COMPLETED, None)
@@ -286,25 +289,35 @@ def _output_paths(config: dict, out_dir: str | None):
     return csv_path, json_path
 
 
-def _write_trajectory_csv(path: Path, traj) -> None:
-    n = traj.z_history.shape[1]
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + \
-        ",z_norm,u_norm,constraint_residual\n"
-    row = ",".join(["%.17g"] * (n + 4)) + "\n"
+def _csv_rows(traj, rows: slice) -> bytes:
+    """The CSV rows of the nodes ``rows``, ASCII: one %-format per block, not per row."""
+    z, u = traj.z_history[rows], traj.u_rows(rows)
+    block = np.column_stack((traj.times[rows], z + u, _row_norms(z), _row_norms(u),
+                             traj.residuals[rows]))
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row * len(block) % tuple(block.ravel().tolist())).encode()
 
-    def text(rows):  # one %-format per block, not per row
-        z, u = traj.z_history[rows], traj.u_rows(rows)
-        block = np.column_stack((traj.times[rows], z + u, _row_norms(z), _row_norms(u),
-                                 traj.residuals[rows]))
-        return (row * len(block) % tuple(block.ravel().tolist())).encode()
-    blocks = [*_blocks(len(traj))]
-    half = len(blocks) // 2  # a child formats blocks[half:] if there are 2 or more
-    back = lambda: b"".join(map(text, blocks[half:]))  # noqa: E731
-    with (_in_child(back) if half else contextlib.nullcontext(back)) as back_text, \
-            open(path, "wb") as fh:  # ASCII: its bytes are its UTF-8 with LF line ends
-        fh.write(header.encode())
-        fh.writelines(map(text, blocks[:half]))
-        fh.write(back_text())
+
+def _csv_writer(path: Path):
+    """The trajectory CSV, as a generator primed by ``next``: each ``send((traj, rows))``
+    of a closed block (``solve``'s ``on_block``) writes the block before it and forks a
+    child to format ``rows`` while the solve goes on; ``send((traj, None))`` writes the
+    rest.  So one child is alive at a time and one block's bytes are held; ``close()``
+    kills a child not yet joined.  The file is opened at the first ``send``."""
+    traj, rows = yield
+    done, rest = 0, None                          # rows handed to a child; the rest's bytes
+    with open(path, "wb") as fh:  # ASCII: its bytes are its UTF-8 with LF line ends
+        fh.write(("t," + ",".join(f"x{i + 1}" for i in range(traj.z_history.shape[1]))
+                  + ",z_norm,u_norm,constraint_residual\n").encode())
+        while rows is not None:  # partial: a fallback runs after traj and rows are rebound
+            with _in_child(functools.partial(_csv_rows, traj, rows)) as text:
+                done = rows.stop
+                traj, rows = yield
+                if rows is None:  # formatted while the last child may still run
+                    rest = _csv_rows(traj, slice(done, len(traj)))
+                fh.write(text())
+        fh.write(_csv_rows(traj, slice(done, len(traj))) if rest is None else rest)
+    yield
 
 
 def _finite_or_none(node):
@@ -333,12 +346,14 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
     preset, decomp, mesh, solver_config, x0 = _set_up(config)
     csv_path, json_path = _output_paths(config, out_dir)
 
-    start = time.perf_counter()
-    traj = solve(preset.dae, decomp, mesh, x0, solver_config)
-    wall = time.perf_counter() - start
-
-    _write_trajectory_csv(csv_path, traj)
-    max_norm = traj.max_norm
+    with contextlib.closing(_csv_writer(csv_path)) as csv:
+        next(csv)
+        start = time.perf_counter()
+        traj = solve(preset.dae, decomp, mesh, x0, solver_config,
+                     on_block=lambda traj, rows: csv.send((traj, rows)))
+        wall = time.perf_counter() - start
+        max_norm = traj.max_norm                  # while the last child may still run
+        csv.send((traj, None))
     summary = {
         "model": preset.preset_id,
         "method": solver_config.method.value,

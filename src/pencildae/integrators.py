@@ -12,6 +12,9 @@ component u and differ in the update of the differential component z:
 A single solve is strictly sequential; distinct solves share the immutable
 problem objects and may run concurrently: ``_in_child`` runs one of them in a
 forked child (on Linux, with one Python thread; else, or on failure, in process).
+A solve steps through its mesh in blocks of ``_BLOCK`` nodes and hands each block
+that closes before the run's end to its ``on_block`` hook, so a caller can work on
+the finished rows (the CLI has a child format them) while the steps go on.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class Trajectory:
         return self.state_rows([-1])[0]
 
 
-_BLOCK = 4096  # nodes per block of a pass over a run (residuals, norms, CSV rows)
+_BLOCK = 4096  # nodes per block of a run: of its steps, residuals, norms and CSV rows
 
 
 def _blocks(count: int):  # slices of at most _BLOCK nodes covering nodes 0..count-1
@@ -256,8 +259,16 @@ def _stopped(x: np.ndarray, i: int, node_t: memoryview) -> tuple[SolveStatus, in
 
 
 def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
-          config: SolverConfig) -> Trajectory:
-    """Integrate from ``x0`` on ``mesh`` by the scheme of ``config.method``."""
+          config: SolverConfig, *, on_block=None) -> Trajectory:
+    """Integrate from ``x0`` on ``mesh`` by the scheme of ``config.method``.
+
+    The steps run in blocks of ``_BLOCK`` nodes, and a block's residuals are formed
+    when it closes.  ``on_block(traj, rows)``, if given, is then called with each
+    block that closes while the run goes on: every row of ``traj`` (over the run's
+    arrays, its ``status`` not yet known) before ``rows.stop`` is final, and the rows
+    after the last block handed on are final once ``solve`` returns.  What the hook
+    raises propagates unchanged.
+    """
     leapfrog = config.method is Method.METHOD2
     n = dae.n
     x0 = np.asarray(x0, dtype=float)
@@ -273,6 +284,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     f = dae.f
     jac = jacobian_function(dae)
     n_steps = mesh.n_steps
+    nodes = n_steps + 1
     # squared once; capped so that an infinite state still fails the test
     thr2 = min(config.blow_up_threshold * config.blow_up_threshold, sys.float_info.max)
     tol, max_iter = config.tol, config.max_iter
@@ -288,9 +300,12 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
 
     times = mesh.times()
     node_t = memoryview(times)                    # its items are Python floats
-    z_hist = np.empty((n_steps + 1, n))
-    coords = np.empty(n_steps + 1 if newton.scalar else (n_steps + 1, newton.k))
-    f_values = np.empty((n_steps + 1, n))        # f(t_i, x_i) of the z-steps
+    z_hist = np.empty((nodes, n))
+    coords = np.empty(nodes if newton.scalar else (nodes, newton.k))
+    f_block = np.empty((min(_BLOCK, nodes), n))   # f(t_i, x_i) of the open block's z-steps
+    status = SolveStatus(SolveOutcome.COMPLETED)  # provisional: the hook sees it
+    traj = Trajectory(times, z_hist, coords.reshape(nodes, newton.k), decomp.x2_basis,
+                      np.full(nodes, np.inf), status, mesh)
 
     z = decomp.p1 @ x0
     c = newton.basis.T @ (decomp.p2 @ x0)
@@ -300,57 +315,65 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
 
     # the split initial point must lie on the constraint manifold
     try:
-        fi = f_values[0] = f(mesh.t0, x)
+        fi = f_block[0] = f(mesh.t0, x)
     except _MODEL_ERRORS as exc:
         raise _initial_failure(exc) from exc
-    res0 = float(_node_residuals(b_mat, q2, x[None], f_values[:1])[0])
+    res0 = float(_node_residuals(b_mat, q2, x[None], f_block[:1])[0])
     init_tol = _INIT_RESIDUAL_RTOL * (1.0 + dae.pencil.b_norm) * \
         (1.0 + float(_row_norms(x0[None])[0]))
     if not res0 <= init_tol:
         raise InconsistentInitialStateError(
             f"initial constraint residual {res0:.3e} exceeds tolerance {init_tol:.3e}")
 
-    status = SolveStatus(SolveOutcome.COMPLETED)
     last = n_steps                                # the last node computed
     known = 1                                     # leading nodes with their f stored
     z_prev = fc = None                            # fc: f at the newest node, if known
-    # a singular k > 1 Newton matrix sets the invalid flag (its NaN step fails the step)
-    with np.errstate(invalid="ignore"):
-        try:
-            for i in range(n_steps):
-                if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                    status, last = _stopped(x, i, node_t)
-                    break
-                if i:
-                    fi = f_values[i] = f(node_t[i], x) if fc is None else fc
-                    known = i + 1
-                if leapfrog and i:
-                    z_next = z_prev + leap_drive(fi) - leap_decay(z)
+    for rows in _blocks(nodes):
+        start = rows.start
+        # a singular k > 1 Newton matrix sets the invalid flag (its NaN step fails the step)
+        with np.errstate(invalid="ignore"):
+            try:
+                for j, i in enumerate(range(start, min(rows.stop, n_steps))):
+                    if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
+                        status, last = _stopped(x, i, node_t)
+                        break
+                    if i:
+                        fi = f_block[j] = f(node_t[i], x) if fc is None else fc
+                        known = i + 1
+                    if leapfrog and i:
+                        z_next = z_prev + leap_drive(fi) - leap_decay(z)
+                    else:
+                        z_next = euler(z) + drive(fi)
+                    c, u, x, fc = correct(f, jac, node_t[i + 1], z_next, c, u, tol, max_iter)
+                    z_prev, z = z, z_next
+                    z_hist[i + 1], coords[i + 1] = z, c
                 else:
-                    z_next = euler(z) + drive(fi)
-                c, u, x, fc = correct(f, jac, node_t[i + 1], z_next, c, u, tol, max_iter)
-                z_prev, z = z, z_next
-                z_hist[i + 1], coords[i + 1] = z, c
-            else:
-                if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                    status, last = _stopped(x, n_steps, node_t)
-        except _STEP_ERRORS:  # the step to node i + 1 failed; node i is kept
-            status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
-            last = i
+                    if rows.stop == nodes and not x.dot(x) <= thr2 and \
+                            not _norm(x) <= config.blow_up_threshold:
+                        status, last = _stopped(x, n_steps, node_t)
+            except _STEP_ERRORS:  # the step to node i + 1 failed; node i is kept
+                status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
+                last = i
+        if last < rows.stop:  # the run ended in this block
+            break
+        traj.residuals[rows] = _node_residuals(b_mat, q2, traj.state_rows(rows), f_block)
+        if on_block is not None:
+            on_block(traj, rows)
 
-    if last < n_steps:  # truncated at the offending node, never padded
-        times, z_hist, coords = (a[:last + 1].copy() for a in (times, z_hist, coords))
-    traj = Trajectory(times, z_hist, coords.reshape(last + 1, newton.k), decomp.x2_basis,
-                      np.full(last + 1, np.inf), status, mesh)
     if known == last:
         try:  # f may overflow at an exploded state; its residual is then inf
-            f_values[last] = f(node_t[last], traj.final_state) if fc is None else fc
+            f_block[last - start] = f(node_t[last], traj.state_rows([last])[0]) \
+                if fc is None else fc
             known += 1
         except _MODEL_ERRORS:
             pass
-    for rows in _blocks(known):
-        traj.residuals[rows] = _node_residuals(b_mat, q2, traj.state_rows(rows), f_values[rows])
-    return traj
+    rows = slice(start, known)                    # the open block, closed once
+    traj.residuals[rows] = _node_residuals(b_mat, q2, traj.state_rows(rows),
+                                           f_block[:known - start])
+    if last < n_steps:  # truncated at the offending node, never padded
+        traj = replace(traj, **{name: getattr(traj, name)[:last + 1].copy()
+                                for name in ("times", "z_history", "coords", "residuals")})
+    return replace(traj, status=status)
 
 
 def method1_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pencildae import PRESET_IDS, cli, diagnostics, get_preset
+from pencildae import PRESET_IDS, cli, diagnostics, get_preset, integrators
 from pencildae.integrators import _BLOCK, _row_norms
 from pencildae.integrators import _in_child as cli_in_child
 
@@ -395,22 +395,52 @@ def per_value_csv(path, traj):
             fh.write(",".join(row) + "\n")
 
 
+def children_of(pid: int) -> list:
+    """The ids of the processes, zombies included, whose parent is ``pid``."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc") if os.path.isdir("/proc") else ()):
+        with contextlib.suppress(OSError):   # the name may hold ") ": ppid follows the last
+            if int(Path(f"/proc/{entry}/stat").read_bytes().rsplit(b")", 1)[1].split()[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def solve_in_process(tmp_path, monkeypatch, **config):
+    """Run ``solve`` in process; check its CSV against ``per_value_csv`` of the trajectory
+    it solved and that no child is left.  Returns the exit code, the trajectory and, for
+    each formatter child, how many children the command had right after forking it."""
+    trajs, alive = [], []
+    real_solve = cli.solve
+
+    def solve(*args, **kwargs):
+        trajs.append(real_solve(*args, **kwargs))
+        return trajs[-1]
+
+    @contextlib.contextmanager
+    def in_child(work):
+        with cli_in_child(work) as result:
+            alive.append(len(children_of(os.getpid())))
+            yield result
+    monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(cli, "_in_child", in_child)
+    code = cli.main(["solve", write_config(tmp_path, base_solve_config(tmp_path, **config)),
+                     "--quiet"])
+    traj, = trajs
+    per_value_csv(tmp_path / "old.csv", traj)
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, traj, alive
+
+
 class TestTrajectoryCsv:
-    def assert_same_bytes(self, tmp_path, traj, monkeypatch=None):
-        # with ``monkeypatch``, also check that a run of 2 or more blocks has its
-        # back half formatted by a forked child, and a shorter one no child
-        children = []
-        if monkeypatch is not None:
-            def in_child(work):
-                children.append(work)
-                return cli_in_child(work)
-            monkeypatch.setattr(cli, "_in_child", in_child)
-        cli._write_trajectory_csv(tmp_path / "new.csv", traj)
+    def assert_same_bytes(self, tmp_path, traj):
+        # a finished trajectory, written in process as the one block after the solve
+        with contextlib.closing(cli._csv_writer(tmp_path / "new.csv")) as csv:
+            next(csv)
+            csv.send((traj, None))
         per_value_csv(tmp_path / "old.csv", traj)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        assert len(children) == (monkeypatch is not None and len(traj) > _BLOCK)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_extreme_values(self, tmp_path):
@@ -448,32 +478,51 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("n_steps", [4095, 4096, 8192, 50000])
     def test_block_boundaries(self, tmp_path, monkeypatch, n_steps):
         # exactly one full block of integrators._BLOCK rows, then one row more
-        # (two blocks), three blocks and the 13 blocks of a 50 000-step run
-        from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
-        preset = get_preset("sec5_cubic")
-        traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
-                             Mesh(0.0, 1.0, n_steps), preset.x0)
-        assert len(traj) == n_steps + 1 and _BLOCK == 4096
-        self.assert_same_bytes(tmp_path, traj, monkeypatch)
+        # (two blocks), three blocks and the 13 blocks of a 50 000-step run: a
+        # child formats each block but the last, one child alive at a time
+        code, traj, alive = solve_in_process(tmp_path, monkeypatch,
+                                             mesh={"t0": 0.0, "t_end": 1.0, "n_steps": n_steps})
+        assert code == 0 and len(traj) == n_steps + 1 and _BLOCK == 4096
+        assert alive == [1] * (n_steps // _BLOCK)
 
     def test_truncated_blow_up_run_across_a_block_boundary(self, tmp_path, monkeypatch):
-        from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
-        preset = get_preset("sec6_blowup")
-        traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
-                             Mesh(0.0, 0.2, 20000), preset.x0)
-        assert traj.status.outcome.value == "blow_up"
-        assert _BLOCK < len(traj) < 2 * _BLOCK
-        self.assert_same_bytes(tmp_path, traj, monkeypatch)
+        code, traj, alive = solve_in_process(tmp_path, monkeypatch, model="sec6_blowup",
+                                             mesh={"t0": 0.0, "t_end": 0.2, "n_steps": 20000})
+        assert code == 3 and traj.status.outcome.value == "blow_up"
+        assert _BLOCK < len(traj) < 2 * _BLOCK and alive == [1]
 
     def test_corrector_failure_across_a_block_boundary(self, tmp_path, monkeypatch):
-        from pencildae import (Mesh, SolverConfig, get_preset, projectors_algebraic,
-                               solve as library_solve)
-        preset = get_preset("sec6_blowup")
-        traj = library_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
-                             Mesh(0.0, 0.2, 20000), preset.x0, SolverConfig(tol=1e-10))
-        assert traj.status.outcome.value == "corrector_failed"
-        assert _BLOCK < len(traj) < 2 * _BLOCK
-        self.assert_same_bytes(tmp_path, traj, monkeypatch)
+        code, traj, alive = solve_in_process(
+            tmp_path, monkeypatch, model="sec6_blowup",
+            mesh={"t0": 0.0, "t_end": 0.2, "n_steps": 20000},
+            corrector={"mode": "iterate", "tol": 1e-10, "max_iter": 50})
+        assert code == 4 and traj.status.outcome.value == "corrector_failed"
+        assert _BLOCK < len(traj) < 2 * _BLOCK and alive == [1]
+
+    def test_dozens_of_blocks_keep_one_child_alive(self, tmp_path, monkeypatch):
+        # 3001 nodes in blocks of 64: 46 children, each forked once the one
+        # before it is reaped, so never more than 2 (in fact 1) alive
+        monkeypatch.setattr(integrators, "_BLOCK", 64)
+        code, _, alive = solve_in_process(tmp_path, monkeypatch,
+                                          mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 3000})
+        assert code == 0 and alive == [1] * 46
+
+    @pytest.mark.parametrize("failure", ["raises", "sigkill"])
+    def test_a_child_without_rows_leaves_them_to_the_command(self, tmp_path, monkeypatch,
+                                                             capfd, failure):
+        parent, csv_rows = os.getpid(), cli._csv_rows
+
+        def rows_or_no_value(traj, rows):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise MemoryError
+                os.kill(os.getpid(), signal.SIGKILL)
+            return csv_rows(traj, rows)
+        monkeypatch.setattr(cli, "_csv_rows", rows_or_no_value)
+        code, _, alive = solve_in_process(tmp_path, monkeypatch,
+                                          mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 9000})
+        assert code == 0 and alive == [1, 1]
+        assert capfd.readouterr() == ("", "")   # no child printed a traceback
 
     def test_single_row(self, tmp_path):
         # a singular first correction keeps the initial node only
@@ -977,7 +1026,7 @@ def test_console_script_is_the_process_entry_point():
 
 
 # ---------------------------------------------------------------------------
-# converge and a run of 2 or more CSV blocks fork one child; it never outlives
+# converge forks one child, and a solve one per closed CSV block; none outlives
 # the command, whatever way the command ends
 
 def processes_of(marker: str) -> list:
@@ -1001,7 +1050,8 @@ LADDER = {"model": {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]],
 @pytest.mark.parametrize("command, config", [
     ("converge", LADDER),
     ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 9000}}),
-], ids=["converge", "solve-3-blocks"])
+    ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 50000}}),
+], ids=["converge", "solve-3-blocks", "solve-13-blocks"])
 def test_fresh_process_with_warnings_as_errors(tmp_path, command, config):
     # Python >= 3.12 warns of a fork in a process with a second OS thread (numpy's
     # BLAS pool); that warning alone is silenced, around the fork
@@ -1016,22 +1066,25 @@ BLOW_UP_MESH = {"t0": 0.0, "t_end": 0.2, "n_steps": 20000}   # stops after node 
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-@pytest.mark.parametrize("command, config, code", [
+@pytest.mark.parametrize("command, config, code, line", [
+    # both CSV rows fail while the solve runs, with the line of a failed write after it
     ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 9000},
-               "outputs": {"trajectory_csv": "missing/traj.csv"}}, 1),
+               "outputs": {"trajectory_csv": "missing/traj.csv"}},
+     1, "config error: [Errno 2] No such file or directory: 'missing/traj.csv'\n"),
     ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 9000},
-               "outputs": {"trajectory_csv": "/dev/full"}}, 1),
+               "outputs": {"trajectory_csv": "/dev/full"}},
+     1, "config error: [Errno 28] No space left on device\n"),
     ("converge", {"model": "sec5_cubic", "method": "method2", "study": {"refinements": 4},
-                  "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 100}}, 1),   # study error
-    ("projectors", {"model": {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 0]]}}, 2),
+                  "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 100}}, 1, None),   # study error
+    ("projectors", {"model": {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 0]]}}, 2, None),
     ("converge", {"model": "sec6_blowup", "study": {"refinements": 3},
-                  "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50}}, 3),
-    ("solve", {"model": "sec6_blowup", "mesh": BLOW_UP_MESH}, 3),
+                  "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 50}}, 3, None),
+    ("solve", {"model": "sec6_blowup", "mesh": BLOW_UP_MESH}, 3, None),
     ("solve", {"model": "sec6_blowup", "mesh": BLOW_UP_MESH,
-               "corrector": {"mode": "iterate", "tol": 1e-10}}, 4),
+               "corrector": {"mode": "iterate", "tol": 1e-10}}, 4, None),
 ], ids=["unwritable-csv", "full-disk-csv", "study-error", "pencil", "ladder-blow-up",
         "blow-up", "corrector-failure"])
-def test_no_exit_path_leaves_a_child(tmp_path, command, config, code):
+def test_no_exit_path_leaves_a_child(tmp_path, command, config, code, line):
     if config.get("outputs", {}).get("trajectory_csv") == "/dev/full" \
             and not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
@@ -1039,8 +1092,30 @@ def test_no_exit_path_leaves_a_child(tmp_path, command, config, code):
     fresh = fresh_python(["-m", "pencildae.cli", command, path, "--quiet"], cwd=tmp_path,
                          capture_output=True, text=True)   # relative outputs land in tmp_path
     assert fresh.returncode == code and fresh.stderr.count("\n") == 1, fresh.stderr
-    assert "Traceback" not in fresh.stderr
+    assert "Traceback" not in fresh.stderr and line in (None, fresh.stderr)
     assert processes_of(path) == []
+
+
+def interrupt_once_forked(tmp_path, command, config):
+    """Run ``command`` in a fresh process, send it one SIGINT once a forked child of
+    it runs, and return its exit code and stderr."""
+    path = write_config(tmp_path, config)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "pencildae.cli", command, path,
+                             "--out-dir", str(tmp_path), "--quiet"], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(processes_of(path)) < 2:
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert processes_of(path) == []
+    return proc.returncode, err
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
@@ -1048,19 +1123,11 @@ def test_an_interrupted_study_leaves_no_child(tmp_path):
     # SIGINT to the command alone, once its child solves the finest level
     config = dict(LADDER, mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 4000},
                   study={"refinements": 6})
-    path = write_config(tmp_path, config)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.Popen([sys.executable, "-m", "pencildae.cli", "converge", path,
-                             "--out-dir", str(tmp_path), "--quiet"], env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    try:
-        deadline = time.monotonic() + 60
-        while len(processes_of(path)) < 2 and proc.poll() is None:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=60) != 0
-    finally:
-        proc.kill()
-        proc.wait()
-    assert processes_of(path) == []
+    assert interrupt_once_forked(tmp_path, "converge", config) == (130, "interrupted\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_an_interrupted_solve_leaves_no_child(tmp_path):
+    # SIGINT to the command alone, once a child formats a block of its CSV
+    config = {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 200000}}
+    assert interrupt_once_forked(tmp_path, "solve", config) == (130, "interrupted\n")

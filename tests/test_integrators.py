@@ -12,6 +12,7 @@ from pencildae import (InconsistentInitialStateError, MatrixPencil, Mesh, Method
                        SemilinearDAE, SolveOutcome, SolverConfig, VoltageWaveform,
                        consistent_initialize, get_preset, jacobian, method1_solve,
                        method2_solve, projectors_algebraic, solve)
+from pencildae import integrators
 from pencildae.dae_model import X2Newton
 from pencildae.integrators import _in_child, _row_norms
 
@@ -605,6 +606,70 @@ class TestKernelEquivalence:
         with pytest.raises(InconsistentInitialStateError, match="ZeroDivisionError"):
             method1_solve(SemilinearDAE(pencil=pencil, f=f), decomp, Mesh(0.0, 1.0, 4),
                           np.array([1.0, 0.0]))
+
+
+def blocks_problem(name):
+    """(dae, decomp, mesh, x0, config) of a run that ends as ``name`` says, early or late."""
+    if name == "non-finite-node":   # node 2 is NaN: the run keeps nodes 0 and 1
+        pencil = MatrixPencil(a=np.array([[1.0, -1.0], [0.0, 1.0]]), b=np.eye(2))
+        f_mat = np.array([[0.0, 1e300], [0.0, -1e300]])
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: f_mat @ x, jac_f=lambda t, x: f_mat)
+        return (dae, projectors_algebraic(pencil), Mesh(0.0, 1.0, 4),
+                np.array([1e-150, 1e-150]), SolverConfig(blow_up_threshold=1e300))
+    preset = get_preset("sec6_blowup" if name in ("blow-up", "corrector-failure")
+                        else "sec5_cubic")
+    decomp = projectors_algebraic(preset.dae.pencil)
+    if name in ("blow-up", "corrector-failure"):   # at node ~40 of 100
+        return (preset.dae, decomp, Mesh(0.0, 0.2, 100), preset.x0,
+                SolverConfig(tol=1e-10 if name == "corrector-failure" else None))
+    method = Method.METHOD2 if name == "method2-iterate" else Method.METHOD1
+    return (preset.dae, decomp, Mesh(0.0, 1.0, 40), np.array([0.5, -0.5, 0.25]),
+            SolverConfig(method=method, tol=1e-12 if name == "method2-iterate" else None))
+
+
+class TestBlocks:
+    """The step loop's blocks of ``_BLOCK`` nodes and the ``on_block`` hook."""
+
+    OUTCOMES = {"method1": "completed", "method2-iterate": "completed", "blow-up": "blow_up",
+                "corrector-failure": "corrector_failed", "non-finite-node": "corrector_failed"}
+
+    @staticmethod
+    def rows_before(traj, stop):
+        return [a[:stop].tobytes() for a in (traj.times, traj.z_history, traj.coords,
+                                             traj.residuals)]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(OUTCOMES))
+    def test_block_size_changes_no_output(self, monkeypatch, name, block):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = solve(*blocks_problem(name))
+            monkeypatch.setattr(integrators, "_BLOCK", block)
+            seen = []
+            got = solve(*blocks_problem(name), on_block=lambda traj, rows: seen.append(
+                (rows, self.rows_before(traj, rows.stop))))
+        assert got.status == want.status and got.status.outcome.value == self.OUTCOMES[name]
+        assert self.rows_before(got, None) == self.rows_before(want, None)
+        # each block that closed before the run's end, in order, with its rows final
+        assert [rows for rows, _ in seen] == [slice(i * block, (i + 1) * block)
+                                              for i in range(len(seen))]
+        assert 0 <= len(got) - len(seen) * block <= block
+        for rows, before in seen:
+            assert before == self.rows_before(got, rows.stop)
+
+    def test_an_error_of_the_hook_propagates_unchanged(self, sec5_preset, sec5_decomp):
+        # raised outside the step's except: not a corrector failure
+        def hook(traj, rows):
+            raise ValueError("I/O operation on closed file.")
+        with pytest.raises(ValueError, match=r"^I/O operation on closed file\.$"):
+            solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 9000), sec5_preset.x0,
+                  SolverConfig(), on_block=hook)
+
+    def test_no_hook_forks_nothing(self, monkeypatch, sec5_preset, sec5_decomp):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        traj = solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 9000), sec5_preset.x0,
+                     SolverConfig())
+        assert traj.status.completed and forks == []
 
 
 class TestEvaluationCounts:
