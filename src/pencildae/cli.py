@@ -17,6 +17,8 @@ or a study whose errors underflow the measurable floor; 2: a pencil
 that is not regular, has index > 1, or whose projectors fail; 3: blow-up of a
 finite state; 4: corrector failure or a non-finite state; 130: a SIGINT
 (``KeyboardInterrupt``).  Exits 3 and 4 write their outputs, then their line.
+Importing this module loads the standard library only; ``main`` imports numpy and
+the library layers a command runs (``_LAZY``), for ``validate`` none.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import json
 import math
 import os
@@ -31,13 +34,22 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import dae_model, diagnostics, model_library, pencil
-from .integrators import (Mesh, Method, SolveOutcome, SolverConfig, _in_child, _row_norms,
-                          solve)
+from . import MAX_NODE_COUNT
 
 __all__ = ["main", "run", "load_config"]
+
+# name: module or "module:attribute", a global bound here on first use (PEP 562)
+_LAZY = {"np": "numpy", "pencil": ".pencil", "dae_model": ".dae_model",
+         "model_library": ".model_library", "integrators": ".integrators",
+         "diagnostics": ".diagnostics", "solve": ".integrators:solve"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attribute = _LAZY[name].partition(":")
+    value = importlib.import_module(module, __package__)
+    return globals().setdefault(name, getattr(value, attribute) if attribute else value)
 
 
 class ConfigError(Exception):
@@ -60,24 +72,24 @@ EXIT_CORRECTOR = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _NAMED = "{0.__class__.__name__}: {0}"
-# How every way a run can end is reported: (exit code, stderr line formatted
-# with the exception or the command's detail).  An exception takes the row of
-# the first class in its MRO that has one; a command that returns names its
-# solve outcome.
+_key = "{0.__module__}.{0.__qualname__}".format  # an exception class's key in _EXITS
+# How every way a run can end is reported: (exit code, stderr line formatted with the
+# exception or the command's detail).  An exception takes the row of the first class
+# in its MRO whose ``_key`` has one (a library class is named, not imported); a command
+# that returns names the value of its solve outcome.
 _EXITS = {
-    SolveOutcome.COMPLETED: (EXIT_OK, None),
-    ConfigError: (EXIT_CONFIG, "config error: {0}"),
-    OSError: (EXIT_CONFIG, "config error: {0}"),  # an output path that cannot be written
-    MemoryError: (EXIT_CONFIG, "config error: {0}"),  # a mesh too large to allocate
-    dae_model.InconsistentInitialStateError: (EXIT_CONFIG, "initial-state error: {0}"),
-    diagnostics.DegenerateFitError: (EXIT_CONFIG, "study error: {0}"),
-    pencil.PencilError: (EXIT_PENCIL, "pencil error: " + _NAMED),
-    SolveOutcome.BLOW_UP: (EXIT_BLOW_UP, "blow-up: {0}"),
-    SolveOutcome.CORRECTOR_FAILED: (EXIT_CORRECTOR, "corrector failure: {0}"),
-    KeyboardInterrupt: (EXIT_INTERRUPTED, "interrupted"),  # SIGINT
+    "completed": (EXIT_OK, None),
+    _key(ConfigError): (EXIT_CONFIG, "config error: {0}"),
+    _key(OSError): (EXIT_CONFIG, "config error: {0}"),  # an output path that cannot be written
+    _key(MemoryError): (EXIT_CONFIG, "config error: {0}"),  # a mesh too large to allocate
+    "pencildae.dae_model.InconsistentInitialStateError": (EXIT_CONFIG, "initial-state error: {0}"),
+    "pencildae.diagnostics.DegenerateFitError": (EXIT_CONFIG, "study error: {0}"),
+    "pencildae.pencil.PencilError": (EXIT_PENCIL, "pencil error: " + _NAMED),
+    "blow_up": (EXIT_BLOW_UP, "blow-up: {0}"),
+    "corrector_failed": (EXIT_CORRECTOR, "corrector failure: {0}"),
+    _key(KeyboardInterrupt): (EXIT_INTERRUPTED, "interrupted"),  # SIGINT
 }
-_FAILURES = tuple(key for key in _EXITS if isinstance(key, type))
-_DONE = (SolveOutcome.COMPLETED, None)
+_DONE = ("completed", None)
 
 
 def _fail(where: str, reason: str):
@@ -170,7 +182,7 @@ _CONFIG = _object({
     "outputs": _object({"trajectory_csv": _string(), "summary_json": _string()}),
     "study": _object({"refinements": _number(3, integer=True)}, required=("refinements",)),
     "seed": _number(0, integer=True),
-    "projector_node_count": _number(8, integer=True, high=pencil.MAX_NODE_COUNT),
+    "projector_node_count": _number(8, integer=True, high=MAX_NODE_COUNT),
 }, required=("model",))
 
 
@@ -232,7 +244,7 @@ def _decompose(preset: model_library.ModelPreset, config: dict):
     return pencil.projectors_algebraic(pen)
 
 
-def _initial_state(config: dict, preset, decomp, mesh: Mesh) -> np.ndarray:
+def _initial_state(config: dict, preset, decomp, mesh: integrators.Mesh) -> np.ndarray:
     choice = config.get("initial_state", "preset_default")
     if choice == "preset_default":
         if preset.preset_id == "<inline>":
@@ -248,23 +260,23 @@ def _initial_state(config: dict, preset, decomp, mesh: Mesh) -> np.ndarray:
     return z0 + dae_model.consistent_initialize(preset.dae, decomp, mesh.t0, z0)
 
 
-def _mesh(config: dict) -> Mesh:
+def _mesh(config: dict) -> integrators.Mesh:
     if "mesh" not in config:
         _fail("mesh", "required for this command")
     m = config["mesh"]
     try:
-        return Mesh(t0=float(m["t0"]), t_end=float(m["t_end"]), n_steps=int(m["n_steps"]))
+        return integrators.Mesh(float(m["t0"]), float(m["t_end"]), int(m["n_steps"]))
     except ValueError as exc:
         raise ConfigError(f"config field 'mesh': {exc}") from exc
 
 
-def _solver_config(config: dict) -> SolverConfig:
+def _solver_config(config: dict) -> integrators.SolverConfig:
     corr_spec = config.get("corrector", {"mode": "single_step"})
     iterate = corr_spec["mode"] == "iterate"   # single_step ignores tol and max_iter
-    return SolverConfig(method=Method(config.get("method", "method1")),
-                        tol=float(corr_spec.get("tol", 1e-10)) if iterate else None,
-                        max_iter=int(corr_spec.get("max_iter", 50)),
-                        blow_up_threshold=float(config.get("blow_up_threshold", 1e6)))
+    return integrators.SolverConfig(method=integrators.Method(config.get("method", "method1")),
+                                    tol=float(corr_spec.get("tol", 1e-10)) if iterate else None,
+                                    max_iter=int(corr_spec.get("max_iter", 50)),
+                                    blow_up_threshold=float(config.get("blow_up_threshold", 1e6)))
 
 
 def _set_up(config: dict):
@@ -292,8 +304,8 @@ def _output_paths(config: dict, out_dir: str | None):
 def _csv_rows(traj, rows: slice) -> bytes:
     """The CSV rows of the nodes ``rows``, ASCII: one %-format per block, not per row."""
     z, u = traj.z_history[rows], traj.u_rows(rows)
-    block = np.column_stack((traj.times[rows], z + u, _row_norms(z), _row_norms(u),
-                             traj.residuals[rows]))
+    norms = integrators._row_norms
+    block = np.column_stack((traj.times[rows], z + u, norms(z), norms(u), traj.residuals[rows]))
     row = ",".join(["%.17g"] * block.shape[1]) + "\n"
     return (row * len(block) % tuple(block.ravel().tolist())).encode()
 
@@ -310,7 +322,7 @@ def _csv_writer(path: Path):
         fh.write(("t," + ",".join(f"x{i + 1}" for i in range(traj.z_history.shape[1]))
                   + ",z_norm,u_norm,constraint_residual\n").encode())
         while rows is not None:  # partial: a fallback runs after traj and rows are rebound
-            with _in_child(functools.partial(_csv_rows, traj, rows)) as text:
+            with integrators._in_child(functools.partial(_csv_rows, traj, rows)) as text:
                 done = rows.stop
                 traj, rows = yield
                 if rows is None:  # formatted while the last child may still run
@@ -349,7 +361,7 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
     with contextlib.closing(_csv_writer(csv_path)) as csv:
         next(csv)
         start = time.perf_counter()
-        traj = solve(preset.dae, decomp, mesh, x0, solver_config,
+        traj = solve(preset.dae, decomp, mesh, x0, solver_config,  # a wrapper on cli.solve runs
                      on_block=lambda traj, rows: csv.send((traj, rows)))
         wall = time.perf_counter() - start
         max_norm = traj.max_norm                  # while the last child may still run
@@ -367,8 +379,8 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
     _write_json(json_path, summary)
     _say(quiet, f"solve {preset.preset_id}: {traj.status.outcome.value}, "
                 f"max norm {max_norm:.6g}, wrote {csv_path} and {json_path}")
-    return traj.status.outcome, (f"solve {preset.preset_id} stopped at "
-                                 f"t={traj.times[-1]:.6g}, max norm {max_norm:.6g}")
+    return traj.status.outcome.value, (f"solve {preset.preset_id} stopped at "
+                                       f"t={traj.times[-1]:.6g}, max norm {max_norm:.6g}")
 
 
 def cmd_converge(config: dict, out_dir: str | None, quiet: bool):
@@ -395,7 +407,7 @@ def cmd_converge(config: dict, out_dir: str | None, quiet: bool):
         payload["ladder_failure"] = {"h": exc.h, "status": exc.status.to_json()}
         _write_json(json_path, payload)
         _say(quiet, f"converge {preset.preset_id}: ladder failed ({exc}), wrote {json_path}")
-        return exc.status.outcome, f"converge {preset.preset_id}: {exc}"
+        return exc.status.outcome.value, f"converge {preset.preset_id}: {exc}"
     payload.update(estimate.to_json())
     _write_json(json_path, payload)
     _say(quiet, f"converge {preset.preset_id}: z order "
@@ -444,12 +456,14 @@ def cmd_validate(config: dict, out_dir: str | None, quiet: bool):
     return _DONE
 
 
-# name: (command, help string), read by the parser and the dispatch alike
+# name: (command, help string, the _LAZY names it runs), read by the parser and dispatch
 _COMMANDS = {
-    "solve": (cmd_solve, "integrate a model and emit trajectory CSV + summary JSON"),
-    "converge": (cmd_converge, "run a mesh-refinement convergence study"),
-    "projectors": (cmd_projectors, "emit projectors, validation report and residue agreement"),
-    "validate": (cmd_validate, "check a config file against its contract and exit"),
+    "solve": (cmd_solve, "integrate a model and emit trajectory CSV + summary JSON",
+              ("np", "pencil", "dae_model", "model_library", "integrators", "solve")),
+    "converge": (cmd_converge, "run a mesh-refinement convergence study", tuple(_LAZY)),
+    "projectors": (cmd_projectors, "emit projectors, validation report and residue agreement",
+                   ("np", "pencil", "dae_model", "model_library")),
+    "validate": (cmd_validate, "check a config file against its contract and exit", ()),
 }
 
 
@@ -458,20 +472,25 @@ def main(argv=None) -> int:
         prog="pencildae",
         description="Semilinear DAE solver with spectral-projector reduction.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--out-dir", default=None, help="redirect output files here")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     try:
         args = parser.parse_args(argv)
+        command, _, names = _COMMANDS[args.command]
+        config = load_config(args.config)
+        for name in names:  # in the try, so a SIGINT while importing exits 130
+            __getattr__(name)
         # overflow and invalid-value warnings would add stray stderr lines; the
         # library's own finiteness checks decide every outcome
-        with np.errstate(all="ignore"):
-            outcome, detail = _COMMANDS[args.command][0](load_config(args.config),
-                                                         args.out_dir, args.quiet)
-    except _FAILURES as exc:
-        outcome = next(cls for cls in type(exc).__mro__ if cls in _EXITS)
+        with np.errstate(all="ignore") if names else contextlib.nullcontext():
+            outcome, detail = command(config, args.out_dir, args.quiet)
+    except BaseException as exc:
+        outcome = next((key for key in map(_key, type(exc).__mro__) if key in _EXITS), None)
+        if outcome is None:
+            raise
         detail = exc
     code, line = _EXITS[outcome]
     if line is not None and sys.stderr is not None:  # None: closed by 2>&-
@@ -490,7 +509,7 @@ def run() -> None:
         code = EXIT_CONFIG
         with contextlib.suppress(OSError):  # exit 1 silently if stderr fails too
             if sys.stderr is not None:
-                print(_EXITS[OSError][1].format(exc), file=sys.stderr, flush=True)
+                print(_EXITS[_key(OSError)][1].format(exc), file=sys.stderr, flush=True)
     os._exit(code)
 
 

@@ -19,6 +19,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import MAX_NODE_COUNT  # projectors_residue's most nodes; its rule converges geometrically
+
 __all__ = [
     "MatrixPencil", "PencilIndex", "SpectralDecomposition", "ValidationReport", "PencilError",
     "ResidueProjectors", "NotRegularError", "IndexTooHighError", "DecompositionFailedError",
@@ -35,8 +37,6 @@ _RANK_SAFETY = 50.0
 _SPLIT_TOL = 1e-8
 # sigma_min/sigma_max below which a probe point counts as a root of det
 _RCOND_FLOOR = 1e-10
-# Most quadrature nodes of projectors_residue; the rule converges geometrically
-MAX_NODE_COUNT = 2 ** 16
 # Complex entries (16 MB) per stacked inverse of projectors_residue's nodes
 _STACK_ENTRIES = 2 ** 20
 # fractional parts of the golden ratio and of sqrt(2) in 53-bit fixed point

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -422,7 +424,7 @@ def solve_in_process(tmp_path, monkeypatch, **config):
             alive.append(len(children_of(os.getpid())))
             yield result
     monkeypatch.setattr(cli, "solve", solve)
-    monkeypatch.setattr(cli, "_in_child", in_child)
+    monkeypatch.setattr(integrators, "_in_child", in_child)
     code = cli.main(["solve", write_config(tmp_path, base_solve_config(tmp_path, **config)),
                      "--quiet"])
     traj, = trajs
@@ -435,7 +437,10 @@ def solve_in_process(tmp_path, monkeypatch, **config):
 
 class TestTrajectoryCsv:
     def assert_same_bytes(self, tmp_path, traj):
-        # a finished trajectory, written in process as the one block after the solve
+        # a finished trajectory, written in process as the one block after the solve;
+        # the writer runs with the layers that main binds for solve
+        for name in cli._COMMANDS["solve"][2]:
+            getattr(cli, name)
         with contextlib.closing(cli._csv_writer(tmp_path / "new.csv")) as csv:
             next(csv)
             csv.send((traj, None))
@@ -624,6 +629,33 @@ def test_no_command_imports_scipy(tmp_path):
             ("validate", base_solve_config(tmp_path))]
     for command, modules in modules_left_by(tmp_path, runs, ("scipy", "jsonschema")):
         assert modules == "[]", (command, modules)
+
+
+def test_each_command_imports_only_the_layers_it_runs(tmp_path):
+    # importing pencildae.cli loads no numpy and no layer; main imports a command's
+    proj = {"model": "sec5_cubic", "outputs": {"summary_json": str(tmp_path / "proj.json")}}
+    runs = [("validate", base_solve_config(tmp_path)), ("projectors", proj),
+            ("solve", base_solve_config(tmp_path)),
+            ("converge", base_solve_config(tmp_path, study={"refinements": 3}))]
+    found = {command: {m for m in ast.literal_eval(modules) if not m.startswith("numpy.")}
+             for command, modules in modules_left_by(tmp_path, runs, ("pencildae", "numpy"))}
+    layers = {"pencildae", "pencildae.cli", "numpy", "pencildae.pencil", "pencildae.dae_model",
+              "pencildae.model_library"}
+    assert found == {"validate": {"pencildae", "pencildae.cli"}, "projectors": layers,
+                     "solve": layers | {"pencildae.integrators"},
+                     "converge": layers | {"pencildae.integrators", "pencildae.diagnostics"}}
+
+
+def test_a_sigint_while_a_command_imports_its_layers_exits_130(tmp_path, monkeypatch, capsys):
+    imported = []
+
+    def interrupt(name, package=None):
+        imported.append(name)
+        raise KeyboardInterrupt
+    monkeypatch.setattr(importlib, "import_module", interrupt)
+    path = write_config(tmp_path, base_solve_config(tmp_path))
+    assert cli.main(["solve", path, "--quiet"]) == 130
+    assert (capsys.readouterr(), imported) == (("", "interrupted\n"), ["numpy"])
 
 
 def test_no_command_imports_numpy_random(tmp_path):
@@ -1051,7 +1083,9 @@ LADDER = {"model": {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]],
     ("converge", LADDER),
     ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 9000}}),
     ("solve", {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 50000}}),
-], ids=["converge", "solve-3-blocks", "solve-13-blocks"])
+    ("validate", {"model": "sec5_cubic"}),
+    ("projectors", {"model": "sec5_cubic"}),
+], ids=["converge", "solve-3-blocks", "solve-13-blocks", "validate", "projectors"])
 def test_fresh_process_with_warnings_as_errors(tmp_path, command, config):
     # Python >= 3.12 warns of a fork in a process with a second OS thread (numpy's
     # BLAS pool); that warning alone is silenced, around the fork

@@ -13,6 +13,7 @@ from pencildae import cli, pencil
 from pencildae.dae_model import (NoConvergenceError, NonFiniteJacobianError,
                                  SingularNewtonMatrixError)
 from pencildae.diagnostics import LadderSolveError
+from pencildae.integrators import SolveOutcome
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(pencildae.__path__))
 
@@ -37,14 +38,15 @@ def test_every_name_in_all_resolves(name):
 
 
 def test_package_reexports_are_public_names_of_their_module():
-    tree = ast.parse(Path(pencildae.__file__).read_text(encoding="utf-8"))
-    reexports = [(node.module, alias.name) for node in tree.body
-                 if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert reexports
-    for module_name, name in reexports:
+    # each name is read, on first use, from the module the package's table names
+    assert pencildae.__all__ == list(pencildae._MODULE_OF)
+    for name, module_name in pencildae._MODULE_OF.items():
         module = importlib.import_module(f"pencildae.{module_name}")
         assert name in module.__all__, f"{module_name}.{name}"
         assert getattr(pencildae, name) is getattr(module, name)
+    star: dict = {}
+    exec("from pencildae import *", star)
+    assert set(star) - {"__builtins__"} == set(pencildae.__all__) <= set(dir(pencildae))
 
 
 def test_benchmark_harness_names_exist():
@@ -64,7 +66,7 @@ def exported_exceptions(module_name: str) -> list[type]:
 
 def exit_row(cls: type):
     """The ``_EXITS`` row of the first class in the MRO that has one, as main takes it."""
-    return next((cli._EXITS[k] for k in cls.__mro__ if k in cli._EXITS), None)
+    return next((cli._EXITS[k] for k in map(cli._key, cls.__mro__) if k in cli._EXITS), None)
 
 
 def test_every_pencil_exception_is_a_pencil_error_that_exits_2():
@@ -73,6 +75,11 @@ def test_every_pencil_exception_is_a_pencil_error_that_exits_2():
     for cls in exceptions:
         assert issubclass(cls, pencil.PencilError), cls
         assert exit_row(cls) == (cli.EXIT_PENCIL, "pencil error: " + cli._NAMED), cls
+
+
+def test_every_solve_outcome_has_an_exit_row():
+    # a command names its outcome by value, so the table imports no layer
+    assert [o for o in SolveOutcome if o.value not in cli._EXITS] == []
 
 
 # cmd_converge handles LadderSolveError itself: it exits with the ladder's
