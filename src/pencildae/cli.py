@@ -11,14 +11,15 @@ CSV with 17-significant-digit floats and LF line endings; summaries and studies 
 Every run ends in one row of ``_EXITS``: exit 0 writes nothing to stderr,
 any other exit exactly one line and no traceback.  Exit 1: a config error (the
 contract, a command-line usage error, an inline pencil whose norm overflows, a
-non-finite mesh step, a mesh too large to allocate), an initial state that is
-not consistent or from which none is found (``InconsistentInitialStateError``),
-or a study whose errors underflow the measurable floor; 2: a pencil
-that is not regular, has index > 1, or whose projectors fail; 3: blow-up of a
-finite state; 4: corrector failure or a non-finite state; 130: a SIGINT
-(``KeyboardInterrupt``).  Exits 3 and 4 write their outputs, then their line.
-Importing this module loads the standard library only; ``main`` imports numpy and
-the library layers a command runs (``_LAZY``), for ``validate`` none.
+non-finite mesh step, a mesh too large to allocate), an initial state that is not
+consistent, above the blow-up threshold, or from which none is found
+(``InconsistentInitialStateError``), or a study whose errors underflow the measurable
+floor; 2: a pencil that is not regular, has index > 1, or whose projectors fail;
+3: blow-up of a finite state; 4: corrector failure or a non-finite state; 130: a
+SIGINT (``KeyboardInterrupt``).  Exits 3 and 4 write their outputs, then their line.
+Importing this module loads the standard library only; ``main`` imports numpy and the
+layers a command runs (``_LAZY``): none for ``validate``, ``pencil`` alone for
+``projectors`` of an inline pencil.
 """
 
 from __future__ import annotations
@@ -165,8 +166,6 @@ _MAX_STEPS = sys.maxsize // 16  # a mesh's node times (8 bytes each) fit one num
 _MATRIX = _array(_array(_number()))
 _VECTOR = _array(_number())
 _CONFIG = _object({
-    # inline right-hand sides are restricted to affine f(t, x) = f_const +
-    # f_matrix @ x for config-file safety
     "model": _object({"a": _MATRIX, "b": _MATRIX, "f_const": _VECTOR, "f_matrix": _MATRIX},
                      required=("a", "b"), string=_string()),
     "method": _string("method1", "method2"),
@@ -204,7 +203,9 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _build_inline_model(model_spec: dict) -> model_library.ModelPreset:
+def _inline_model(model_spec: dict):
+    """``(pencil, f, jac)`` of an inline model, its shapes checked: f(t, x) is
+    f_const + f_matrix @ x, affine for config-file safety."""
     try:  # a ragged matrix fails in asarray, a non-square one in MatrixPencil
         pen = pencil.MatrixPencil(a=np.asarray(model_spec["a"], dtype=float),
                                   b=np.asarray(model_spec["b"], dtype=float))
@@ -221,25 +222,24 @@ def _build_inline_model(model_spec: dict) -> model_library.ModelPreset:
 
     def jac(t, x):
         return f_matrix
-
-    dae = dae_model.SemilinearDAE(pencil=pen, f=f, jac_f=jac)
-    return model_library.ModelPreset(preset_id="<inline>", dae=dae,
-                                     x0=np.zeros(n), smooth=True,
-                                     description="inline affine model")
+    return pen, f, jac
 
 
 def _resolve_model(config: dict) -> model_library.ModelPreset:
     model_spec = config["model"]
     if isinstance(model_spec, str):
         try:
-            return model_library.get_preset(model_spec)
+            return __getattr__("model_library").get_preset(model_spec)  # projectors loads it here
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
-    return _build_inline_model(model_spec)
+    pen, f, jac = _inline_model(model_spec)
+    return model_library.ModelPreset(preset_id="<inline>",
+                                     dae=dae_model.SemilinearDAE(pencil=pen, f=f, jac_f=jac),
+                                     x0=np.zeros(pen.n), smooth=True,
+                                     description="inline affine model")
 
 
-def _decompose(preset: model_library.ModelPreset, config: dict):
-    pen = preset.dae.pencil
+def _decompose(pen: pencil.MatrixPencil, config: dict):
     pencil.regularity_probe(pen, sample_count=32, seed=int(config.get("seed", 0)))
     return pencil.projectors_algebraic(pen)
 
@@ -283,7 +283,7 @@ def _set_up(config: dict):
     """(preset, decomposition, mesh, solver config, x0) of a run, validated in
     this order, so every command reports the same first error."""
     preset = _resolve_model(config)
-    decomp = _decompose(preset, config)
+    decomp = _decompose(preset.dae.pencil, config)
     mesh = _mesh(config)
     solver_config = _solver_config(config)
     return preset, decomp, mesh, solver_config, _initial_state(config, preset, decomp, mesh)
@@ -416,9 +416,12 @@ def cmd_converge(config: dict, out_dir: str | None, quiet: bool):
 
 
 def cmd_projectors(config: dict, out_dir: str | None, quiet: bool):
-    preset = _resolve_model(config)
-    decomp = _decompose(preset, config)
-    pen = preset.dae.pencil
+    if isinstance(config["model"], str):
+        preset = _resolve_model(config)
+        model_id, pen = preset.preset_id, preset.dae.pencil
+    else:  # the pencil alone: no model layer is imported
+        model_id, pen = "<inline>", _inline_model(config["model"])[0]
+    decomp = _decompose(pen, config)
     tol = 1e-10 * pen.norm_scale()
     report = pencil.validate_decomposition(pen, decomp, tol)
     node_count = int(config.get("projector_node_count", 64))
@@ -429,7 +432,7 @@ def cmd_projectors(config: dict, out_dir: str | None, quiet: bool):
     _, json_path = _output_paths(config, out_dir)
     passed = report.passed and agreement <= 1e-8
     payload = {
-        "model": preset.preset_id,
+        "model": model_id,
         "index": decomp.index.value,
         "p1": decomp.p1.tolist(),
         "p2": decomp.p2.tolist(),
@@ -444,10 +447,10 @@ def cmd_projectors(config: dict, out_dir: str | None, quiet: bool):
     }
     _write_json(json_path, payload)
     check = f"validation {'pass' if report.passed else 'FAIL'}, residue agreement {agreement:.3e}"
-    _say(quiet, f"projectors {preset.preset_id}: index {decomp.index.value}, {check}")
+    _say(quiet, f"projectors {model_id}: index {decomp.index.value}, {check}")
     if not passed:
         raise pencil.DecompositionFailedError(
-            f"projectors of {preset.preset_id} failed their check: {check}")
+            f"projectors of {model_id} failed their check: {check}")
     return _DONE
 
 
@@ -462,7 +465,7 @@ _COMMANDS = {
               ("np", "pencil", "dae_model", "model_library", "integrators", "solve")),
     "converge": (cmd_converge, "run a mesh-refinement convergence study", tuple(_LAZY)),
     "projectors": (cmd_projectors, "emit projectors, validation report and residue agreement",
-                   ("np", "pencil", "dae_model", "model_library")),
+                   ("np", "pencil")),
     "validate": (cmd_validate, "check a config file against its contract and exit", ()),
 }
 

@@ -19,15 +19,9 @@ from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's LA
 from .pencil import MatrixPencil, SpectralDecomposition, _count, _positive_finite
 
 __all__ = [
-    "SemilinearDAE",
-    "NonFiniteJacobianError",
-    "SingularNewtonMatrixError",
-    "NoConvergenceError",
-    "InconsistentInitialStateError",
-    "jacobian",
-    "jacobian_function",
-    "consistent_initialize",
-    "X2Newton",
+    "SemilinearDAE", "NonFiniteJacobianError", "SingularNewtonMatrixError",
+    "NoConvergenceError", "InconsistentInitialStateError", "jacobian", "jacobian_function",
+    "consistent_initialize", "X2Newton",
 ]
 
 RhsFunc = Callable[[float, np.ndarray], np.ndarray]

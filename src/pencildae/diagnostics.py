@@ -11,23 +11,16 @@ against a reference run.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dae_model import SemilinearDAE, jacobian
 from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, _in_child, solve
-from .pencil import SpectralDecomposition, _count
+from .pencil import SpectralDecomposition, _count, _Record
 
 __all__ = [
-    "DegenerateFitError",
-    "LadderSolveError",
-    "ComponentOrder",
-    "OrderEstimate",
-    "StabilityReport",
-    "empirical_order",
-    "stability_report",
-    "windowed_deviation",
+    "DegenerateFitError", "LadderSolveError", "ComponentOrder", "OrderEstimate",
+    "StabilityReport", "empirical_order", "stability_report", "windowed_deviation",
 ]
 
 #: errors below this are considered roundoff noise and refuse an order fit
@@ -50,8 +43,7 @@ class LadderSolveError(Exception):
         self.h = h
 
 
-@dataclass(frozen=True)
-class ComponentOrder:
+class ComponentOrder(_Record):
     """Order data for one solution component (z or u)."""
 
     errors: tuple
@@ -66,8 +58,7 @@ class ComponentOrder:
         }
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
+class OrderEstimate(_Record):
     """Refinement-ladder errors and fitted orders, separately for z and u.
 
     ``u`` is None for index-0 problems, whose algebraic component is
@@ -167,8 +158,7 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
     return OrderEstimate(step_sizes=step_sizes, z=z_fit, u=u_fit)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(_Record):
     """Sampled stability coefficients of the two schemes at step size h.
 
     ``m1_estimate`` samples ||Ginv Q1 df/dx|| along the trajectory, a lower

@@ -30,24 +30,15 @@ import numpy as np
 
 from .dae_model import (_MODEL_ERRORS, _STEP_ERRORS, InconsistentInitialStateError,
                         SemilinearDAE, X2Newton, _initial_failure, jacobian_function)
-from .pencil import SpectralDecomposition, _count, _positive_finite
+from .pencil import SpectralDecomposition, _count, _positive_finite, _Record
 
 __all__ = [
-    "Mesh",
-    "Method",
-    "SolverConfig",
-    "SolveOutcome",
-    "SolveStatus",
-    "Trajectory",
-    "InconsistentInitialStateError",
-    "method1_solve",
-    "method2_solve",
-    "solve",
+    "Mesh", "Method", "SolverConfig", "SolveOutcome", "SolveStatus", "Trajectory",
+    "InconsistentInitialStateError", "method1_solve", "method2_solve", "solve",
 ]
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(_Record):
     """Uniform mesh t_i = t0 + i*h, i = 0..n_steps, h = (t_end - t0)/n_steps.
 
     Nodes are always formed as t0 + i*h (never by accumulation) so that
@@ -81,8 +72,7 @@ class Method(Enum):
     METHOD2 = "method2"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """How a solve runs: the scheme, the u-correction and the blow-up test.
 
     With ``tol=None`` each step makes exactly one Newton-like correction of u,
@@ -110,8 +100,7 @@ class SolveOutcome(Enum):
     CORRECTOR_FAILED = "corrector_failed"
 
 
-@dataclass(frozen=True)
-class SolveStatus:
+class SolveStatus(_Record, eq=True):
     outcome: SolveOutcome
     blow_up_time: float | None = None
     failed_step: int | None = None
@@ -120,13 +109,9 @@ class SolveStatus:
     def completed(self) -> bool:
         return self.outcome is SolveOutcome.COMPLETED
 
-    def to_json(self) -> dict:
-        out: dict = {"outcome": self.outcome.value}
-        if self.blow_up_time is not None:
-            out["blow_up_time"] = self.blow_up_time
-        if self.failed_step is not None:
-            out["failed_step"] = self.failed_step
-        return out
+    def to_json(self) -> dict:  # the fields that are set, the outcome by its value
+        return {**{name: value for name, value in vars(self).items() if value is not None},
+                "outcome": self.outcome.value}
 
 
 @dataclass(frozen=True)
@@ -267,7 +252,8 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     block that closes while the run goes on: every row of ``traj`` (over the run's
     arrays, its ``status`` not yet known) before ``rows.stop`` is final, and the rows
     after the last block handed on are final once ``solve`` returns.  What the hook
-    raises propagates unchanged.
+    raises propagates unchanged.  An ``x0`` that is not finite, lies off the constraint
+    or exceeds ``config.blow_up_threshold`` raises InconsistentInitialStateError.
     """
     leapfrog = config.method is Method.METHOD2
     n = dae.n
@@ -324,6 +310,9 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     if not res0 <= init_tol:
         raise InconsistentInitialStateError(
             f"initial constraint residual {res0:.3e} exceeds tolerance {init_tol:.3e}")
+    if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:  # as at each node
+        raise InconsistentInitialStateError(f"initial state norm {_norm(x):.6g} exceeds "
+                                            f"blow_up_threshold {config.blow_up_threshold:.6g}")
 
     last = n_steps                                # the last node computed
     known = 1                                     # leading nodes with their f stored
@@ -383,7 +372,8 @@ def method1_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     On an index-0 problem this reduces exactly to the classical explicit Euler
     method for dx/dt = A^-1 (f(t, x) - B x).
     """
-    return solve(dae, decomp, mesh, x0, replace(config or SolverConfig(), method=Method.METHOD1))
+    fields = vars(config or SolverConfig())
+    return solve(dae, decomp, mesh, x0, SolverConfig(**dict(fields, method=Method.METHOD1)))
 
 
 def method2_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
@@ -394,4 +384,5 @@ def method2_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,
     parasitic mode whose amplification grows with the stability coefficient
     1 + 2h(||Ginv B|| + M1); prefer method 1 on long intervals.
     """
-    return solve(dae, decomp, mesh, x0, replace(config or SolverConfig(), method=Method.METHOD2))
+    fields = vars(config or SolverConfig())
+    return solve(dae, decomp, mesh, x0, SolverConfig(**dict(fields, method=Method.METHOD2)))

@@ -29,27 +29,13 @@ from typing import Callable
 import numpy as np
 
 from .dae_model import SemilinearDAE
-from .pencil import MatrixPencil, _count, _positive_finite
+from .pencil import MatrixPencil, _count, _positive_finite, _Record
 
 __all__ = [
-    "UNIT_SCALE",
-    "Nonlinearity",
-    "odd_power",
-    "sine",
-    "neg_square",
-    "square",
-    "VoltageWaveform",
-    "sinusoidal",
-    "power_decay",
-    "polynomial",
-    "triangular",
-    "sawtooth",
-    "CircuitParams",
-    "build_circuit_dae",
-    "circuit_consistency_check",
-    "ModelPreset",
-    "PRESET_IDS",
-    "get_preset",
+    "UNIT_SCALE", "Nonlinearity", "odd_power", "sine", "neg_square", "square",
+    "VoltageWaveform", "sinusoidal", "power_decay", "polynomial", "triangular", "sawtooth",
+    "CircuitParams", "build_circuit_dae", "circuit_consistency_check", "ModelPreset",
+    "PRESET_IDS", "get_preset",
 ]
 
 #: henry -> microhenry (equivalently farad -> microfarad) for computation units
@@ -59,8 +45,7 @@ TRIANGULAR_PERIOD = 100.0
 SAWTOOTH_PERIOD = 5.0
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
+class Nonlinearity(_Record):
     """A scalar characteristic y(x) with its derivative."""
 
     kind: str
@@ -105,8 +90,7 @@ def square() -> Nonlinearity:
                         derivative=lambda x: 2.0 * x)
 
 
-@dataclass(frozen=True)
-class VoltageWaveform:
+class VoltageWaveform(_Record):
     """Input voltage e(t); ``smooth`` gates convergence-order assertions."""
 
     kind: str
@@ -164,8 +148,7 @@ def sawtooth() -> VoltageWaveform:
                            smooth=False, period=SAWTOOTH_PERIOD)
 
 
-@dataclass(frozen=True)
-class CircuitParams:
+class CircuitParams(_Record):
     """Linear circuit parameters, stored in SI units as printed."""
 
     l_ind: float

@@ -6,7 +6,8 @@ of complementary projectors (P1, P2) and (Q1, Q2).  The auxiliary operator
 G = A + B*P2 is then invertible and converts the implicit system into a
 semi-explicit one.  Two independent construction routes are provided: a
 nullspace-based algebraic construction and a contour-integral (residue)
-quadrature; they cross-validate each other.
+quadrature; they cross-validate each other.  ``_Record``, the base of the
+immutable records of every layer, is defined here, the module they all import.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -102,19 +103,59 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MatrixPencil:
+class _Record:
+    """Base of an immutable record, built without generated code (a frozen
+    ``@dataclass`` makes its methods by ``exec``, ~1 ms a class at import).
+
+    The fields are the class's own annotations, in order, given positionally or by
+    keyword; a value in the class body is a field's default, and a ``partial`` one
+    is called for each record.  ``__post_init__`` then runs and may set attributes
+    with ``object.__setattr__``; any other assignment raises ``AttributeError``.
+    ``eq=True`` in the class line compares records field by field (and makes them
+    unhashable); else a record equals itself only.  ``vars()`` holds the fields
+    (and what ``__post_init__`` set).
+    """
+
+    def __init_subclass__(cls, eq=False):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if eq:
+            cls.__eq__, cls.__hash__ = _Record._same_fields, None
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), set(self._fields)
+        given = dict(zip(cls._fields, args), **kwargs)
+        if len(given) < len(args) + len(kwargs) or not given.keys() <= fields \
+                or not fields - given.keys() <= cls.__dict__.keys():
+            raise TypeError(f"{cls.__name__}() takes each of {cls._fields} once or its default")
+        for name in cls._fields:
+            default = cls.__dict__.get(name)
+            self.__dict__[name] = given[name] if name in given else \
+                default() if isinstance(default, partial) else default
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, *value):  # and __delattr__
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _same_fields(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return [*map(vars(self).get, self._fields)] == [*map(vars(other).get, self._fields)]
+
+
+class MatrixPencil(_Record, eq=True):
     """The pair (A, B) of real n x n matrices defining lambda*A + B.
 
     Either matrix may be singular; only the pencil as a whole is required to
     be regular for downstream use.  Instances are immutable and safe to share
-    between threads.
+    between threads.  ``a_norm`` = ||A||_2 and ``b_norm`` = ||B||_2 are computed
+    once; they are not fields, so equality compares A and B only.
     """
 
     a: np.ndarray
     b: np.ndarray
-    a_norm: float = field(init=False, repr=False, compare=False)  # ||A||_2, computed once
-    b_norm: float = field(init=False, repr=False, compare=False)  # ||B||_2
 
     def __post_init__(self):
         a = _as_square_matrix(self.a, "a")
@@ -138,8 +179,7 @@ class MatrixPencil:
         return 1.0 + self.a_norm + self.b_norm
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(_Record):
     """Spectral projectors, auxiliary operator G and the algebraic subspace basis.
 
     ``x2_basis`` holds an orthonormal basis of X2 = range(P2) = kernel(A); it is
@@ -390,11 +430,10 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
     return ResidueProjectors(p1.real, q1.real, float(error))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Max-norm residual of every decomposition identity, plus a verdict."""
 
-    residuals: dict = field(default_factory=dict)
+    residuals: dict = partial(dict)
     tol: float = 0.0
 
     @property

@@ -190,12 +190,16 @@ class TestSolve:
         assert max(residuals) <= 1e-8
 
     def test_blow_up_threshold_config(self, tmp_path):
-        # a tiny threshold turns a bounded run into an early blow-up report
-        cfg = base_solve_config(tmp_path, model="sec6_sine_powerdecay",
-                                blow_up_threshold=5.0,
+        # a tiny threshold turns a bounded run into an early blow-up report: from
+        # x0 = 0 the sec5_cubic norm reaches 9.2e-4 on [0, 1], and 5e-4 lies between
+        cfg = base_solve_config(tmp_path, blow_up_threshold=5e-4,
                                 mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 1000})
         path = write_config(tmp_path, cfg)
         assert cli.main(["solve", path, "--quiet"]) == 3
+        status = json.loads((tmp_path / "summary.json").read_text())["status"]
+        assert status["outcome"] == "blow_up" and 0.0 < status["blow_up_time"] < 1.0
+        rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
+        assert len(rows) == round(status["blow_up_time"] * 1000) + 1
 
     def test_csv_norm_of_a_huge_state(self, tmp_path):
         # ||x||^2 overflows at 1e155; the z_norm column stays finite
@@ -608,7 +612,7 @@ def modules_left_by(tmp_path, runs, packages) -> list:
     for i, (command, cfg) in enumerate(runs):
         path = write_config(tmp_path, cfg, name=f"config{i}.json")
         code = ("import sys, pencildae.cli as c; "
-                f"assert c.main([{command!r}, {path!r}, '--quiet']) == 0; "
+                f"assert c.main([{command.split()[0]!r}, {path!r}, '--quiet']) == 0; "
                 "print(sorted(m for m in sys.modules "
                 f"if any(m == p or m.startswith(p + '.') for p in {tuple(packages)!r})))")
         out = fresh_python(["-c", code], capture_output=True, text=True, check=True)
@@ -632,16 +636,21 @@ def test_no_command_imports_scipy(tmp_path):
 
 
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
-    # importing pencildae.cli loads no numpy and no layer; main imports a command's
+    # importing pencildae.cli loads no numpy and no layer; main imports a command's;
+    # only the three dataclasses (in dae_model, integrators, model_library) load dataclasses
     proj = {"model": "sec5_cubic", "outputs": {"summary_json": str(tmp_path / "proj.json")}}
+    inline = {"model": {"a": [[1, 0], [0, 0]], "b": [[-1, 1], [1, 1]]},
+              "outputs": {"summary_json": str(tmp_path / "inline.json")}}
     runs = [("validate", base_solve_config(tmp_path)), ("projectors", proj),
-            ("solve", base_solve_config(tmp_path)),
+            ("projectors <inline>", inline), ("solve", base_solve_config(tmp_path)),
             ("converge", base_solve_config(tmp_path, study={"refinements": 3}))]
     found = {command: {m for m in ast.literal_eval(modules) if not m.startswith("numpy.")}
-             for command, modules in modules_left_by(tmp_path, runs, ("pencildae", "numpy"))}
-    layers = {"pencildae", "pencildae.cli", "numpy", "pencildae.pencil", "pencildae.dae_model",
-              "pencildae.model_library"}
+             for command, modules in modules_left_by(tmp_path, runs,
+                                                     ("pencildae", "numpy", "dataclasses"))}
+    pencil = {"pencildae", "pencildae.cli", "numpy", "pencildae.pencil"}
+    layers = pencil | {"pencildae.dae_model", "pencildae.model_library", "dataclasses"}
     assert found == {"validate": {"pencildae", "pencildae.cli"}, "projectors": layers,
+                     "projectors <inline>": pencil,
                      "solve": layers | {"pencildae.integrators"},
                      "converge": layers | {"pencildae.integrators", "pencildae.diagnostics"}}
 
@@ -909,6 +918,11 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
      1, "config error: config field 'study/refinements': mesh/n_steps * 2**refinements "),
     ("validate", {"model": "sec5_cubic", "study": {"refinements": 59}},  # no mesh: 1 step
      1, "config error: config field 'study/refinements': mesh/n_steps * 2**refinements "),
+    # an x0 above the blow-up threshold is refused, not reported as a blow-up at t0
+    *[(command, {"model": {"a": [[1, 0], [0, 1]], "b": [[1, 0.3], [0, 2]]}, "mesh": MESH,
+                 "initial_state": {"x0": [2e6, 0]}, "study": {"refinements": 3}},
+       1, "initial-state error: initial state norm 2e+06 exceeds blow_up_threshold 1e+06\n")
+      for command in ("solve", "converge")],
 ])
 def test_failure_ends_in_one_stderr_line(tmp_path, command, config, code, prefix):
     got, err = run_cli(command, config, tmp_path)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import signal
 import threading
 import time
@@ -338,21 +339,35 @@ class TestBlowUp:
     @pytest.mark.parametrize("x0, outcome, norm", [
         ([1e200], SolveOutcome.COMPLETED, 1e200),
         ([3e200, -4e200], SolveOutcome.COMPLETED, 5e200),
-        ([-3e305, 4e305], SolveOutcome.BLOW_UP, 5e305),
+        ([-3e304, 4e304], SolveOutcome.BLOW_UP, 1.125e305),
     ])
     def test_norm_test_does_not_overflow(self, x0, outcome, norm):
         # x.dot(x) overflows above ~1.34e154: a finite state below the threshold
-        # runs on, one above it blows up at t = 0, and max_norm stays finite
+        # runs on, one that grows above it (x 1.5 a step) blows up at t = 0.5, and
+        # max_norm stays finite
         n = len(x0)
-        dae = SemilinearDAE(pencil=MatrixPencil(a=np.eye(n), b=np.zeros((n, n))),
+        b = -2.0 * np.eye(n) if outcome is SolveOutcome.BLOW_UP else np.zeros((n, n))
+        dae = SemilinearDAE(pencil=MatrixPencil(a=np.eye(n), b=b),
                             f=lambda t, x: np.zeros(n), jac_f=lambda t, x: np.zeros((n, n)))
         with np.errstate(over="ignore"):   # the squares overflow, as they may
             traj = method1_solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 4),
-                                 np.array(x0), SolverConfig(blow_up_threshold=1e300))
+                                 np.array(x0), SolverConfig(blow_up_threshold=1e305))
             max_norm = traj.max_norm
         assert traj.status.outcome is outcome
-        assert len(traj) == (5 if outcome is SolveOutcome.COMPLETED else 1)
+        assert len(traj) == (5 if outcome is SolveOutcome.COMPLETED else 3)
         assert max_norm == pytest.approx(norm, rel=1e-15)
+
+    @pytest.mark.parametrize("x0, threshold, norm", [([-3e305, 4e305], 1e300, "5e+305"),
+                                                     ([2e6, 0.0], 1e6, "2e+06")])
+    def test_x0_above_the_threshold_is_refused(self, x0, threshold, norm):
+        # not a blow-up at t = 0: the input is refused, and its norm does not overflow
+        dae = SemilinearDAE(pencil=MatrixPencil(a=np.eye(2), b=np.array([[1.0, 0.3], [0, 2]])),
+                            f=lambda t, x: np.zeros(2), jac_f=lambda t, x: np.zeros((2, 2)))
+        message = f"initial state norm {norm} exceeds blow_up_threshold {threshold:.6g}"
+        with np.errstate(over="ignore"), \
+                pytest.raises(InconsistentInitialStateError, match=f"^{re.escape(message)}$"):
+            solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 4), np.array(x0),
+                  SolverConfig(blow_up_threshold=threshold))
 
     def test_max_norm_of_a_tiny_state(self):
         # 1e-200 squared underflows to 0; the norm must not

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import json
 import math
 
@@ -64,7 +64,11 @@ class TestMatrixPencil:
         p = MatrixPencil(a=np.diag([3.0, 0.0]), b=np.array([[0.0, 2.0], [1.0, 0.0]]))
         assert (p.a_norm, p.b_norm) == (3.0, 2.0)
         assert "norm" not in repr(p)
-        assert [f.name for f in dataclasses.fields(p) if f.compare] == ["a", "b"]
+        # A and B are the fields: a copy that differs only in its stored norms is equal
+        q = copy.copy(p)
+        object.__setattr__(q, "a_norm", 7.0)
+        assert q == p and (q.a_norm, p.a_norm) == (7.0, 3.0)
+        assert MatrixPencil(p.a, p.b) == p  # the same arrays, as a dataclass compared
 
     @pytest.mark.parametrize("command, config", [
         ("projectors", {"model": "sec5_cubic"}),
