@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .dae_model import SemilinearDAE, jacobian
-from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, _in_child, solve
+from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, _in_child, _row_norms, solve
 from .pencil import SpectralDecomposition, _count, _Record
 
 __all__ = [
@@ -23,7 +23,8 @@ __all__ = [
     "StabilityReport", "empirical_order", "stability_report", "windowed_deviation",
 ]
 
-#: errors below this are considered roundoff noise and refuse an order fit
+#: an error at most this times the reference's largest base-node norm is roundoff
+#: noise and refuses an order fit (for a reference that is 0 throughout: an error of 0)
 DEGENERATE_ERROR_FLOOR = 1e-13
 
 
@@ -78,31 +79,17 @@ class OrderEstimate(_Record):
 
 
 def _max_node_error(values: np.ndarray, reference: np.ndarray) -> float:
-    return float(np.linalg.norm(values - reference, axis=1).max())
+    return float(_row_norms(values - reference).max())
 
 
-def _fit_orders(step_sizes, errors) -> ComponentOrder:
+def _fit_orders(step_sizes, errors, floor: float) -> ComponentOrder:
     errs = np.asarray(errors, dtype=float)
-    if np.any(errs < DEGENERATE_ERROR_FLOOR):
-        raise DegenerateFitError(
-            f"errors {errs} underflow the measurable floor {DEGENERATE_ERROR_FLOOR:g}"
-        )
+    if np.any(errs <= floor):
+        raise DegenerateFitError(f"errors {errs} underflow the measurable floor {floor:g}")
     pairwise = tuple(float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1))
     slope = float(np.polyfit(np.log(step_sizes), np.log(errs), 1)[0])
     return ComponentOrder(errors=tuple(float(e) for e in errs),
                           pairwise_orders=pairwise, asymptotic_order=slope)
-
-
-def _check_external_reference(reference: Trajectory, mesh_base: Mesh) -> int:
-    ref_mesh = reference.mesh
-    if abs(ref_mesh.t0 - mesh_base.t0) > 1e-12 * (1 + abs(mesh_base.t0)) or \
-       abs(ref_mesh.t_end - mesh_base.t_end) > 1e-12 * (1 + abs(mesh_base.t_end)):
-        raise ValueError("external reference must cover the same interval")
-    if ref_mesh.n_steps % mesh_base.n_steps:
-        raise ValueError("external reference nodes must contain the base nodes")
-    if not reference.status.completed:
-        raise ValueError("external reference trajectory is incomplete")
-    return ref_mesh.n_steps // mesh_base.n_steps  # the stride of the base nodes in it
 
 
 def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base: Mesh,
@@ -116,7 +103,8 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
     h/2^refinements serves as reference and the fitted levels stop two
     refinements above it, so the level in between is never read and never
     solved; a forked child solves the finest level while the caller solves the
-    others in ascending order.  With an external reference every level is solved and fitted.
+    others in ascending order.  With an external reference every level is solved and fitted;
+    one that fails :meth:`Mesh.stride_in` or did not complete is refused before any solve.
 
     Raises
     ------
@@ -125,13 +113,18 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
         among those solved (a failure the skipped level would have had is
         never seen).
     DegenerateFitError
-        If an error drops below 1e-13 and the fit would chase roundoff.
+        If an error is at most ``DEGENERATE_ERROR_FLOOR`` times the reference's
+        largest base-node norm, so the fit would chase roundoff.
     """
     refinements = _count("refinements", refinements, low=3)
     # n 2**R < sys.maxsize iff n has at most 63 - R bits (R >= 1); 2**R is never formed
     if int(mesh_base.n_steps).bit_length() + refinements > sys.maxsize.bit_length():
         raise ValueError(f"refinements must keep n_steps * 2**refinements below {sys.maxsize}")
     config = config or SolverConfig()
+    if reference is not None:
+        ref_nodes = slice(None, None, mesh_base.stride_in(reference.mesh))  # the base nodes
+        if not reference.status.completed:
+            raise ValueError("external reference trajectory is incomplete")
 
     def base_samples(level: int):  # (h, z, u) at the base nodes; the trajectory is freed
         mesh = mesh_base.refined(2 ** level)
@@ -149,11 +142,11 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
     if reference is None:
         _, z_ref, u_ref = samples.pop()
     else:
-        nodes = slice(None, None, _check_external_reference(reference, mesh_base))
-        z_ref, u_ref = reference.z_history[nodes], reference.u_rows(nodes)
+        z_ref, u_ref = reference.z_history[ref_nodes], reference.u_rows(ref_nodes)
+    floor = DEGENERATE_ERROR_FLOOR * float(_row_norms(z_ref + u_ref).max())
     step_sizes, z_levels, u_levels = zip(*samples)
-    z_fit = _fit_orders(step_sizes, [_max_node_error(z, z_ref) for z in z_levels])
-    u_fit = _fit_orders(step_sizes, [_max_node_error(u, u_ref) for u in u_levels]) \
+    z_fit = _fit_orders(step_sizes, [_max_node_error(z, z_ref) for z in z_levels], floor)
+    u_fit = _fit_orders(step_sizes, [_max_node_error(u, u_ref) for u in u_levels], floor) \
         if decomp.algebraic_dim else None
     return OrderEstimate(step_sizes=step_sizes, z=z_fit, u=u_fit)
 
@@ -219,22 +212,14 @@ def windowed_deviation(trajectory: Trajectory, reference: Trajectory,
 
     Max over the shared nodes of the trailing ``window_fraction`` of the
     interval of the sup-norm componentwise difference.  Both trajectories must
-    be complete and one mesh must refine the other by an integer factor.
+    be complete and one mesh must refine the other (:meth:`Mesh.stride_in`).
     """
     if not (0.0 < window_fraction <= 1.0):
         raise ValueError("window_fraction must lie in (0, 1]")
     if not (trajectory.status.completed and reference.status.completed):
         raise ValueError("windowed_deviation needs two complete trajectories")
-    n_a, n_b = trajectory.mesh.n_steps, reference.mesh.n_steps
-    if n_b % n_a == 0:
-        coarse, fine, ratio = trajectory, reference, n_b // n_a
-    elif n_a % n_b == 0:
-        coarse, fine, ratio = reference, trajectory, n_a // n_b
-    else:
-        raise ValueError("meshes do not share nodes (non-integer refinement ratio)")
-    if abs(coarse.mesh.t0 - fine.mesh.t0) > 1e-12 or \
-       abs(coarse.mesh.t_end - fine.mesh.t_end) > 1e-12 * (1 + abs(coarse.mesh.t_end)):
-        raise ValueError("trajectories cover different intervals")
+    coarse, fine = sorted((trajectory, reference), key=lambda traj: traj.mesh.n_steps)
+    ratio = coarse.mesh.stride_in(fine.mesh)
 
     n_nodes = coarse.mesh.n_steps
     start = int(np.ceil((1.0 - window_fraction) * n_nodes))

@@ -66,6 +66,14 @@ class Mesh(_Record):
     def refined(self, factor: int) -> "Mesh":
         return Mesh(self.t0, self.t_end, self.n_steps * factor)
 
+    def stride_in(self, finer: "Mesh") -> int:
+        """The stride of this mesh's nodes among ``finer``'s: both cover one interval,
+        to 1e-12 (1 + |t|) at each end, and ``finer`` refines this one by an integer."""
+        ends = (self.t0, finer.t0), (self.t_end, finer.t_end)
+        if finer.n_steps % self.n_steps or any(abs(t - u) > 1e-12 * (1 + abs(t)) for t, u in ends):
+            raise ValueError("meshes share no nodes: not one interval refined by an integer")
+        return finer.n_steps // self.n_steps
+
 
 class Method(Enum):
     METHOD1 = "method1"
@@ -90,8 +98,7 @@ class SolverConfig(_Record):
         if self.tol is not None:
             _positive_finite("tol", self.tol)
         _count("max_iter", self.max_iter)
-        if not self.blow_up_threshold > 0.0:
-            raise ValueError("blow_up_threshold must be positive")
+        _positive_finite("blow_up_threshold", self.blow_up_threshold)
 
 
 class SolveOutcome(Enum):

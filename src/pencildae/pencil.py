@@ -16,7 +16,6 @@ import math
 import operator
 import sys
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -80,11 +79,11 @@ def _positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
-def _count(name: str, value, low: int = 1) -> int:
-    """``value`` as an int: an integer (not a bool) from ``low`` to below sys.maxsize."""
+def _count(name: str, value, low: int = 1, high: int = sys.maxsize) -> int:
+    """``value`` as an int: an integer (not a bool) from ``low`` to below ``high``."""
     if isinstance(value, bool) or not hasattr(value, "__index__") \
-            or not low <= operator.index(value) < sys.maxsize:
-        raise ValueError(f"{name} must be an integer in [{low}, {sys.maxsize})")
+            or not low <= operator.index(value) < high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high})")
     return operator.index(value)
 
 
@@ -98,7 +97,7 @@ def _as_square_matrix(m, name: str) -> np.ndarray:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
+    out = np.array(arr, dtype=float, order="C")  # a copy: the caller's array stays writable
     out.flags.writeable = False
     return out
 
@@ -108,9 +107,9 @@ class _Record:
     ``@dataclass`` makes its methods by ``exec``, ~1 ms a class at import).
 
     The fields are the class's own annotations, in order, given positionally or by
-    keyword; a value in the class body is a field's default, and a ``partial`` one
-    is called for each record.  ``__post_init__`` then runs and may set attributes
-    with ``object.__setattr__``; any other assignment raises ``AttributeError``.
+    keyword; a value in the class body is a field's default.  ``__post_init__`` then
+    runs and may set attributes with ``object.__setattr__``; any other assignment
+    raises ``AttributeError``.
     ``eq=True`` in the class line compares records field by field (and makes them
     unhashable); else a record equals itself only.  ``vars()`` holds the fields
     (and what ``__post_init__`` set).
@@ -128,9 +127,7 @@ class _Record:
                 or not fields - given.keys() <= cls.__dict__.keys():
             raise TypeError(f"{cls.__name__}() takes each of {cls._fields} once or its default")
         for name in cls._fields:
-            default = cls.__dict__.get(name)
-            self.__dict__[name] = given[name] if name in given else \
-                default() if isinstance(default, partial) else default
+            self.__dict__[name] = given[name] if name in given else cls.__dict__[name]
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
@@ -145,13 +142,13 @@ class _Record:
         return [*map(vars(self).get, self._fields)] == [*map(vars(other).get, self._fields)]
 
 
-class MatrixPencil(_Record, eq=True):
+class MatrixPencil(_Record):
     """The pair (A, B) of real n x n matrices defining lambda*A + B.
 
     Either matrix may be singular; only the pencil as a whole is required to
     be regular for downstream use.  Instances are immutable and safe to share
-    between threads.  ``a_norm`` = ||A||_2 and ``b_norm`` = ||B||_2 are computed
-    once; they are not fields, so equality compares A and B only.
+    between threads.  A and B are read-only copies of the arrays given.  ``a_norm``
+    = ||A||_2 and ``b_norm`` = ||B||_2 are computed once; they are not fields.
     """
 
     a: np.ndarray
@@ -390,8 +387,7 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
     P1 = R A and Q1 = A R for R the mean of the resolvents, inverted in stacks.
     Imaginary parts are checked to be negligible and dropped.
     """
-    if _count("node_count", node_count, low=8) > MAX_NODE_COUNT:
-        raise ValueError(f"node_count must be between 8 and {MAX_NODE_COUNT}")
+    _count("node_count", node_count, low=8, high=MAX_NODE_COUNT + 1)
     mags = _eigenvalue_moduli(pencil)
     if radius is None:
         radius = _radius(pencil, mags)
@@ -433,8 +429,8 @@ def projectors_residue(pencil: MatrixPencil, radius: float | None = None,
 class ValidationReport(_Record):
     """Max-norm residual of every decomposition identity, plus a verdict."""
 
-    residuals: dict = partial(dict)
-    tol: float = 0.0
+    residuals: dict
+    tol: float
 
     @property
     def passed(self) -> bool:

@@ -8,7 +8,7 @@ import pytest
 from conftest import trajectory_from_states
 from pencildae import (DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
                        Method, SemilinearDAE, SolveOutcome, SolverConfig, SolveStatus,
-                       diagnostics, empirical_order, get_preset,
+                       consistent_initialize, diagnostics, empirical_order, get_preset,
                        method1_solve, projectors_algebraic, solve, stability_report,
                        windowed_deviation)
 
@@ -99,13 +99,43 @@ class TestEmpiricalOrder:
         assert np.all(np.diff(errs[1:]) <= 0.0)
 
     def test_degenerate_fit_on_exactly_solved_problem(self):
-        # d/dt x = 0 is reproduced exactly at every step size
+        # d/dt x = 0 is reproduced exactly at every step size; from x0 = 0 the
+        # reference is 0 throughout, so the floor is 0 and refuses the errors of 0
         pencil = MatrixPencil(a=np.eye(1), b=np.zeros((1, 1)))
         dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.zeros(1),
                             jac_f=lambda t, x: np.zeros((1, 1)))
         decomp = projectors_algebraic(pencil)
-        with pytest.raises(DegenerateFitError):
-            empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=3)
+        for x0, floor in ((1.0, "1e-13"), (0.0, "0")):
+            with pytest.raises(DegenerateFitError, match=f"measurable floor {floor}$"):
+                empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([x0]), refinements=3)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_orders_do_not_depend_on_the_scale_of_the_solution(self, index, method):
+        # f = M x is linear and autonomous, so the solution and every error scale
+        # with x0: the roundoff floor scales with the reference and the fit stays
+        if index == 0:
+            a, b, m = np.eye(2), np.array([[1.0, 0.3], [0.0, 2.0]]), np.zeros((2, 2))
+        else:
+            a, m = np.diag([1.0, 1.0, 0.0]), np.full((3, 3), 0.1)
+            b = np.array([[1.0, 0.3, 0.0], [0.0, 2.0, 1.0], [0.5, 0.0, 1.0]])
+        pencil = MatrixPencil(a, b)
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: m @ x, jac_f=lambda t, x: m)
+        decomp = projectors_algebraic(pencil)
+        z0 = decomp.p1 @ np.ones(len(a))
+        x0 = z0 + consistent_initialize(dae, decomp, 0.0, z0)
+
+        def orders(scale):
+            config = SolverConfig(method, blow_up_threshold=1e6 * max(1.0, scale))
+            est = empirical_order(dae, decomp, Mesh(0.0, 1.0, 50), scale * x0,
+                                  refinements=4, config=config)
+            return [est.z.asymptotic_order] + ([est.u.asymptotic_order] if index else [])
+
+        at_one = orders(1.0)
+        assert at_one == pytest.approx([2.04] * len(at_one) if method is Method.METHOD2
+                                       else [1.17] * len(at_one), abs=0.01)
+        for scale in (1e-12, 1e-9, 1e-6, 1e9):
+            assert orders(scale) == pytest.approx(at_one, abs=1e-3), scale
 
     def test_ladder_blow_up_propagates(self):
         preset = get_preset("sec6_blowup")
@@ -153,6 +183,23 @@ class TestEmpiricalOrder:
 
         want = {"step_sizes": hs, "z": fit(errs_z), "u": fit(errs_u)}
         assert json.dumps(estimate.to_json()) == json.dumps(want)
+
+    @pytest.mark.parametrize("mesh, nodes, message", [
+        (Mesh(0.0, 2.0, 20), 21, "meshes share no nodes"),              # another interval
+        (Mesh(0.0, 1.0, 15), 16, "meshes share no nodes"),              # a stride of 1.5
+        (Mesh(0.0, 1.0, 20), 5, "external reference trajectory is incomplete"),
+    ], ids=["interval", "stride", "incomplete"])
+    def test_external_reference_refused_before_any_solve(self, scalar_decay, ladder_steps,
+                                                         mesh, nodes, message):
+        dae, decomp = scalar_decay
+        status = SolveStatus(SolveOutcome.COMPLETED) if nodes == mesh.n_steps + 1 \
+            else SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=0.2)
+        reference = trajectory_from_states(mesh, np.exp(-mesh.times()[:nodes, None]), decomp,
+                                           status=status)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]), refinements=4,
+                            reference=reference)
+        assert ladder_steps() == []
 
     def test_external_reference_solves_every_level(self, scalar_decay, ladder_steps):
         dae, decomp = scalar_decay
@@ -306,6 +353,13 @@ class TestWindowedDeviation:
                              sec5_preset.x0)
         dev = windowed_deviation(coarse, fine, window_fraction=0.5)
         assert 0.0 < dev < 1e-4
+
+    def test_ends_compared_relative_to_their_size(self, scalar_decay):
+        # on [5, 6] a t0 that differs by 1e-12 of itself is the same interval
+        dae, decomp = scalar_decay
+        run = method1_solve(dae, decomp, Mesh(5.0, 6.0, 10), np.array([1.0]))
+        shifted = method1_solve(dae, decomp, Mesh(5.0 * (1 + 1e-12), 6.0, 20), np.array([1.0]))
+        assert windowed_deviation(run, shifted) == windowed_deviation(shifted, run) > 0.0
 
     def test_incompatible_meshes_rejected(self, sec5_preset, sec5_decomp):
         a = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100),

@@ -97,7 +97,8 @@ def test_every_exported_exception_has_an_exit_row(name):
 
 def test_each_input_rule_is_written_once():
     # every count and every positive-finite refusal goes through pencil._count
-    # and pencil._positive_finite; cli._number walks the JSON config on its own
+    # and pencil._positive_finite; cli._number walks the JSON config on its own.
+    # A hand-written "must be positive" or "must be between" is a second rule
     helpers = {"_count", "_positive_finite"}
     found = []
     for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
@@ -109,7 +110,8 @@ def test_each_input_rule_is_written_once():
         for lineno, line in enumerate(source.splitlines(), 1):
             if any(first <= lineno <= last for first, last in exempt):
                 continue
-            for rule in ("operator.index(", ".is_integer()", "must be positive and finite"):
+            for rule in ("operator.index(", ".is_integer()", "must be positive",
+                         "must be between", "must be an integer"):
                 if rule in line:
                     found.append(f"{path.name}:{lineno}: {rule}")
     assert found == []

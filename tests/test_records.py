@@ -24,8 +24,7 @@ RECORDS = {
                              "q2": np.zeros((2, 2)), "g": 2 * np.eye(2),
                              "g_inv": 0.5 * np.eye(2), "index": PencilIndex.INDEX0,
                              "x2_basis": np.zeros((2, 0))}, {}),
-    ValidationReport: ({"residuals": {"P1+P2=I": 1e-16}, "tol": 1e-10},
-                       {"residuals": {}, "tol": 0.0}),
+    ValidationReport: ({"residuals": {"P1+P2=I": 1e-16}, "tol": 1e-10}, {}),
     Nonlinearity: ({"kind": "square", "value": math.sin, "derivative": math.cos}, {}),
     VoltageWaveform: ({"kind": "sawtooth", "value": math.sin, "smooth": False, "period": 5.0},
                       {"smooth": True, "period": None}),
@@ -83,10 +82,6 @@ def test_defaults(cls):
     assert_fields(cls(**required), {**required, **defaults})
 
 
-def test_a_mutable_default_is_made_for_each_record():
-    assert ValidationReport().residuals is not ValidationReport().residuals
-
-
 @classes
 def test_wrong_arguments_are_type_errors(cls):
     fields, defaults = RECORDS[cls]
@@ -117,7 +112,8 @@ def test_wrong_arguments_are_type_errors(cls):
     (SolverConfig, {"tol": 0.0}, "tol must be positive and finite"),
     (SolverConfig, {"tol": math.nan}, "tol must be positive and finite"),
     (SolverConfig, {"max_iter": 0}, f"max_iter must be an integer in [1, {sys.maxsize})"),
-    (SolverConfig, {"blow_up_threshold": 0.0}, "blow_up_threshold must be positive"),
+    *[(SolverConfig, {"blow_up_threshold": value}, "blow_up_threshold must be positive and finite")
+      for value in (0.0, True, math.inf)],
 ])
 def test_post_init_refusals_keep_their_messages(cls, changes, message):
     fields, _ = RECORDS[cls]
@@ -133,17 +129,29 @@ def test_post_init_makes_arrays_read_only():
     assert (pen.a_norm, pen.b_norm) == (3.0, 1.0)
 
 
+@pytest.mark.parametrize("cls", [MatrixPencil, SpectralDecomposition])
+def test_the_callers_arrays_stay_writable(cls):
+    # a record keeps read-only copies: editing the caller's arrays changes none of its own
+    fields = {name: np.array(value) if isinstance(value, np.ndarray) else value
+              for name, value in RECORDS[cls][0].items()}
+    record = cls(**fields)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray) and value.size:
+            kept = getattr(record, name).copy()
+            value[0, 0] = 2.0
+            np.testing.assert_array_equal(getattr(record, name), kept)
+
+
 def test_equality_only_where_a_caller_compares():
-    # SolveStatus is compared by the tests of the solve outcomes, MatrixPencil
-    # by its fields A and B; every other record is equal to itself only
-    for cls, fields in [(SolveStatus, {"outcome": SolveOutcome.COMPLETED}),
-                        (MatrixPencil, RECORDS[MatrixPencil][0])]:
-        assert cls(**fields) == cls(**fields)
+    # SolveStatus is compared by the tests of the solve outcomes; every other
+    # record is equal to itself only, and hashable
+    assert SolveStatus(SolveOutcome.COMPLETED) == SolveStatus(SolveOutcome.COMPLETED)
     assert SolveStatus(SolveOutcome.BLOW_UP, 0.5) != SolveStatus(SolveOutcome.BLOW_UP, 0.25)
     for cls, (fields, _) in RECORDS.items():
-        if cls not in (SolveStatus, MatrixPencil):
+        if cls is not SolveStatus:
             record = cls(**fields)
             assert record == record and record != cls(**fields), cls.__name__
+            assert hash(record) == hash(record), cls.__name__
 
 
 def test_only_three_exported_classes_are_dataclasses():
