@@ -16,7 +16,7 @@ import numpy as np
 
 from .dae_model import SemilinearDAE, jacobian
 from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, _in_child, _row_norms, solve
-from .pencil import SpectralDecomposition, _count, _Record
+from .pencil import SpectralDecomposition, _count, _positive_finite, _Record
 
 __all__ = [
     "DegenerateFitError", "LadderSolveError", "ComponentOrder", "OrderEstimate",
@@ -214,8 +214,9 @@ def windowed_deviation(trajectory: Trajectory, reference: Trajectory,
     interval of the sup-norm componentwise difference.  Both trajectories must
     be complete and one mesh must refine the other (:meth:`Mesh.stride_in`).
     """
-    if not (0.0 < window_fraction <= 1.0):
-        raise ValueError("window_fraction must lie in (0, 1]")
+    _positive_finite("window_fraction", window_fraction)
+    if window_fraction > 1.0:
+        raise ValueError("window_fraction must not exceed 1")
     if not (trajectory.status.completed and reference.status.completed):
         raise ValueError("windowed_deviation needs two complete trajectories")
     coarse, fine = sorted((trajectory, reference), key=lambda traj: traj.mesh.n_steps)

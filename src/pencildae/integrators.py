@@ -212,13 +212,13 @@ _INIT_RESIDUAL_RTOL = 1e-8
 
 def _node_residuals(b: np.ndarray, q2: np.ndarray, states: np.ndarray,
                     f_values: np.ndarray) -> np.ndarray:
-    """Constraint residuals ||Q2 (B x_i - f_i)|| of a block of nodes.
+    """Constraint residuals ||Q2 (B x_i - f_i)|| of a block of nodes, normed by
+    :func:`_row_norms` as every per-node norm the program reports.
 
-    Stacked matrix-vector and dot products round each node as the single
-    products would.
+    Stacked matrix-vector products round each node as the single products would.
     """
     r = np.matmul(q2, np.matmul(b, states[:, :, None]) - f_values[:, :, None])
-    return np.sqrt(np.matmul(r.transpose(0, 2, 1), r)[:, 0, 0])
+    return _row_norms(r[:, :, 0])
 
 
 def _norm(x: np.ndarray) -> float:
@@ -253,6 +253,10 @@ def _stopped(x: np.ndarray, i: int, node_t: memoryview) -> tuple[SolveStatus, in
 def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
           config: SolverConfig, *, on_block=None) -> Trajectory:
     """Integrate from ``x0`` on ``mesh`` by the scheme of ``config.method``.
+
+    Each new node is tested against ``config.blow_up_threshold`` (a finite one above it
+    is the last kept, a non-finite one fails its step), and f is evaluated once at each
+    node kept: the last node's residual is inf where f fails there.
 
     The steps run in blocks of ``_BLOCK`` nodes, and a block's residuals are formed
     when it closes.  ``on_block(traj, rows)``, if given, is then called with each
@@ -308,7 +312,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
 
     # the split initial point must lie on the constraint manifold
     try:
-        fi = f_block[0] = f(mesh.t0, x)
+        fc = f_block[0] = f(mesh.t0, x)           # fc: f at the newest node, if known
     except _MODEL_ERRORS as exc:
         raise _initial_failure(exc) from exc
     res0 = float(_node_residuals(b_mat, q2, x[None], f_block[:1])[0])
@@ -321,21 +325,18 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
         raise InconsistentInitialStateError(f"initial state norm {_norm(x):.6g} exceeds "
                                             f"blow_up_threshold {config.blow_up_threshold:.6g}")
 
-    last = n_steps                                # the last node computed
-    known = 1                                     # leading nodes with their f stored
-    z_prev = fc = None                            # fc: f at the newest node, if known
+    last = n_steps                                # the last node kept
+    z_prev = None
     for rows in _blocks(nodes):
         start = rows.start
         # a singular k > 1 Newton matrix sets the invalid flag (its NaN step fails the step)
         with np.errstate(invalid="ignore"):
             try:
-                for j, i in enumerate(range(start, min(rows.stop, n_steps))):
-                    if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
-                        status, last = _stopped(x, i, node_t)
+                for j, i in enumerate(range(start, min(rows.stop, last + 1))):
+                    fi = f_block[j] = f(node_t[i], x) if fc is None else fc
+                    known = i + 1                 # leading nodes with their f stored
+                    if i == last:
                         break
-                    if i:
-                        fi = f_block[j] = f(node_t[i], x) if fc is None else fc
-                        known = i + 1
                     if leapfrog and i:
                         z_next = z_prev + leap_drive(fi) - leap_decay(z)
                     else:
@@ -343,26 +344,20 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                     c, u, x, fc = correct(f, jac, node_t[i + 1], z_next, c, u, tol, max_iter)
                     z_prev, z = z, z_next
                     z_hist[i + 1], coords[i + 1] = z, c
-                else:
-                    if rows.stop == nodes and not x.dot(x) <= thr2 and \
-                            not _norm(x) <= config.blow_up_threshold:
-                        status, last = _stopped(x, n_steps, node_t)
-            except _STEP_ERRORS:  # the step to node i + 1 failed; node i is kept
-                status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
-                last = i
+                    if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
+                        status, last = _stopped(x, i + 1, node_t)
+                        if last == i:
+                            break
+            except _STEP_ERRORS:  # at the last node only f can fail: its residual stays inf
+                if i < last:  # the step to node i + 1 failed; node i is kept
+                    status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
+                    last = i
         if last < rows.stop:  # the run ended in this block
             break
         traj.residuals[rows] = _node_residuals(b_mat, q2, traj.state_rows(rows), f_block)
         if on_block is not None:
             on_block(traj, rows)
 
-    if known == last:
-        try:  # f may overflow at an exploded state; its residual is then inf
-            f_block[last - start] = f(node_t[last], traj.state_rows([last])[0]) \
-                if fc is None else fc
-            known += 1
-        except _MODEL_ERRORS:
-            pass
     rows = slice(start, known)                    # the open block, closed once
     traj.residuals[rows] = _node_residuals(b_mat, q2, traj.state_rows(rows),
                                            f_block[:known - start])

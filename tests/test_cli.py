@@ -136,6 +136,21 @@ class TestSolve:
         # pure decay from (1, 1)
         assert summary["max_norm"] == pytest.approx(np.sqrt(2.0))
 
+    def test_huge_finite_residuals_are_written_finite(self, tmp_path):
+        # states grow to ~1e176; r^T r of a residual would overflow to inf
+        cfg = base_solve_config(
+            tmp_path,
+            model={"a": [[1, 0], [0, 0]], "b": [[-50, 0], [0.3, 1]],
+                   "f_matrix": [[0, 0], [0.7, 0.1]]},
+            mesh={"t0": 0.0, "t_end": 10.0, "n_steps": 1000},
+            initial_state={"x0": [1.0, 0.4 / 0.9]}, blow_up_threshold=1e300,
+        )
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["solve", path, "--quiet"]) == 0
+        rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
+        residuals = [float(row.rpartition(",")[2]) for row in rows]
+        assert len(residuals) == 1001 and np.isfinite(residuals).all()
+
     def test_inline_model_needs_initial_state(self, tmp_path, capsys):
         cfg = base_solve_config(
             tmp_path, model={"a": [[1.0, 0.0], [0.0, 1.0]],

@@ -361,6 +361,19 @@ class TestWindowedDeviation:
         shifted = method1_solve(dae, decomp, Mesh(5.0 * (1 + 1e-12), 6.0, 20), np.array([1.0]))
         assert windowed_deviation(run, shifted) == windowed_deviation(shifted, run) > 0.0
 
+    @pytest.mark.parametrize("fraction, message", [
+        (True, "must be positive and finite"), (0.0, "must be positive and finite"),
+        (float("nan"), "must be positive and finite"), (float("inf"), "must be positive and finite"),
+        (1.5, "must not exceed 1"),
+    ])
+    def test_window_fraction_refusals(self, scalar_decay, fraction, message):
+        # a bool is not a fraction: True once ran as 1.0
+        dae, decomp = scalar_decay
+        run = method1_solve(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]))
+        with pytest.raises(ValueError, match=f"^window_fraction {message}$"):
+            windowed_deviation(run, run, window_fraction=fraction)
+        assert windowed_deviation(run, run, window_fraction=1) == 0.0
+
     def test_incompatible_meshes_rejected(self, sec5_preset, sec5_decomp):
         a = method1_solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 100),
                           sec5_preset.x0)

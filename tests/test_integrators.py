@@ -369,6 +369,23 @@ class TestBlowUp:
             solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 4), np.array(x0),
                   SolverConfig(blow_up_threshold=threshold))
 
+    def test_residuals_of_huge_finite_states_are_finite(self):
+        # Euler multiplies x1 by 1.5 a step, to ~1e176; x2 = 0.4 x1 / 0.9 on the
+        # constraint. Each residual is the row norm of Q2 (B x - f) at its node:
+        # no square of a residual overflows to inf
+        f_mat = np.array([[0.0, 0.0], [0.7, 0.1]])
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.array([[-50.0, 0.0], [0.3, 1.0]]))
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: f_mat @ x, jac_f=lambda t, x: f_mat)
+        decomp = projectors_algebraic(pencil)
+        with np.errstate(over="ignore"):   # the node test's x.dot(x) overflows, as it may
+            traj = solve(dae, decomp, Mesh(0.0, 10.0, 1000), np.array([1.0, 0.4 / 0.9]),
+                         SolverConfig(blow_up_threshold=1e300))
+        assert traj.status.completed and traj.max_norm > 1e176
+        want = _row_norms(np.array([decomp.q2 @ (pencil.b @ x - f_mat @ x)
+                                    for x in traj.states]))
+        assert np.isfinite(traj.residuals).all()
+        np.testing.assert_array_equal(traj.residuals, want)
+
     def test_max_norm_of_a_tiny_state(self):
         # 1e-200 squared underflows to 0; the norm must not
         dae = SemilinearDAE(pencil=MatrixPencil(a=np.eye(1), b=np.zeros((1, 1))),
@@ -443,6 +460,14 @@ def test_row_norms():
                                      [np.inf, 1.0], [np.nan, 1.0]]))
     np.testing.assert_allclose(norms[:2], [5e200, 5e-200], rtol=1e-15)
     assert norms[2] == 0.0 and norms[3] == np.inf and np.isnan(norms[4])
+
+
+def test_node_residuals_take_the_row_norms():
+    # r^T r of (2e154, 0, 0) overflows to inf and that of (1e-170, 0, 0)
+    # underflows to 0; the row norms keep both, and warn of neither
+    states = np.array([[2e154, 0.0, 0.0], [1e-170, 0.0, 0.0], [3.0, -4.0, 0.0]])
+    residuals = integrators._node_residuals(np.eye(3), np.eye(3), states, np.zeros((3, 3)))
+    np.testing.assert_array_equal(residuals, [2e154, 1e-170, 5.0])
 
 
 def test_solve_dispatches_on_method(sec5_preset, sec5_decomp):

@@ -98,7 +98,8 @@ def test_every_exported_exception_has_an_exit_row(name):
 def test_each_input_rule_is_written_once():
     # every count and every positive-finite refusal goes through pencil._count
     # and pencil._positive_finite; cli._number walks the JSON config on its own.
-    # A hand-written "must be positive" or "must be between" is a second rule
+    # A hand-written "must be positive", "must be between" or "must lie in" an
+    # interval is a second rule ("z0 must lie in X1" names a subspace, not a range)
     helpers = {"_count", "_positive_finite"}
     found = []
     for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
@@ -111,7 +112,35 @@ def test_each_input_rule_is_written_once():
             if any(first <= lineno <= last for first, last in exempt):
                 continue
             for rule in ("operator.index(", ".is_integer()", "must be positive",
-                         "must be between", "must be an integer"):
+                         "must be between", "must be an integer", "must lie in (",
+                         "must lie in ["):
                 if rule in line:
                     found.append(f"{path.name}:{lineno}: {rule}")
+    assert found == []
+
+
+def test_each_vector_norm_is_taken_by_one_rule():
+    # every norm of a vector goes through integrators._norm and _row_norms, which
+    # neither overflow nor underflow. Exempt by name: X2Newton.correct's stop test,
+    # kept on the hot path for speed, and the constant _SQRT_TINY. A matrix 2-norm,
+    # np.linalg.norm(m, 2), is another quantity
+    exempt_names = {"integrators.py": {"_norm", "_row_norms", "_SQRT_TINY"},
+                    "dae_model.py": {"correct"}}
+    found = []
+    for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = exempt_names.get(path.name, set())
+        exempt = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name in names
+                  or isinstance(node, ast.Assign) and any(
+                      isinstance(t, ast.Name) and t.id in names for t in node.targets)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or any(
+                    first <= node.lineno <= last for first, last in exempt):
+                continue
+            name = ast.unparse(node.func)
+            matrix_2_norm = len(node.args) > 1 and ast.unparse(node.args[1]) == "2"
+            if name.rpartition(".")[2] == "sqrt" or name.endswith("linalg.norm") \
+                    and not matrix_2_norm:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
