@@ -156,7 +156,7 @@ class X2Newton:
             fx = f(t, x)
             r = c - coeff(fx)
             if tol is not None:
-                last = abs(r) if scalar else math.sqrt(r.dot(r))
+                last = abs(r) if scalar else math.hypot(*r.tolist())
                 if last <= tol:
                     return c, u, x, fx
                 if updates >= max_iter:

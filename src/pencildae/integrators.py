@@ -221,24 +221,18 @@ def _node_residuals(b: np.ndarray, q2: np.ndarray, states: np.ndarray,
     return _row_norms(r[:, :, 0])
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x|| as m ||x / m||, m = max |x_i| (as dnrm2): x.dot(x) may overflow."""
-    m = float(np.abs(x).max())
-    return m * float(np.sqrt((x / m).dot(x / m))) if 0.0 < m < np.inf else m
-
-
 _SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """||x|| of each row x: numpy's where it lies in [sqrt(tiny), inf), else
-    :func:`_norm`'s, since a square of an entry over- or underflowed there
-    (numpy's warning about it is silenced: the re-pass repairs those rows)."""
+    """||x|| of each row x: numpy's where it is NaN or in [sqrt(tiny), inf), else
+    ``math.hypot``'s, since a square of an entry over- or underflowed there (numpy's
+    warning about it is silenced: the re-pass repairs those rows; NaN rows stay NaN)."""
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(rows, axis=1)
     # an all-zero row has norm 0 either way
-    redo = ~((norms >= _SQRT_TINY) & (norms < np.inf)) & rows.any(axis=1)
-    norms[redo] = [_norm(x) for x in rows[redo]]
+    redo = ((norms < _SQRT_TINY) | (norms == np.inf)) & rows.any(axis=1)
+    norms[redo] = [math.hypot(*x) for x in rows[redo].tolist()]
     return norms
 
 
@@ -254,7 +248,8 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
           config: SolverConfig, *, on_block=None) -> Trajectory:
     """Integrate from ``x0`` on ``mesh`` by the scheme of ``config.method``.
 
-    Each new node is tested against ``config.blow_up_threshold`` (a finite one above it
+    The norm of each new node, ``math.hypot`` of its entries (it neither overflows nor
+    underflows), is tested against ``config.blow_up_threshold`` (a finite node above it
     is the last kept, a non-finite one fails its step), and f is evaluated once at each
     node kept: the last node's residual is inf where f fails there.
 
@@ -282,9 +277,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     jac = jacobian_function(dae)
     n_steps = mesh.n_steps
     nodes = n_steps + 1
-    # squared once; capped so that an infinite state still fails the test
-    thr2 = min(config.blow_up_threshold * config.blow_up_threshold, sys.float_info.max)
-    tol, max_iter = config.tol, config.max_iter
+    thr, tol, max_iter = config.blow_up_threshold, config.tol, config.max_iter
     # the Euler z-step (method 1, method-2 starter) is (I - h Ginv B) z + h Ginv Q1 f,
     # the leapfrog step z_prev + 2h Ginv Q1 f - 2h Ginv B z
     h = mesh.h
@@ -316,14 +309,14 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     except _MODEL_ERRORS as exc:
         raise _initial_failure(exc) from exc
     res0 = float(_node_residuals(b_mat, q2, x[None], f_block[:1])[0])
-    init_tol = _INIT_RESIDUAL_RTOL * (1.0 + dae.pencil.b_norm) * \
-        (1.0 + float(_row_norms(x0[None])[0]))
+    init_tol = _INIT_RESIDUAL_RTOL * (1.0 + dae.pencil.b_norm) * (1.0 + math.hypot(*x0.tolist()))
     if not res0 <= init_tol:
         raise InconsistentInitialStateError(
             f"initial constraint residual {res0:.3e} exceeds tolerance {init_tol:.3e}")
-    if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:  # as at each node
-        raise InconsistentInitialStateError(f"initial state norm {_norm(x):.6g} exceeds "
-                                            f"blow_up_threshold {config.blow_up_threshold:.6g}")
+    norm0 = math.hypot(*x.tolist())
+    if not norm0 <= thr:  # as at each node
+        raise InconsistentInitialStateError(
+            f"initial state norm {norm0:.6g} exceeds blow_up_threshold {thr:.6g}")
 
     last = n_steps                                # the last node kept
     z_prev = None
@@ -344,7 +337,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                     c, u, x, fc = correct(f, jac, node_t[i + 1], z_next, c, u, tol, max_iter)
                     z_prev, z = z, z_next
                     z_hist[i + 1], coords[i + 1] = z, c
-                    if not x.dot(x) <= thr2 and not _norm(x) <= config.blow_up_threshold:
+                    if not math.hypot(*x.tolist()) <= thr:
                         status, last = _stopped(x, i + 1, node_t)
                         if last == i:
                             break

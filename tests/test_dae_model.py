@@ -369,6 +369,21 @@ class TestX2Newton:
         assert info.value.last_residual == abs(c - newton.coeff.dot(f(0.0, z + u)))
         assert info.value.last_residual > 0.0
 
+    @pytest.mark.parametrize("v", [2e154, 1e-170])
+    def test_matrix_stop_test_neither_overflows_nor_underflows(self, v):
+        # k = 2 with W = [e3, e2]^T, so c = 0 and f = (0, -v, 0) leave the residual
+        # (0, v): its norm is v, where r.dot(r) would overflow to inf or underflow
+        # to 0 (and pass the tol of 1e-300)
+        from pencildae import NoConvergenceError
+        newton = X2Newton(projectors_algebraic(MatrixPencil(a=np.diag([1.0, 0.0, 0.0]),
+                                                            b=np.eye(3))))
+        assert newton.k == 2
+        c = np.zeros(2)
+        with pytest.raises(NoConvergenceError) as info:
+            newton.correct(lambda t, x: np.array([0.0, -v, 0.0]), lambda t, x: np.zeros((3, 3)),
+                           0.0, np.zeros(3), c, newton.lift(c), tol=1e-300, max_iter=0)
+        assert info.value.last_residual == v
+
     def test_fractional_max_iter_stops(self):
         # the update count passes 2.5 without ever equalling it
         from pencildae import NoConvergenceError

@@ -342,44 +342,41 @@ class TestBlowUp:
         ([-3e304, 4e304], SolveOutcome.BLOW_UP, 1.125e305),
     ])
     def test_norm_test_does_not_overflow(self, x0, outcome, norm):
-        # x.dot(x) overflows above ~1.34e154: a finite state below the threshold
-        # runs on, one that grows above it (x 1.5 a step) blows up at t = 0.5, and
-        # max_norm stays finite
+        # a squared norm overflows above ~1.34e154; the node test's norm must not,
+        # nor warn: a finite state below the threshold runs on, one that grows
+        # above it (x 1.5 a step) blows up at t = 0.5, and max_norm stays finite
         n = len(x0)
         b = -2.0 * np.eye(n) if outcome is SolveOutcome.BLOW_UP else np.zeros((n, n))
         dae = SemilinearDAE(pencil=MatrixPencil(a=np.eye(n), b=b),
                             f=lambda t, x: np.zeros(n), jac_f=lambda t, x: np.zeros((n, n)))
-        with np.errstate(over="ignore"):   # the squares overflow, as they may
-            traj = method1_solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 4),
-                                 np.array(x0), SolverConfig(blow_up_threshold=1e305))
-            max_norm = traj.max_norm
+        traj = method1_solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 4),
+                             np.array(x0), SolverConfig(blow_up_threshold=1e305))
         assert traj.status.outcome is outcome
         assert len(traj) == (5 if outcome is SolveOutcome.COMPLETED else 3)
-        assert max_norm == pytest.approx(norm, rel=1e-15)
+        assert traj.max_norm == pytest.approx(norm, rel=1e-15)
 
     @pytest.mark.parametrize("x0, threshold, norm", [([-3e305, 4e305], 1e300, "5e+305"),
                                                      ([2e6, 0.0], 1e6, "2e+06")])
     def test_x0_above_the_threshold_is_refused(self, x0, threshold, norm):
-        # not a blow-up at t = 0: the input is refused, and its norm does not overflow
+        # not a blow-up at t = 0: the input is refused, and its norm neither
+        # overflows nor warns
         dae = SemilinearDAE(pencil=MatrixPencil(a=np.eye(2), b=np.array([[1.0, 0.3], [0, 2]])),
                             f=lambda t, x: np.zeros(2), jac_f=lambda t, x: np.zeros((2, 2)))
         message = f"initial state norm {norm} exceeds blow_up_threshold {threshold:.6g}"
-        with np.errstate(over="ignore"), \
-                pytest.raises(InconsistentInitialStateError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InconsistentInitialStateError, match=f"^{re.escape(message)}$"):
             solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 4), np.array(x0),
                   SolverConfig(blow_up_threshold=threshold))
 
     def test_residuals_of_huge_finite_states_are_finite(self):
         # Euler multiplies x1 by 1.5 a step, to ~1e176; x2 = 0.4 x1 / 0.9 on the
         # constraint. Each residual is the row norm of Q2 (B x - f) at its node:
-        # no square of a residual overflows to inf
+        # no square of a residual overflows to inf, and no node test warns
         f_mat = np.array([[0.0, 0.0], [0.7, 0.1]])
         pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.array([[-50.0, 0.0], [0.3, 1.0]]))
         dae = SemilinearDAE(pencil=pencil, f=lambda t, x: f_mat @ x, jac_f=lambda t, x: f_mat)
         decomp = projectors_algebraic(pencil)
-        with np.errstate(over="ignore"):   # the node test's x.dot(x) overflows, as it may
-            traj = solve(dae, decomp, Mesh(0.0, 10.0, 1000), np.array([1.0, 0.4 / 0.9]),
-                         SolverConfig(blow_up_threshold=1e300))
+        traj = solve(dae, decomp, Mesh(0.0, 10.0, 1000), np.array([1.0, 0.4 / 0.9]),
+                     SolverConfig(blow_up_threshold=1e300))
         assert traj.status.completed and traj.max_norm > 1e176
         want = _row_norms(np.array([decomp.q2 @ (pencil.b @ x - f_mat @ x)
                                     for x in traj.states]))

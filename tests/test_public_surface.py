@@ -120,12 +120,12 @@ def test_each_input_rule_is_written_once():
 
 
 def test_each_vector_norm_is_taken_by_one_rule():
-    # every norm of a vector goes through integrators._norm and _row_norms, which
-    # neither overflow nor underflow. Exempt by name: X2Newton.correct's stop test,
-    # kept on the hot path for speed, and the constant _SQRT_TINY. A matrix 2-norm,
-    # np.linalg.norm(m, 2), is another quantity
-    exempt_names = {"integrators.py": {"_norm", "_row_norms", "_SQRT_TINY"},
-                    "dae_model.py": {"correct"}}
+    # every norm of one vector is math.hypot and every norm of a block of rows is
+    # integrators._row_norms; neither overflows nor underflows. Exempt by name: only
+    # _row_norms and the constant _SQRT_TINY. A sqrt, a vector norm of numpy's or a
+    # self-dot v.dot(v) (the squared norm, which over- and underflows) elsewhere is a
+    # second rule. A matrix 2-norm, np.linalg.norm(m, 2), is another quantity
+    exempt_names = {"integrators.py": {"_row_norms", "_SQRT_TINY"}}
     found = []
     for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -140,7 +140,9 @@ def test_each_vector_norm_is_taken_by_one_rule():
                 continue
             name = ast.unparse(node.func)
             matrix_2_norm = len(node.args) > 1 and ast.unparse(node.args[1]) == "2"
-            if name.rpartition(".")[2] == "sqrt" or name.endswith("linalg.norm") \
+            self_dot = isinstance(node.func, ast.Attribute) and node.func.attr == "dot" \
+                and [ast.unparse(arg) for arg in node.args] == [ast.unparse(node.func.value)]
+            if name.rpartition(".")[2] == "sqrt" or self_dot or name.endswith("linalg.norm") \
                     and not matrix_2_norm:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
