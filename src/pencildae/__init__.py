@@ -8,9 +8,11 @@ two combined schemes (first- and second-order) integrate the pair.  A name of
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 MAX_NODE_COUNT = 2 ** 16  # pencil.projectors_residue's, here for the CLI's config walk
+MAX_STEPS = sys.maxsize // 16  # a Mesh's most steps: its node times (8 bytes each) fit one array
 
 _EXPORTS = {
     "dae_model": "InconsistentInitialStateError NoConvergenceError NonFiniteJacobianError "

@@ -35,7 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import MAX_NODE_COUNT
+from . import MAX_NODE_COUNT, MAX_STEPS
 
 __all__ = ["main", "run", "load_config"]
 
@@ -162,7 +162,6 @@ def _object(fields: dict, required=(), exactly_one=False, string=None):
     return walk
 
 
-_MAX_STEPS = sys.maxsize // 16  # a mesh's node times (8 bytes each) fit one numpy array
 _MATRIX = _array(_array(_number()))
 _VECTOR = _array(_number())
 _CONFIG = _object({
@@ -170,7 +169,7 @@ _CONFIG = _object({
                      required=("a", "b"), string=_string()),
     "method": _string("method1", "method2"),
     "mesh": _object({"t0": _number(), "t_end": _number(),
-                     "n_steps": _number(1, integer=True, high=_MAX_STEPS)},
+                     "n_steps": _number(1, integer=True, high=MAX_STEPS)},
                     required=("t0", "t_end", "n_steps")),
     "initial_state": _object({"x0": _VECTOR, "z0": _VECTOR}, exactly_one=True,
                              string=_string("preset_default")),
@@ -197,9 +196,10 @@ def load_config(path: str) -> dict:
     _CONFIG(config, "")
     if config.get("method") == "method2" and config.get("mesh", {}).get("n_steps", 2) < 2:
         _fail("mesh/n_steps", "method2 needs at least 2 steps")
-    n_steps = int(config.get("mesh", {}).get("n_steps", 1))  # min: 2**10**18 is never formed
-    if "study" in config and n_steps << min(int(config["study"]["refinements"]), 64) > _MAX_STEPS:
-        _fail("study/refinements", f"mesh/n_steps * 2**refinements must be <= {_MAX_STEPS}")
+    n_steps = int(config.get("mesh", {}).get("n_steps", 1))  # the finest level is a Mesh
+    refinements = min(int(config.get("study", {}).get("refinements", 0)), MAX_STEPS.bit_length())
+    if n_steps << refinements > MAX_STEPS:
+        _fail("study/refinements", f"mesh/n_steps * 2**refinements must be <= {MAX_STEPS}")
     return config
 
 
@@ -235,8 +235,7 @@ def _resolve_model(config: dict) -> model_library.ModelPreset:
     pen, f, jac = _inline_model(model_spec)
     return model_library.ModelPreset(preset_id="<inline>",
                                      dae=dae_model.SemilinearDAE(pencil=pen, f=f, jac_f=jac),
-                                     x0=np.zeros(pen.n), smooth=True,
-                                     description="inline affine model")
+                                     x0=np.zeros(pen.n), smooth=True)
 
 
 def _decompose(pen: pencil.MatrixPencil, config: dict):

@@ -10,10 +10,9 @@ against a reference run.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
+from . import MAX_STEPS
 from .dae_model import SemilinearDAE, jacobian
 from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, _in_child, _row_norms, solve
 from .pencil import SpectralDecomposition, _count, _positive_finite, _Record
@@ -117,9 +116,10 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
         largest base-node norm, so the fit would chase roundoff.
     """
     refinements = _count("refinements", refinements, low=3)
-    # n 2**R < sys.maxsize iff n has at most 63 - R bits (R >= 1); 2**R is never formed
-    if int(mesh_base.n_steps).bit_length() + refinements > sys.maxsize.bit_length():
-        raise ValueError(f"refinements must keep n_steps * 2**refinements below {sys.maxsize}")
+    # n 2**R steps must make a Mesh; for R past MAX_STEPS' bits any n >= 1 is over, so the
+    # shift is capped there and 2**R is never formed
+    if int(mesh_base.n_steps) << min(refinements, MAX_STEPS.bit_length()) > MAX_STEPS:
+        raise ValueError(f"refinements must keep n_steps * 2**refinements at most {MAX_STEPS}")
     config = config or SolverConfig()
     if reference is not None:
         ref_nodes = slice(None, None, mesh_base.stride_in(reference.mesh))  # the base nodes

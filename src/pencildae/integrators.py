@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import MAX_STEPS
 from .dae_model import (_MODEL_ERRORS, _STEP_ERRORS, InconsistentInitialStateError,
                         SemilinearDAE, X2Newton, _initial_failure, jacobian_function)
 from .pencil import SpectralDecomposition, _count, _positive_finite, _Record
@@ -39,7 +40,8 @@ __all__ = [
 
 
 class Mesh(_Record):
-    """Uniform mesh t_i = t0 + i*h, i = 0..n_steps, h = (t_end - t0)/n_steps.
+    """Uniform mesh t_i = t0 + i*h, i = 0..n_steps, h = (t_end - t0)/n_steps,
+    1 <= n_steps <= ``pencildae.MAX_STEPS``.
 
     Nodes are always formed as t0 + i*h (never by accumulation) so that
     refined meshes share their coarse nodes exactly.
@@ -50,7 +52,7 @@ class Mesh(_Record):
     n_steps: int
 
     def __post_init__(self):
-        _count("n_steps", self.n_steps)
+        _count("n_steps", self.n_steps, high=MAX_STEPS + 1)
         if not self.t_end > self.t0:
             raise ValueError("t_end must exceed t0")
         if not np.isfinite(self.h):

@@ -48,7 +48,6 @@ SAWTOOTH_PERIOD = 5.0
 class Nonlinearity(_Record):
     """A scalar characteristic y(x) with its derivative."""
 
-    kind: str
     value: Callable[[float], float]
     derivative: Callable[[float], float]
 
@@ -65,44 +64,35 @@ def odd_power(alpha: float = 1.0, exponent: int = 3) -> Nonlinearity:
     _positive_finite("alpha", alpha)
     if _count("exponent", exponent) % 2 == 0:
         raise ValueError("exponent must be odd")
-    return Nonlinearity(
-        kind=f"odd_power({alpha}, {exponent})",
-        value=lambda x: alpha * x ** exponent,
-        derivative=lambda x: alpha * exponent * x ** (exponent - 1),
-    )
+    return Nonlinearity(value=lambda x: alpha * x ** exponent,
+                        derivative=lambda x: alpha * exponent * x ** (exponent - 1))
 
 
 def sine(alpha: float = 1.0) -> Nonlinearity:
     _finite(alpha=alpha)
-    return Nonlinearity(kind=f"sine({alpha})",
-                        value=lambda x: alpha * math.sin(x),
+    return Nonlinearity(value=lambda x: alpha * math.sin(x),
                         derivative=lambda x: alpha * math.cos(x))
 
 
 def neg_square() -> Nonlinearity:
     """-x**2, the destabilising resistance of the finite-time blow-up set."""
-    return Nonlinearity(kind="neg_square", value=lambda x: -x * x,
-                        derivative=lambda x: -2.0 * x)
+    return Nonlinearity(value=lambda x: -x * x, derivative=lambda x: -2.0 * x)
 
 
 def square() -> Nonlinearity:
-    return Nonlinearity(kind="square", value=lambda x: x * x,
-                        derivative=lambda x: 2.0 * x)
+    return Nonlinearity(value=lambda x: x * x, derivative=lambda x: 2.0 * x)
 
 
 class VoltageWaveform(_Record):
     """Input voltage e(t); ``smooth`` gates convergence-order assertions."""
 
-    kind: str
     value: Callable[[float], float]
     smooth: bool = True
-    period: float | None = None
 
 
 def sinusoidal(beta: float = 1.0, omega: float = 1.0, theta: float = 0.0) -> VoltageWaveform:
     _finite(beta=beta, omega=omega, theta=theta)
-    return VoltageWaveform(kind=f"sinusoidal({beta}, {omega}, {theta})",
-                           value=lambda t: beta * math.sin(omega * t + theta))
+    return VoltageWaveform(value=lambda t: beta * math.sin(omega * t + theta))
 
 
 def power_decay(beta: float = 1.0, alpha: float = 1.0, n: int = 1) -> VoltageWaveform:
@@ -110,15 +100,13 @@ def power_decay(beta: float = 1.0, alpha: float = 1.0, n: int = 1) -> VoltageWav
     _finite(beta=beta)
     _positive_finite("alpha", alpha)
     _count("n", n)
-    return VoltageWaveform(kind=f"power_decay({beta}, {alpha}, {n})",
-                           value=lambda t: beta * (t + alpha) ** (-n))
+    return VoltageWaveform(value=lambda t: beta * (t + alpha) ** (-n))
 
 
 def polynomial(beta: float = 1.0, alpha: float = 0.0, n: int = 1) -> VoltageWaveform:
     _finite(beta=beta, alpha=alpha)
     _count("n", n)
-    return VoltageWaveform(kind=f"polynomial({beta}, {alpha}, {n})",
-                           value=lambda t: beta * (t + alpha) ** n)
+    return VoltageWaveform(value=lambda t: beta * (t + alpha) ** n)
 
 
 def _triangular_value(t: float) -> float:
@@ -131,8 +119,7 @@ def _triangular_value(t: float) -> float:
 
 def triangular() -> VoltageWaveform:
     """Periodic triangle: rises 0 -> 50 on [0, 50], falls back on [50, 100]."""
-    return VoltageWaveform(kind="triangular", value=_triangular_value,
-                           smooth=False, period=TRIANGULAR_PERIOD)
+    return VoltageWaveform(value=_triangular_value, smooth=False)
 
 
 def _sawtooth_value(t: float) -> float:
@@ -144,8 +131,7 @@ def _sawtooth_value(t: float) -> float:
 
 def sawtooth() -> VoltageWaveform:
     """Periodic sawtooth: rises 0 -> 4 on [0, 4], drops back to 0 on [4, 5]."""
-    return VoltageWaveform(kind="sawtooth", value=_sawtooth_value,
-                           smooth=False, period=SAWTOOTH_PERIOD)
+    return VoltageWaveform(value=_sawtooth_value, smooth=False)
 
 
 class CircuitParams(_Record):
@@ -228,7 +214,6 @@ class ModelPreset:
     dae: SemilinearDAE
     x0: np.ndarray
     smooth: bool
-    description: str
 
 
 def _linear_index0_preset() -> ModelPreset:
@@ -243,8 +228,7 @@ def _linear_index0_preset() -> ModelPreset:
 
     dae = SemilinearDAE(pencil=MatrixPencil(a=a, b=b), f=f, jac_f=jac)
     return ModelPreset(preset_id="linear_index0", dae=dae,
-                       x0=np.array([1.0, -0.5]), smooth=True,
-                       description="2x2 invertible-A problem with mild coupling")
+                       x0=np.array([1.0, -0.5]), smooth=True)
 
 
 def _toy_index1_preset() -> ModelPreset:
@@ -260,36 +244,29 @@ def _toy_index1_preset() -> ModelPreset:
 
     dae = SemilinearDAE(pencil=MatrixPencil(a=a, b=b), f=f, jac_f=jac)
     # constraint: x2 = (0.5 sin t + 0.3 x1) / 0.75  =>  x2(0) = 0.4 for x1(0) = 1
-    return ModelPreset(preset_id="toy_index1", dae=dae, x0=np.array([1.0, 0.4]),
-                       smooth=True, description="2x2 index-1 problem with forced constraint")
+    return ModelPreset(preset_id="toy_index1", dae=dae, x0=np.array([1.0, 0.4]), smooth=True)
 
 
 _CUBIC = odd_power(1.0, 3)
 _SEC5 = CircuitParams(5e-4, 5e-7, 2.0, 0.2)
 _ORIGIN = (0.0, 0.0, 0.0)
 
-#: circuit presets, one row each: (params, phi0, phi, psi, h, drive, x0, description)
+#: circuit presets, one row each: (params, phi0, phi, psi, h, drive, x0); the README's
+#: preset table describes each
 _CIRCUIT_PRESETS = {
-    "sec5_cubic": (_SEC5, _CUBIC, _CUBIC, _CUBIC, _CUBIC, sinusoidal(), _ORIGIN,
-                   "cubic circuit, e = sin t, reference comparison set"),
+    "sec5_cubic": (_SEC5, _CUBIC, _CUBIC, _CUBIC, _CUBIC, sinusoidal(), _ORIGIN),
     "sec5_r4_g01": (CircuitParams(5e-4, 5e-7, 4.0, 0.1),
-                    _CUBIC, _CUBIC, _CUBIC, _CUBIC, sinusoidal(), _ORIGIN,
-                    "cubic circuit with doubled r and halved g (leapfrog-friendly)"),
+                    _CUBIC, _CUBIC, _CUBIC, _CUBIC, sinusoidal(), _ORIGIN),
     # e(t) = (2t + 10)^-2 = 0.25 * (t + 5)^-2
     "sec6_sine_powerdecay": (_SEC5, _CUBIC, sine(), sine(), sine(),
-                             power_decay(0.25, 5.0, 2), (10.0, -10.0, 5.0),
-                             "sine nonlinearities, decaying drive, bounded solution"),
+                             power_decay(0.25, 5.0, 2), (10.0, -10.0, 5.0)),
     "sec6_polynomial": (CircuitParams(1e-3, 5e-7, 2.0, 0.3),
-                        _CUBIC, _CUBIC, _CUBIC, _CUBIC, polynomial(1.0, 0.0, 2), _ORIGIN,
-                        "e = t^2: global but unbounded solution"),
-    "sec6_triangular": (_SEC5, _CUBIC, _CUBIC, _CUBIC, _CUBIC, triangular(), _ORIGIN,
-                        "triangular drive (non-smooth), bounded solution"),
+                        _CUBIC, _CUBIC, _CUBIC, _CUBIC, polynomial(1.0, 0.0, 2), _ORIGIN),
+    "sec6_triangular": (_SEC5, _CUBIC, _CUBIC, _CUBIC, _CUBIC, triangular(), _ORIGIN),
     "sec6_sawtooth": (CircuitParams(1e-5, 2e-7, 55.0, 0.015),
-                      _CUBIC, _CUBIC, _CUBIC, _CUBIC, sawtooth(), _ORIGIN,
-                      "sawtooth drive (non-smooth), bounded solution"),
+                      _CUBIC, _CUBIC, _CUBIC, _CUBIC, sawtooth(), _ORIGIN),
     "sec6_blowup": (CircuitParams(5e-6, 5e-7, 2.0, 0.2),
-                    neg_square(), _CUBIC, _CUBIC, square(), sinusoidal(beta=2.0),
-                    (1.0, -6.5, 1.5), "Lagrange-unstable set: finite-time blow-up"),
+                    neg_square(), _CUBIC, _CUBIC, square(), sinusoidal(beta=2.0), (1.0, -6.5, 1.5)),
 }
 
 _SYNTHETIC_PRESETS = {"linear_index0": _linear_index0_preset,
@@ -307,8 +284,7 @@ def get_preset(preset_id: str) -> ModelPreset:
         return _SYNTHETIC_PRESETS[canonical]()
     if canonical not in _CIRCUIT_PRESETS:
         raise KeyError(f"unknown preset {preset_id!r}; known: {', '.join(PRESET_IDS)}")
-    params, phi0, phi, psi, h_cond, e, x0, description = _CIRCUIT_PRESETS[canonical]
+    params, phi0, phi, psi, h_cond, e, x0 = _CIRCUIT_PRESETS[canonical]
     return ModelPreset(preset_id=canonical,
                        dae=build_circuit_dae(params, phi0, phi, psi, h_cond, e),
-                       x0=np.asarray(x0, dtype=float), smooth=e.smooth,
-                       description=description)
+                       x0=np.asarray(x0, dtype=float), smooth=e.smooth)

@@ -35,15 +35,13 @@ def trajectory_from_states(mesh: Mesh, states, decomp, residuals=None,
 
 
 def exponential(beta: float = 1.0, alpha: float = 1.0) -> VoltageWaveform:
-    return VoltageWaveform(kind=f"exponential({beta}, {alpha})",
-                           value=lambda t: beta * math.exp(-alpha * t))
+    return VoltageWaveform(value=lambda t: beta * math.exp(-alpha * t))
 
 
 def gaussian(beta: float = 1.0, alpha: float = 0.0, sigma: float = 1.0) -> VoltageWaveform:
     if sigma == 0.0:
         raise ValueError("sigma must be nonzero")
-    return VoltageWaveform(kind=f"gaussian({beta}, {alpha}, {sigma})",
-                           value=lambda t: beta * math.exp(-((t - alpha) / sigma) ** 2))
+    return VoltageWaveform(value=lambda t: beta * math.exp(-((t - alpha) / sigma) ** 2))
 
 
 def check_jacobian(dae, t, xs) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import trajectory_from_states
-from pencildae import (DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
+from pencildae import (MAX_STEPS, DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
                        Method, SemilinearDAE, SolveOutcome, SolverConfig, SolveStatus,
                        consistent_initialize, diagnostics, empirical_order, get_preset,
                        method1_solve, projectors_algebraic, solve, stability_report,
@@ -251,10 +251,11 @@ class TestEmpiricalOrder:
 
     @pytest.mark.parametrize("n_steps, refinements, refused", [
         (10, 10**18, True),
-        (10, 60, True),     # 10 * 2**60 > sys.maxsize: the smallest refused
-        (10, 59, False),    # 10 * 2**59 < sys.maxsize: the largest accepted
-        (2**59, 4, True),
-        (2**59 - 1, 4, False),
+        (10, 56, True),     # 10 * 2**56 > MAX_STEPS: the smallest refused, as by the CLI
+        (10, 55, False),    # 10 * 2**55 <= MAX_STEPS: the largest accepted
+        (2**56, 3, True),
+        (2**56 - 1, 3, False),
+        (MAX_STEPS, 3, True),  # the largest Mesh has no finer level
     ])
     def test_refinements_past_the_largest_mesh(self, scalar_decay, monkeypatch, ladder_steps,
                                                n_steps, refinements, refused):

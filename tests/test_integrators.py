@@ -223,7 +223,7 @@ class TestAlgebraicUpdate:
         cubic = odd_power(1.0, 3)
         dae = build_circuit_dae(CircuitParams(5e-4, 5e-7, 2.0, 0.2),
                                 cubic, cubic, cubic, cubic,
-                                VoltageWaveform(kind="zero", value=lambda t: 0.0))
+                                VoltageWaveform(value=lambda t: 0.0))
         u_next = correct_u(dae, sec5_decomp, 3.0, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(u_next, 0.0, atol=1e-15)
 

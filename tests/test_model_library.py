@@ -71,14 +71,14 @@ class TestWaveforms:
         assert w.value(50.0) == 50.0
         assert w.value(0.0) == 0.0
         assert w.value(150.0) == 50.0
-        assert not w.smooth and w.period == 100.0
+        assert not w.smooth
 
     def test_sawtooth_segments(self):
         w = sawtooth()
         assert w.value(4.0) == 4.0
         assert w.value(5.0) == 0.0   # 20*(k+1) - 4t at k=0, t=5
         assert w.value(4.5) == pytest.approx(2.0)
-        assert not w.smooth and w.period == 5.0
+        assert not w.smooth
 
     def test_sinusoidal(self):
         w = sinusoidal(beta=2.0, omega=1.0, theta=0.0)

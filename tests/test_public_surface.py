@@ -95,27 +95,49 @@ def test_every_exported_exception_has_an_exit_row(name):
         assert cls in HANDLED or exit_row(cls) is not None, cls
 
 
+def exempt_lines(path: Path, tree: ast.Module, exempt_names: dict) -> set[int]:
+    """The lines of the functions and assignments that ``exempt_names``
+    (file name -> names) exempts in ``path``."""
+    names = exempt_names.get(path.name, set())
+    return {line for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names
+            or isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in names for t in node.targets)
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
 def test_each_input_rule_is_written_once():
     # every count and every positive-finite refusal goes through pencil._count
     # and pencil._positive_finite; cli._number walks the JSON config on its own.
     # A hand-written "must be positive", "must be between" or "must lie in" an
     # interval is a second rule ("z0 must lie in X1" names a subspace, not a range)
-    helpers = {"_count", "_positive_finite"}
+    exempt_names = {"pencil.py": {"_count", "_positive_finite"}, "cli.py": {"_number"}}
     found = []
     for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        exempt = [(node.lineno, node.end_lineno) for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.FunctionDef)
-                  and (node.name in helpers and path.name == "pencil.py"
-                       or node.name == "_number" and path.name == "cli.py")]
+        exempt = exempt_lines(path, ast.parse(source), exempt_names)
         for lineno, line in enumerate(source.splitlines(), 1):
-            if any(first <= lineno <= last for first, last in exempt):
+            if lineno in exempt:
                 continue
             for rule in ("operator.index(", ".is_integer()", "must be positive",
                          "must be between", "must be an integer", "must lie in (",
                          "must lie in ["):
                 if rule in line:
                     found.append(f"{path.name}:{lineno}: {rule}")
+    assert found == []
+
+
+def test_the_largest_mesh_is_said_once():
+    # pencildae.MAX_STEPS is the one largest-mesh rule of Mesh, empirical_order and
+    # the CLI; sys.maxsize elsewhere, but in the generic count defaults of
+    # pencil._count and cli._number, is a second one
+    exempt_names = {"__init__.py": {"MAX_STEPS"}, "pencil.py": {"_count"}, "cli.py": {"_number"}}
+    found = []
+    for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        exempt = exempt_lines(path, ast.parse(source), exempt_names)
+        found += [f"{path.name}:{lineno}" for lineno, line in enumerate(source.splitlines(), 1)
+                  if "sys.maxsize" in line and lineno not in exempt]
     assert found == []
 
 
@@ -129,14 +151,9 @@ def test_each_vector_norm_is_taken_by_one_rule():
     found = []
     for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = exempt_names.get(path.name, set())
-        exempt = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name in names
-                  or isinstance(node, ast.Assign) and any(
-                      isinstance(t, ast.Name) and t.id in names for t in node.targets)]
+        exempt = exempt_lines(path, tree, exempt_names)
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or any(
-                    first <= node.lineno <= last for first, last in exempt):
+            if not isinstance(node, ast.Call) or node.lineno in exempt:
                 continue
             name = ast.unparse(node.func)
             matrix_2_norm = len(node.args) > 1 and ast.unparse(node.args[1]) == "2"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pencildae
-from pencildae import (CircuitParams, ComponentOrder, MatrixPencil, Mesh, Method,
+from pencildae import (MAX_STEPS, CircuitParams, ComponentOrder, MatrixPencil, Mesh, Method,
                        ModelPreset, Nonlinearity, OrderEstimate, PencilIndex, SemilinearDAE,
                        SolveOutcome, SolverConfig, SolveStatus, SpectralDecomposition,
                        StabilityReport, Trajectory, ValidationReport, VoltageWaveform)
@@ -25,9 +25,8 @@ RECORDS = {
                              "g_inv": 0.5 * np.eye(2), "index": PencilIndex.INDEX0,
                              "x2_basis": np.zeros((2, 0))}, {}),
     ValidationReport: ({"residuals": {"P1+P2=I": 1e-16}, "tol": 1e-10}, {}),
-    Nonlinearity: ({"kind": "square", "value": math.sin, "derivative": math.cos}, {}),
-    VoltageWaveform: ({"kind": "sawtooth", "value": math.sin, "smooth": False, "period": 5.0},
-                      {"smooth": True, "period": None}),
+    Nonlinearity: ({"value": math.sin, "derivative": math.cos}, {}),
+    VoltageWaveform: ({"value": math.sin, "smooth": False}, {"smooth": True}),
     CircuitParams: ({"l_ind": 5e-4, "c_cap": 5e-7, "r_res": 2.0, "g_cond": 0.2}, {}),
     Mesh: ({"t0": 0.0, "t_end": 1.0, "n_steps": 10}, {}),
     SolverConfig: ({"method": Method.METHOD2, "tol": 1e-9, "max_iter": 7,
@@ -105,8 +104,8 @@ def test_wrong_arguments_are_type_errors(cls):
      "1 + ||A||_2 + ||B||_2 overflows"),
     *[(CircuitParams, {name: value}, f"{name} must be positive and finite")
       for name in ("l_ind", "c_cap", "r_res", "g_cond") for value in (0.0, math.inf)],
-    (Mesh, {"n_steps": 0}, f"n_steps must be an integer in [1, {sys.maxsize})"),
-    (Mesh, {"n_steps": 2.0}, f"n_steps must be an integer in [1, {sys.maxsize})"),
+    *[(Mesh, {"n_steps": value}, f"n_steps must be an integer in [1, {MAX_STEPS + 1})")
+      for value in (0, 2.0, MAX_STEPS + 1)],
     (Mesh, {"t_end": 0.0}, "t_end must exceed t0"),
     (Mesh, {"t0": -1e308, "t_end": 1e308}, "the step (t_end - t0)/n_steps must be finite"),
     (SolverConfig, {"tol": 0.0}, "tol must be positive and finite"),
