@@ -302,9 +302,9 @@ def _output_paths(config: dict, out_dir: str | None):
 
 def _csv_rows(traj, rows: slice) -> bytes:
     """The CSV rows of the nodes ``rows``, ASCII: one %-format per block, not per row."""
-    z, u = traj.z_history[rows], traj.u_rows(rows)
+    z, u, times = traj.z_history[rows], traj.u_rows(rows), traj.mesh.times(rows)
     norms = integrators._row_norms
-    block = np.column_stack((traj.times[rows], z + u, norms(z), norms(u), traj.residuals[rows]))
+    block = np.column_stack((times, z + u, norms(z), norms(u), traj.residuals[rows]))
     row = ",".join(["%.17g"] * block.shape[1]) + "\n"
     return (row * len(block) % tuple(block.ravel().tolist())).encode()
 
@@ -371,7 +371,7 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
         "status": traj.status.to_json(),
         "max_norm": max_norm,
         "final_state": [float(v) for v in traj.final_state],
-        "final_time": float(traj.times[-1]),
+        "final_time": traj.final_time,
         "n_nodes": len(traj),
         "wall_time": wall,
     }
@@ -379,7 +379,7 @@ def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
     _say(quiet, f"solve {preset.preset_id}: {traj.status.outcome.value}, "
                 f"max norm {max_norm:.6g}, wrote {csv_path} and {json_path}")
     return traj.status.outcome.value, (f"solve {preset.preset_id} stopped at "
-                                       f"t={traj.times[-1]:.6g}, max norm {max_norm:.6g}")
+                                       f"t={traj.final_time:.6g}, max norm {max_norm:.6g}")
 
 
 def cmd_converge(config: dict, out_dir: str | None, quiet: bool):

@@ -67,36 +67,37 @@ class SemilinearDAE:
     """A pencil together with the nonlinear right-hand side f(t, x).
 
     ``jac_f``, when provided, is the analytic state Jacobian df/dx; otherwise a
-    forward difference with step ``fd_step`` is used.  Both callables must be
+    forward difference of :func:`jacobian` is used.  Both callables must be
     pure: the solvers evaluate them concurrently across independent runs.
     """
 
     pencil: MatrixPencil
     f: RhsFunc
     jac_f: JacFunc | None = None
-    fd_step: float = 1e-7
-
-    def __post_init__(self):
-        _positive_finite("fd_step", self.fd_step)
 
     @property
     def n(self) -> int:
         return self.pencil.n
 
 
+# the forward difference steps x_j by this times max(1, |x_j|), sqrt(eps) relative to a
+# typical size 1 (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization, 5.4)
+_FD_STEP = 2.0 ** -26
+
+
 def jacobian(dae: SemilinearDAE, t: float, x) -> np.ndarray:
-    """State Jacobian df/dx, analytic or columnwise forward difference."""
+    """State Jacobian df/dx, analytic or columnwise forward difference, each
+    column divided by its step as rounded."""
     x = np.asarray(x, dtype=float)
     if dae.jac_f is not None:
         jac = np.asarray(dae.jac_f(t, x), dtype=float)
     else:
-        step = dae.fd_step
         f0 = np.asarray(dae.f(t, x), dtype=float)
         jac = np.empty((x.size, x.size))
         for j in range(x.size):
             xp = x.copy()
-            xp[j] += step
-            jac[:, j] = (np.asarray(dae.f(t, xp), dtype=float) - f0) / step
+            xp[j] += _FD_STEP * max(1.0, abs(x[j]))
+            jac[:, j] = (np.asarray(dae.f(t, xp), dtype=float) - f0) / (xp[j] - x[j])
     if not np.all(np.isfinite(jac)):
         raise NonFiniteJacobianError(f"Jacobian non-finite at t={t}")
     return jac

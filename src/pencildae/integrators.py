@@ -62,8 +62,9 @@ class Mesh(_Record):
     def h(self) -> float:
         return (self.t_end - self.t0) / self.n_steps
 
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.n_steps + 1) * self.h
+    def times(self, rows=slice(None)) -> np.ndarray:
+        """t0 + i*h of the nodes i in the slice ``rows`` alone: ``times()[rows]``."""
+        return self.t0 + np.arange(*rows.indices(self.n_steps + 1)) * self.h
 
     def refined(self, factor: int) -> "Mesh":
         return Mesh(self.t0, self.t_end, self.n_steps * factor)
@@ -109,7 +110,7 @@ class SolveOutcome(Enum):
     CORRECTOR_FAILED = "corrector_failed"
 
 
-class SolveStatus(_Record, eq=True):
+class SolveStatus(_Record):
     outcome: SolveOutcome
     blow_up_time: float | None = None
     failed_step: int | None = None
@@ -128,10 +129,9 @@ class Trajectory:
     """Mesh values of an approximate solution x_i = z_i + N c_i, stored as z and c.
 
     On early termination the arrays are truncated at the offending node
-    (never padded); ``status`` records why.
+    (never padded); ``status`` records why.  Node times are formed from ``mesh``.
     """
 
-    times: np.ndarray
     z_history: np.ndarray
     coords: np.ndarray      # (nodes, k)
     x2_basis: np.ndarray    # N, (n, k)
@@ -140,7 +140,7 @@ class Trajectory:
     mesh: Mesh
 
     def __len__(self) -> int:
-        return self.times.shape[0]
+        return self.z_history.shape[0]
 
     def u_rows(self, rows=slice(None)) -> np.ndarray:
         """u_i = N c_i of the nodes ``rows`` (a slice or an index array)."""
@@ -153,12 +153,20 @@ class Trajectory:
     states, u_history = property(state_rows), property(u_rows)  # formed on each access
 
     @property
+    def times(self) -> np.ndarray:  # formed on each access
+        return self.mesh.times(slice(len(self)))
+
+    @property
     def max_norm(self) -> float:
         return float(max(_row_norms(self.state_rows(rows)).max() for rows in _blocks(len(self))))
 
     @property
     def final_state(self) -> np.ndarray:
         return self.state_rows([-1])[0]
+
+    @property
+    def final_time(self) -> float:
+        return float(self.mesh.times(slice(len(self) - 1, len(self)))[0])
 
 
 _BLOCK = 4096  # nodes per block of a run: of its steps, residuals, norms and CSV rows
@@ -238,11 +246,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _stopped(x: np.ndarray, i: int, node_t: memoryview) -> tuple[SolveStatus, int]:
-    """(status, last node kept) of a run whose node i failed the norm test: a
-    finite state blew up, a non-finite one fails the step that made it."""
+def _stopped(x: np.ndarray, i: int, t: float) -> tuple[SolveStatus, int]:
+    """(status, last node kept) of a run whose node i, at time t, failed the norm
+    test: a finite state blew up, a non-finite one fails the step that made it."""
     if np.isfinite(x).all():
-        return SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[i]), i
+        return SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=t), i
     return SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i), i - 1
 
 
@@ -290,13 +298,11 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     newton = X2Newton(decomp)
     correct = newton.correct
 
-    times = mesh.times()
-    node_t = memoryview(times)                    # its items are Python floats
     z_hist = np.empty((nodes, n))
     coords = np.empty(nodes if newton.scalar else (nodes, newton.k))
     f_block = np.empty((min(_BLOCK, nodes), n))   # f(t_i, x_i) of the open block's z-steps
     status = SolveStatus(SolveOutcome.COMPLETED)  # provisional: the hook sees it
-    traj = Trajectory(times, z_hist, coords.reshape(nodes, newton.k), decomp.x2_basis,
+    traj = Trajectory(z_hist, coords.reshape(nodes, newton.k), decomp.x2_basis,
                       np.full(nodes, np.inf), status, mesh)
 
     z = decomp.p1 @ x0
@@ -324,11 +330,12 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     z_prev = None
     for rows in _blocks(nodes):
         start = rows.start
+        node_t = mesh.times(slice(start, rows.stop + 1)).tolist()  # + the node after the block
         # a singular k > 1 Newton matrix sets the invalid flag (its NaN step fails the step)
         with np.errstate(invalid="ignore"):
             try:
                 for j, i in enumerate(range(start, min(rows.stop, last + 1))):
-                    fi = f_block[j] = f(node_t[i], x) if fc is None else fc
+                    fi = f_block[j] = f(node_t[j], x) if fc is None else fc
                     known = i + 1                 # leading nodes with their f stored
                     if i == last:
                         break
@@ -336,11 +343,11 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                         z_next = z_prev + leap_drive(fi) - leap_decay(z)
                     else:
                         z_next = euler(z) + drive(fi)
-                    c, u, x, fc = correct(f, jac, node_t[i + 1], z_next, c, u, tol, max_iter)
+                    c, u, x, fc = correct(f, jac, node_t[j + 1], z_next, c, u, tol, max_iter)
                     z_prev, z = z, z_next
                     z_hist[i + 1], coords[i + 1] = z, c
                     if not math.hypot(*x.tolist()) <= thr:
-                        status, last = _stopped(x, i + 1, node_t)
+                        status, last = _stopped(x, i + 1, node_t[j + 1])
                         if last == i:
                             break
             except _STEP_ERRORS:  # at the last node only f can fail: its residual stays inf
@@ -358,7 +365,7 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                                            f_block[:known - start])
     if last < n_steps:  # truncated at the offending node, never padded
         traj = replace(traj, **{name: getattr(traj, name)[:last + 1].copy()
-                                for name in ("times", "z_history", "coords", "residuals")})
+                                for name in ("z_history", "coords", "residuals")})
     return replace(traj, status=status)
 
 

@@ -110,15 +110,12 @@ class _Record:
     keyword; a value in the class body is a field's default.  ``__post_init__`` then
     runs and may set attributes with ``object.__setattr__``; any other assignment
     raises ``AttributeError``.
-    ``eq=True`` in the class line compares records field by field (and makes them
-    unhashable); else a record equals itself only.  ``vars()`` holds the fields
+    A record equals itself only and is hashable.  ``vars()`` holds the fields
     (and what ``__post_init__`` set).
     """
 
-    def __init_subclass__(cls, eq=False):
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        if eq:
-            cls.__eq__, cls.__hash__ = _Record._same_fields, None
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), set(self._fields)
@@ -135,11 +132,6 @@ class _Record:
         raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
 
     __delattr__ = __setattr__
-
-    def _same_fields(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return [*map(vars(self).get, self._fields)] == [*map(vars(other).get, self._fields)]
 
 
 class MatrixPencil(_Record):

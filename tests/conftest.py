@@ -28,7 +28,7 @@ def trajectory_from_states(mesh: Mesh, states, decomp, residuals=None,
         raise ValueError(f"states must have shape ({full}, {decomp.n}), or (m, {decomp.n}) "
                          f"with 0 < m < {full} if the run did not complete")
     basis = decomp.x2_basis
-    return Trajectory(times=mesh.times()[:nodes], z_history=states @ decomp.p1.T,
+    return Trajectory(z_history=states @ decomp.p1.T,
                       coords=states @ decomp.p2.T @ basis, x2_basis=basis,
                       residuals=np.zeros(nodes) if residuals is None else np.asarray(residuals),
                       status=status, mesh=mesh)
@@ -49,7 +49,7 @@ def check_jacobian(dae, t, xs) -> float:
     Jacobian of ``dae`` over the probe states ``xs``."""
     if dae.jac_f is None:
         raise ValueError("check_jacobian needs an analytic jac_f to compare against")
-    fd = SemilinearDAE(pencil=dae.pencil, f=dae.f, fd_step=dae.fd_step)
+    fd = SemilinearDAE(pencil=dae.pencil, f=dae.f)
     return max((float(np.abs(jacobian(dae, t, x) - jacobian(fd, t, x)).max()) for x in xs),
                default=0.0)
 

@@ -478,13 +478,13 @@ class TestTrajectoryCsv:
         # N c sums from +0.0, so -0.0 + N(-0.0) is +0.0: the residuals carry -0.0
         z = states.copy()
         z[0, 2], z[4], z[5] = -0.0, [1.0, -2.0, 0.5], [0.0, -0.0, 0.0]
-        traj = Trajectory(times=np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]),
-                          z_history=z, coords=np.array([[-0.0], [-0.0], [2.5e-308], [-0.0],
+        traj = Trajectory(z_history=z, coords=np.array([[-0.0], [-0.0], [2.5e-308], [-0.0],
                                                         [np.inf], [1e300]]),
                           x2_basis=np.ones((3, 1)),
                           residuals=np.array([0.0, 1e-300, 4.2e-16, np.inf, np.nan, -0.0]),
                           status=SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=0.5),
-                          mesh=Mesh(0.0, 0.6, 6))
+                          mesh=Mesh(0.0, 1.0, 10))   # its first 6 nodes; 3 * 0.1 rounds up
+        assert traj.times.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]
         assert traj.states.tobytes() == states.tobytes()
         norms = np.column_stack((_row_norms(traj.z_history), _row_norms(traj.u_history)))
         assert np.isnan(norms[3, 0]) and norms[4, 1] == np.inf and norms[5, 0] == 0.0
@@ -973,6 +973,23 @@ def test_failure_line_is_written_without_quiet_too(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("solve sec6_blowup: blow_up, max norm")
     assert err.startswith("blow-up: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model, n_steps, code", [("sec5_cubic", 10000, 0),
+                                                 ("sec6_blowup", 2000, 3)])
+def test_solve_forms_no_whole_run_times(tmp_path, monkeypatch, capsys, model, n_steps, code):
+    # each CSV block takes its node times from the mesh, and the summary and the
+    # stop line the last node's alone: with Trajectory.times failing, a run ends as before
+    out_dir = tmp_path / "out"
+    argv = ["solve", write_config(tmp_path, {"model": model, "mesh": {
+        "t0": 0.0, "t_end": 2.0, "n_steps": n_steps}}), "--out-dir", str(out_dir)]
+    assert cli.main(argv) == code
+    want = take_output_files(out_dir), capsys.readouterr()
+    monkeypatch.setattr(integrators.Trajectory, "times",
+                        property(lambda traj: pytest.fail("whole-run times formed")))
+    assert cli.main(argv) == code
+    assert (take_output_files(out_dir), capsys.readouterr()) == want
+    assert set(want[0]) == {"summary.json", "trajectory.csv"}
 
 
 # ---------------------------------------------------------------------------

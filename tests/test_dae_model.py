@@ -7,7 +7,7 @@ import pytest
 from pencildae import (InconsistentInitialStateError, MatrixPencil, NonFiniteJacobianError,
                        SemilinearDAE, consistent_initialize, get_preset, jacobian,
                        projectors_algebraic)
-from pencildae.dae_model import X2Newton, jacobian_function
+from pencildae.dae_model import _FD_STEP, X2Newton, jacobian_function
 from pencildae.model_library import PRESET_IDS
 
 from conftest import check_jacobian, constraint_residual, random_index1_pencil
@@ -94,11 +94,13 @@ class TestJacobian:
         jac = jacobian(sec5_preset.dae, 0.0, np.array([1.0, 0.0, 1.0]))
         assert jac[0, 0] == pytest.approx(-3.0)
 
-    def test_forward_difference_scalar_square(self):
+    @pytest.mark.parametrize("x", [2.0, 1.0, 1e3, 1e6, 1e9, 1e10])
+    def test_forward_difference_scalar_square(self, x):
+        # a fixed absolute step is swamped by rounding at large |x|, and lost
+        # where x + step == x; one relative to max(1, |x|) keeps ~1e-8
         pencil = MatrixPencil(a=np.eye(1), b=np.zeros((1, 1)))
-        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: x * x, fd_step=1e-7)
-        jac = jacobian(dae, 0.0, np.array([2.0]))
-        assert jac[0, 0] == pytest.approx(4.0, abs=1e-6)
+        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: x * x)
+        assert jacobian(dae, 0.0, np.array([x]))[0, 0] == pytest.approx(2.0 * x, rel=1e-7)
 
     def test_fd_matches_analytic_at_reference_point(self, sec5_preset):
         assert check_jacobian(sec5_preset.dae, 0.7, [np.array([1.0, 0.0, 1.0])]) <= 1e-6
@@ -107,9 +109,10 @@ class TestJacobian:
         rng = np.random.default_rng(5)
         probes = rng.uniform(-2.0, 2.0, size=(100, 3))
         # second derivatives of the cubic circuit f reach 6*(|x1|+2|x3|) <= 36
-        # on this probe box, so the FD truncation allowance is 10*step*36
+        # on this probe box, so the FD truncation allowance is 10*step*36 with
+        # the largest step on it, at |x_j| = 2
         curvature_bound = 36.0
-        step = sec5_preset.dae.fd_step
+        step = _FD_STEP * 2.0
         assert check_jacobian(sec5_preset.dae, 0.7, probes) <= 10 * step * curvature_bound
 
     @pytest.mark.parametrize("preset_id", PRESET_IDS)
@@ -131,13 +134,6 @@ class TestJacobian:
             jacobian(dae, 0.0, np.zeros(1))
         # a non-finite Jacobian is an arithmetic failure of the model
         assert issubclass(NonFiniteJacobianError, ArithmeticError)
-
-    @pytest.mark.parametrize("fd_step", [math.nan, math.inf, 0.0, -1e-7, True, 0])
-    def test_fd_step_must_be_positive_and_finite(self, fd_step):
-        # refused at construction, not later as a non-finite Jacobian of the model
-        pencil = MatrixPencil(a=np.eye(1), b=np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="^fd_step must be positive and finite$"):
-            SemilinearDAE(pencil=pencil, f=lambda t, x: x, fd_step=fd_step)
 
     def test_jacobian_function(self, sec5_preset):
         # the analytic Jacobian is used as is; without one, the checked forward

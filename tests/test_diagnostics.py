@@ -9,8 +9,8 @@ from conftest import trajectory_from_states
 from pencildae import (MAX_STEPS, DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
                        Method, SemilinearDAE, SolveOutcome, SolverConfig, SolveStatus,
                        consistent_initialize, diagnostics, empirical_order, get_preset,
-                       method1_solve, projectors_algebraic, solve, stability_report,
-                       windowed_deviation)
+                       integrators, method1_solve, projectors_algebraic, solve,
+                       stability_report, windowed_deviation)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +262,7 @@ class TestEmpiricalOrder:
         # refused before any solve or fork; an accepted ladder gets as far as its
         # first solve, which is stopped here (it would need far too much memory)
         dae, decomp = scalar_decay
-        monkeypatch.setattr(Mesh, "times", lambda mesh: pytest.fail("solved"))
+        monkeypatch.setattr(integrators, "X2Newton", lambda decomp: pytest.fail("solved"))
         expected = (pytest.raises(ValueError, match="^refinements must keep n_steps") if refused
                     else pytest.raises(pytest.fail.Exception, match="^solved$"))
         with expected:

@@ -1,11 +1,13 @@
 """The declared public surface resolves, so a deletion cannot leave a stale export."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pencildae
@@ -56,6 +58,15 @@ def test_benchmark_harness_names_exist():
         assert [n for n in names if not hasattr(module, n)] == [], module_name
     params = inspect.signature(pencildae.pencil.regularity_probe).parameters
     assert {"sample_count", "seed"} <= set(params)
+    # perfbench/traced_cli.py sums the ndarray fields of each solved trajectory
+    preset = pencildae.get_preset("sec5_cubic")
+    traj = pencildae.method1_solve(preset.dae, pencildae.projectors_algebraic(preset.dae.pencil),
+                                   pencildae.Mesh(0.0, 1.0, 10), preset.x0)
+    arrays = [field.name for field in dataclasses.fields(traj)
+              if isinstance(getattr(traj, field.name), np.ndarray)]
+    assert arrays == ["z_history", "coords", "x2_basis", "residuals"]
+    assert sum(getattr(traj, name).nbytes for name in arrays) \
+        == (3 + 1 + 1) * 8 * len(traj) + traj.x2_basis.nbytes
 
 
 def exported_exceptions(module_name: str) -> list[type]:
