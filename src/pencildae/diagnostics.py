@@ -195,9 +195,9 @@ def stability_report(dae: SemilinearDAE, decomp: SpectralDecomposition,
     ginv_b = decomp.g_inv @ dae.pencil.b
     ginv_q1 = decomp.g_inv @ decomp.q1
     h = trajectory.mesh.h
-    nodes = slice(None, None, -(-len(trajectory) // max_samples))  # ceil: <= max_samples
+    nodes = slice(0, len(trajectory), -(-len(trajectory) // max_samples))  # ceil: <= max_samples
     m1 = max(float(np.linalg.norm(ginv_q1 @ jacobian(dae, t, x), 2))
-             for t, x in zip(trajectory.times[nodes].tolist(), trajectory.state_rows(nodes)))
+             for t, x in zip(trajectory.mesh.times(nodes).tolist(), trajectory.state_rows(nodes)))
     return StabilityReport(
         norm_ginv_b=float(np.linalg.norm(ginv_b, 2)),
         m1_estimate=m1,

@@ -23,7 +23,7 @@ import _thread
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -246,14 +246,6 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _stopped(x: np.ndarray, i: int, t: float) -> tuple[SolveStatus, int]:
-    """(status, last node kept) of a run whose node i, at time t, failed the norm
-    test: a finite state blew up, a non-finite one fails the step that made it."""
-    if np.isfinite(x).all():
-        return SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=t), i
-    return SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i), i - 1
-
-
 def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
           config: SolverConfig, *, on_block=None) -> Trajectory:
     """Integrate from ``x0`` on ``mesh`` by the scheme of ``config.method``.
@@ -347,26 +339,25 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                     z_prev, z = z, z_next
                     z_hist[i + 1], coords[i + 1] = z, c
                     if not math.hypot(*x.tolist()) <= thr:
-                        status, last = _stopped(x, i + 1, node_t[j + 1])
-                        if last == i:
-                            break
+                        if not np.isfinite(x).all():  # fails the step that made it
+                            raise FloatingPointError("non-finite node")
+                        status = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[j + 1])
+                        last = i + 1              # a finite node blew up: the last kept
             except _STEP_ERRORS:  # at the last node only f can fail: its residual stays inf
                 if i < last:  # the step to node i + 1 failed; node i is kept
                     status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
                     last = i
+        traj.residuals[start:known] = _node_residuals(  # this block, closed once
+            b_mat, q2, traj.state_rows(slice(start, known)), f_block[:known - start])
         if last < rows.stop:  # the run ended in this block
             break
-        traj.residuals[rows] = _node_residuals(b_mat, q2, traj.state_rows(rows), f_block)
         if on_block is not None:
             on_block(traj, rows)
 
-    rows = slice(start, known)                    # the open block, closed once
-    traj.residuals[rows] = _node_residuals(b_mat, q2, traj.state_rows(rows),
-                                           f_block[:known - start])
+    z_kept, c_kept, res_kept = traj.z_history, traj.coords, traj.residuals
     if last < n_steps:  # truncated at the offending node, never padded
-        traj = replace(traj, **{name: getattr(traj, name)[:last + 1].copy()
-                                for name in ("z_history", "coords", "residuals")})
-    return replace(traj, status=status)
+        z_kept, c_kept, res_kept = (a[:last + 1].copy() for a in (z_kept, c_kept, res_kept))
+    return Trajectory(z_kept, c_kept, decomp.x2_basis, res_kept, status, mesh)
 
 
 def method1_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,

@@ -1184,7 +1184,9 @@ def interrupt_once_forked(tmp_path, command, config):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.Popen([sys.executable, "-m", "pencildae.cli", command, path,
                              "--out-dir", str(tmp_path), "--quiet"], env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            # handled even where the suite runs with SIGINT ignored
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         deadline = time.monotonic() + 60
         while len(processes_of(path)) < 2:

@@ -8,8 +8,8 @@ import pytest
 from conftest import trajectory_from_states
 from pencildae import (MAX_STEPS, DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
                        Method, SemilinearDAE, SolveOutcome, SolverConfig, SolveStatus,
-                       consistent_initialize, diagnostics, empirical_order, get_preset,
-                       integrators, method1_solve, projectors_algebraic, solve,
+                       Trajectory, consistent_initialize, diagnostics, empirical_order,
+                       get_preset, integrators, method1_solve, projectors_algebraic, solve,
                        stability_report, windowed_deviation)
 
 
@@ -330,6 +330,34 @@ class TestStabilityReport:
             stability_report(dae, sec5_decomp, traj, max_samples=max_samples)
             assert 0 < len(calls) <= max_samples, (max_samples, len(calls))
         assert len(calls) == 1 and calls[0] == 0.0
+
+    @pytest.mark.parametrize("max_samples", [1, 7, 2000, 10**6])
+    def test_forms_only_the_sampled_times(self, monkeypatch, sec5_preset, sec5_decomp,
+                                          max_samples):
+        # a completed and a blown-up (truncated) run: with Trajectory.times failing,
+        # the report is unchanged and the Jacobian is taken at the sampled nodes' times
+        blow_up = get_preset("sec6_blowup")
+        for preset, decomp, mesh in [
+                (sec5_preset, sec5_decomp, Mesh(0.0, 4.0, 3998)),
+                (blow_up, projectors_algebraic(blow_up.dae.pencil), Mesh(0.0, 0.2, 100))]:
+            calls = []
+
+            def counted(t, x, jac=preset.dae.jac_f):
+                calls.append(t)
+                return jac(t, x)
+
+            dae = SemilinearDAE(pencil=preset.dae.pencil, f=preset.dae.f, jac_f=counted)
+            traj = method1_solve(preset.dae, decomp, mesh, preset.x0)
+            want = stability_report(dae, decomp, traj, max_samples=max_samples).to_json()
+            with monkeypatch.context() as patched:
+                patched.setattr(Trajectory, "times", property(
+                    lambda traj: pytest.fail("formed every node time")))
+                calls.clear()
+                got = stability_report(dae, decomp, traj, max_samples=max_samples).to_json()
+            assert got == want
+            stride = -(-len(traj) // max_samples)
+            assert calls == mesh.times()[:len(traj):stride].tolist()
+        assert traj.status.outcome is SolveOutcome.BLOW_UP and len(traj) < mesh.n_steps + 1
 
     @pytest.mark.parametrize("max_samples", [0, -1, True, 2.5, 2.0,
                                              pytest.param(10**400, id="10**400")])

@@ -720,6 +720,49 @@ class TestBlocks:
         assert traj.status.completed and forks == []
 
 
+class TestEndPaths:
+    """Runs whose f raises at a kept node's own evaluation: the second call at that
+    node's time (the first is the correction's).  The node is kept with residual inf,
+    and f is not called again."""
+
+    @staticmethod
+    def run(g, mesh, fail_node, threshold):
+        # x1' = (g - 1) x1 and x2 = 0.5 x1, from a consistent x0
+        calls, fail_t = {}, mesh.times()[fail_node]
+
+        def f(t, x):
+            calls[t] = calls.get(t, 0) + 1
+            if t == fail_t and calls[t] == 2:
+                raise ZeroDivisionError("float division by zero")
+            return np.array([g * x[0], 0.5 * x[0]])
+
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        dae = SemilinearDAE(pencil=pencil, f=f,
+                            jac_f=lambda t, x: np.array([[g, 0.0], [0.5, 0.0]]))
+        traj = method1_solve(dae, projectors_algebraic(pencil), mesh, np.array([1.0, 0.5]),
+                             SolverConfig(blow_up_threshold=threshold))
+        return traj, calls
+
+    @pytest.mark.parametrize("g, mesh, fail_node, threshold, status", [
+        (0.5, Mesh(0.0, 1.0, 8), 5, 1e6, {"outcome": "corrector_failed", "failed_step": 6}),
+        (0.5, Mesh(0.0, 1.0, 8), 8, 1e6, {"outcome": "completed"}),
+        (3.0, Mesh(0.0, 4.0, 32), 18, 60.0, {"outcome": "blow_up", "blow_up_time": 2.25}),
+    ], ids=["before-the-end", "at-the-end", "at-the-blow-up"])
+    def test_f_failing_at_a_kept_node(self, monkeypatch, g, mesh, fail_node, threshold, status):
+        runs = []
+        for block in (1, 2, 3, 4096):
+            monkeypatch.setattr(integrators, "_BLOCK", block)
+            traj, calls = self.run(g, mesh, fail_node, threshold)
+            assert traj.status.to_json() == status
+            assert len(traj) == fail_node + 1 and traj.residuals[-1] == np.inf
+            assert np.isfinite(traj.residuals[:-1]).all()
+            # once at t0, twice at each later node time up to the failing one, then never
+            times = mesh.times().tolist()
+            assert calls == {t: 1 if i == 0 else 2 for i, t in enumerate(times[:fail_node + 1])}
+            runs.append([a.tobytes() for a in (traj.z_history, traj.coords, traj.residuals)])
+        assert runs[1:] == runs[:1] * 3
+
+
 class TestEvaluationCounts:
     @staticmethod
     def counted(dae):

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -174,3 +175,14 @@ def test_each_vector_norm_is_taken_by_one_rule():
                     and not matrix_2_norm:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_each_outcome_is_built_in_one_place():
+    # integrators.solve decides how a run ends: the provisional completed status,
+    # the blow-up in the step and the corrector failure in the step's one except
+    built = {outcome.name: [] for outcome in SolveOutcome}
+    for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for name in re.findall(r"SolveStatus\(SolveOutcome\.(\w+)", line):
+                built.setdefault(name, []).append(f"{path.name}:{lineno}")
+    assert {name: len(lines) for name, lines in built.items()} == dict.fromkeys(built, 1), built
