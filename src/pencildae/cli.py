@@ -19,12 +19,13 @@ floor; 2: a pencil that is not regular, has index > 1, or whose projectors fail;
 SIGINT (``KeyboardInterrupt``).  Exits 3 and 4 write their outputs, then their line.
 Importing this module loads the standard library only; ``main`` imports numpy and the
 layers a command runs (``_LAZY``): none for ``validate``, ``pencil`` alone for
-``projectors`` of an inline pencil.
+``projectors`` of an inline pencil.  It reads the usual command line itself (``_usual``)
+and imports argparse only for any other, so ``--help`` and every usage message stay
+argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import importlib
@@ -55,14 +56,6 @@ def __getattr__(name: str):
 
 class ConfigError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """A usage error (a missing config, an unknown flag) is a config error;
-    the subcommand parsers are of this class too."""
-
-    def error(self, message):
-        raise ConfigError(message)
 
 
 EXIT_OK = 0
@@ -231,7 +224,7 @@ def _resolve_model(config: dict) -> model_library.ModelPreset:
         try:
             return __getattr__("model_library").get_preset(model_spec)  # projectors loads it here
         except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(exc.args[0]) from exc
     pen, f, jac = _inline_model(model_spec)
     return model_library.ModelPreset(preset_id="<inline>",
                                      dae=dae_model.SemilinearDAE(pencil=pen, f=f, jac_f=jac),
@@ -469,26 +462,53 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = _Parser(
-        prog="pencildae",
-        description="Semilinear DAE solver with spectral-projector reduction.")
+def _usual(argv) -> tuple | None:
+    """(command, config, out_dir, quiet) of ``<command> <config>`` then ``--out-dir DIR``
+    and ``--quiet`` in any order, each spelled in full; None for any other line (``--help``,
+    an abbreviation, ``--out-dir=DIR``, an option first, an argument missing or extra)."""
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    out_dir, quiet, options = None, False, iter(argv[2:])
+    for option in options:  # a DIR that is missing or looks like an option is argparse's
+        if option == "--quiet":
+            quiet = True
+        elif option != "--out-dir" or (out_dir := next(options, "-")).startswith("-"):
+            return None
+    return argv[0], argv[1], out_dir, quiet
+
+
+def _parsed(argv) -> tuple:
+    """(command, config, out_dir, quiet) as argparse reads ``argv``; a usage error (a
+    missing config, an unknown flag) is a config error, and ``--help`` exits 0."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):  # the subcommand parsers are of this class too
+        def error(self, message):
+            raise ConfigError(message)
+    parser = Parser(prog="pencildae",
+                    description="Semilinear DAE solver with spectral-projector reduction.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--out-dir", default=None, help="redirect output files here")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    try:
-        args = parser.parse_args(argv)
-        command, _, names = _COMMANDS[args.command]
-        config = load_config(args.config)
-        for name in names:  # in the try, so a SIGINT while importing exits 130
+    args = parser.parse_args(argv)
+    return args.command, args.config, args.out_dir, args.quiet
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # in the try, so a SIGINT while argparse or a layer loads exits 130
+        chosen, path, out_dir, quiet = _usual(argv) or _parsed(argv)
+        command, _, names = _COMMANDS[chosen]
+        config = load_config(path)
+        for name in names:
             __getattr__(name)
         # overflow and invalid-value warnings would add stray stderr lines; the
         # library's own finiteness checks decide every outcome
         with np.errstate(all="ignore") if names else contextlib.nullcontext():
-            outcome, detail = command(config, args.out_dir, args.quiet)
+            outcome, detail = command(config, out_dir, quiet)
     except BaseException as exc:
         outcome = next((key for key in map(_key, type(exc).__mro__) if key in _EXITS), None)
         if outcome is None:

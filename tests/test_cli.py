@@ -13,6 +13,7 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -396,7 +397,8 @@ class TestProjectors:
 def test_unknown_preset_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {"model": "sec5_qubic"})
     assert cli.main(["projectors", path, "--quiet"]) == 1
-    assert "unknown preset" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("config error: unknown preset 'sec5_qubic'; "
+                                       f"known: {', '.join(PRESET_IDS)}\n")
 
 
 def per_value_csv(path, traj):
@@ -652,7 +654,8 @@ def test_no_command_imports_scipy(tmp_path):
 
 def test_each_command_imports_only_the_layers_it_runs(tmp_path):
     # importing pencildae.cli loads no numpy and no layer; main imports a command's;
-    # only the three dataclasses (in dae_model, integrators, model_library) load dataclasses
+    # only the three dataclasses (in dae_model, integrators, model_library) load dataclasses;
+    # the usual command line is read without argparse (and the gettext and locale it loads)
     proj = {"model": "sec5_cubic", "outputs": {"summary_json": str(tmp_path / "proj.json")}}
     inline = {"model": {"a": [[1, 0], [0, 0]], "b": [[-1, 1], [1, 1]]},
               "outputs": {"summary_json": str(tmp_path / "inline.json")}}
@@ -661,7 +664,8 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
             ("converge", base_solve_config(tmp_path, study={"refinements": 3}))]
     found = {command: {m for m in ast.literal_eval(modules) if not m.startswith("numpy.")}
              for command, modules in modules_left_by(tmp_path, runs,
-                                                     ("pencildae", "numpy", "dataclasses"))}
+                                                     ("pencildae", "numpy", "dataclasses",
+                                                      "argparse", "gettext", "locale"))}
     pencil = {"pencildae", "pencildae.cli", "numpy", "pencildae.pencil"}
     layers = pencil | {"pencildae.dae_model", "pencildae.model_library", "dataclasses"}
     assert found == {"validate": {"pencildae", "pencildae.cli"}, "projectors": layers,
@@ -680,6 +684,19 @@ def test_a_sigint_while_a_command_imports_its_layers_exits_130(tmp_path, monkeyp
     path = write_config(tmp_path, base_solve_config(tmp_path))
     assert cli.main(["solve", path, "--quiet"]) == 130
     assert (capsys.readouterr(), imported) == (("", "interrupted\n"), ["numpy"])
+
+
+def test_a_sigint_while_argparse_loads_exits_130(tmp_path, monkeypatch, capsys):
+    real_import = __import__
+
+    def interrupt(name, *args, **kwargs):
+        if name == "argparse":
+            raise KeyboardInterrupt
+        return real_import(name, *args, **kwargs)
+    monkeypatch.setattr("builtins.__import__", interrupt)
+    path = write_config(tmp_path, base_solve_config(tmp_path))
+    assert cli.main(["solve", path, "--q"]) == 130   # an abbreviation: argparse reads it
+    assert capsys.readouterr() == ("", "interrupted\n")
 
 
 def test_no_command_imports_numpy_random(tmp_path):
@@ -1020,8 +1037,12 @@ SOLVE_FILES = ["summary.json", "trajectory.csv"]
     (["solve"], {"model": "sec6_blowup", "mesh": {"t0": 0.0, "t_end": 0.2, "n_steps": 2000},
                  "corrector": {"mode": "iterate", "tol": 1e-10}}, 4, SOLVE_FILES),
     (["solve", "--no-such-flag"], {"model": "sec5_cubic"}, 1, []),   # an argparse usage error
-], ids=["exit0", "exit1", "exit2", "exit3", "exit4", "usage"])
-def test_fresh_process_ends_as_main_does(tmp_path, argv, config, code, written):
+    (["solve", "--help"], {"model": "sec5_cubic"}, 0, []),
+    (["solve", "--q"], {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 200}},
+     0, SOLVE_FILES),   # an abbreviation of --quiet
+], ids=["exit0", "exit1", "exit2", "exit3", "exit4", "usage", "help", "abbreviation"])
+def test_fresh_process_ends_as_main_does(tmp_path, monkeypatch, argv, config, code, written):
+    monkeypatch.setenv("COLUMNS", "80")   # the help's width, in process and in the fresh one
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     args = [argv[0], write_config(tmp_path, config), "--out-dir", str(out_dir), *argv[1:]]
@@ -1095,6 +1116,57 @@ def test_help_lists_each_command_with_its_help(capsys, monkeypatch):
     ]:
         assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.MULTILINE), out
     assert "{solve,converge,projectors,validate}" in out
+
+
+ARGV_TOKENS = [*cli._COMMANDS, "c.json", "", "-1", "--", "-h", "--help", "--quiet", "--q",
+               "--out-dir", "--out-dir=d", "d", "extra"]
+
+
+def reads(parse, argv) -> tuple:
+    """(result, stdout, stderr) of ``parse(argv)``, the result being its return value,
+    its config error's line or its SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except cli.ConfigError as exc:
+            result = f"config error: {exc}\n"
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def main_reads(argv) -> tuple:
+    """``reads`` of ``main(argv)``, the result being the (command, config path, out_dir,
+    quiet) handed to the command that ran, or the exit code."""
+    ran = []
+    commands = {name: (lambda *args, name=name: ran.append((name, *args)) or cli._DONE, text, ())
+                for name, (_, text, _) in cli._COMMANDS.items()}
+    with mock.patch.object(cli, "load_config", str), mock.patch.dict(cli._COMMANDS, commands):
+        code, out, err = reads(cli.main, argv)
+    return (ran[0] if ran else code), out, err
+
+
+# the usual form: a command and a config, then --quiet and --out-dir in any order
+USUAL_ARGV = st.builds(lambda command, options: [command, "c.json", *sum(options, [])],
+                       st.sampled_from(list(cli._COMMANDS)),
+                       st.lists(st.sampled_from([["--quiet"], ["--out-dir", "d"],
+                                                 ["--out-dir", ""]]), max_size=3))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.one_of(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6), USUAL_ARGV,
+                 st.builds(lambda usual, tail: usual + tail, USUAL_ARGV,
+                           st.lists(st.sampled_from(ARGV_TOKENS), min_size=1, max_size=2))))
+def test_main_reads_every_command_line_as_argparse_does(argv):
+    parsed = reads(cli._parsed, argv)
+    usual = cli._usual(argv)
+    if usual is not None:   # read without argparse only where argparse reads the same
+        assert parsed == (usual, "", "")
+    result, out, err = parsed
+    if isinstance(result, str):   # a usage error: exit 1 and its one stderr line
+        result, err = 1, err + result
+    assert main_reads(argv) == (result, out, err)
 
 
 def test_console_script_is_the_process_entry_point():
