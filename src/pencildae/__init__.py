@@ -8,11 +8,10 @@ two combined schemes (first- and second-order) integrate the pair.  A name of
 """
 
 import importlib
-import sys
+import math
 
 __version__ = "0.1.0"
 MAX_NODE_COUNT = 2 ** 16  # pencil.projectors_residue's, here for the CLI's config walk
-MAX_STEPS = sys.maxsize // 16  # a Mesh's most steps: its node times (8 bytes each) fit one array
 
 _EXPORTS = {
     "dae_model": "InconsistentInitialStateError NoConvergenceError NonFiniteJacobianError "
@@ -30,6 +29,18 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)
+
+
+def _check_mesh(t0, t_end, n_steps: int, refinements: int = 0) -> None:
+    """Refuse (ValueError) n_steps 2**refinements steps on [t0, t_end] unless their step h is
+    finite and >= 1e6 ulp(max(|t0|, |t_end|)): consecutive node times then differ from h by
+    <= 3e-6 h, and a mesh has < 2**54/1e6 ~ 1.8e10 steps, so 2**refinements is never formed."""
+    if not t_end > t0:
+        raise ValueError("t_end must exceed t0")
+    least = 1e6 * math.ulp(max(abs(t0), abs(t_end)))
+    if not least <= (t_end - t0) / (int(n_steps) << min(refinements, 64)) < math.inf:
+        raise ValueError(f"the step {'of the finest level ' if refinements else ''}must be "
+                         f"finite and at least 1e6 ulp(max(|t0|, |t_end|)) = {least:.6g}")
 
 
 def __getattr__(name: str):

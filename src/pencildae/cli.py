@@ -5,23 +5,22 @@ variables are read), so a run is reproducible from the file alone.
 ``load_config`` holds its whole input contract, the walk ``_CONFIG`` plus two
 cross-field rules: it refuses, naming the field, a wrong type or range, an unknown
 key, a non-finite number (over-range integers too), a negative seed, a method-2 mesh
-under 2 steps or a study finer than the largest mesh.  Trajectories are written as
-CSV with 17-significant-digit floats and LF line endings; summaries and studies as JSON.
+under 2 steps, or a mesh or a study's finest level that ``Mesh`` would refuse.
+Trajectories are CSV, 17-significant-digit floats and LF line ends; the rest is JSON.
 
 Every run ends in one row of ``_EXITS``: exit 0 writes nothing to stderr,
 any other exit exactly one line and no traceback.  Exit 1: a config error (the
 contract, a command-line usage error, an inline pencil whose norm overflows, a
-non-finite mesh step, a mesh too large to allocate), an initial state that is not
-consistent, above the blow-up threshold, or from which none is found
-(``InconsistentInitialStateError``), or a study whose errors underflow the measurable
-floor; 2: a pencil that is not regular, has index > 1, or whose projectors fail;
-3: blow-up of a finite state; 4: corrector failure or a non-finite state; 130: a
-SIGINT (``KeyboardInterrupt``).  Exits 3 and 4 write their outputs, then their line.
-Importing this module loads the standard library only; ``main`` imports numpy and the
-layers a command runs (``_LAZY``): none for ``validate``, ``pencil`` alone for
-``projectors`` of an inline pencil.  It reads the usual command line itself (``_usual``)
-and imports argparse only for any other, so ``--help`` and every usage message stay
-argparse's own.
+mesh too large to allocate), an initial state that is not consistent, above the
+blow-up threshold, or from which none is found (``InconsistentInitialStateError``),
+or a study whose errors underflow the measurable floor; 2: a pencil that is not
+regular, has index > 1, or whose projectors fail; 3: blow-up of a finite state; 4:
+corrector failure or a non-finite state; 130: a SIGINT (``KeyboardInterrupt``).
+Exits 3 and 4 write their outputs, then their line.  Importing this module loads the
+standard library only; ``main`` imports numpy and the layers a command runs (``_LAZY``):
+none for ``validate``, ``pencil`` alone for ``projectors`` of an inline pencil.  It
+reads the usual command line itself (``_usual``) and imports argparse only for any
+other, so ``--help`` and every usage message stay argparse's own.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import MAX_NODE_COUNT, MAX_STEPS
+from . import MAX_NODE_COUNT, _check_mesh
 
 __all__ = ["main", "run", "load_config"]
 
@@ -162,7 +161,7 @@ _CONFIG = _object({
                      required=("a", "b"), string=_string()),
     "method": _string("method1", "method2"),
     "mesh": _object({"t0": _number(), "t_end": _number(),
-                     "n_steps": _number(1, integer=True, high=MAX_STEPS)},
+                     "n_steps": _number(1, integer=True)},
                     required=("t0", "t_end", "n_steps")),
     "initial_state": _object({"x0": _VECTOR, "z0": _VECTOR}, exactly_one=True,
                              string=_string("preset_default")),
@@ -189,10 +188,13 @@ def load_config(path: str) -> dict:
     _CONFIG(config, "")
     if config.get("method") == "method2" and config.get("mesh", {}).get("n_steps", 2) < 2:
         _fail("mesh/n_steps", "method2 needs at least 2 steps")
-    n_steps = int(config.get("mesh", {}).get("n_steps", 1))  # the finest level is a Mesh
-    refinements = min(int(config.get("study", {}).get("refinements", 0)), MAX_STEPS.bit_length())
-    if n_steps << refinements > MAX_STEPS:
-        _fail("study/refinements", f"mesh/n_steps * 2**refinements must be <= {MAX_STEPS}")
+    if "mesh" in config:  # the mesh, then a study's finest level, by Mesh's own rule
+        m, refinements = config["mesh"], int(config.get("study", {}).get("refinements", 0))
+        for where, levels in ("mesh", 0), ("study/refinements", refinements):
+            try:
+                _check_mesh(float(m["t0"]), float(m["t_end"]), int(m["n_steps"]), levels)
+            except ValueError as exc:
+                _fail(where, str(exc))
     return config
 
 
@@ -252,16 +254,6 @@ def _initial_state(config: dict, preset, decomp, mesh: integrators.Mesh) -> np.n
     return z0 + dae_model.consistent_initialize(preset.dae, decomp, mesh.t0, z0)
 
 
-def _mesh(config: dict) -> integrators.Mesh:
-    if "mesh" not in config:
-        _fail("mesh", "required for this command")
-    m = config["mesh"]
-    try:
-        return integrators.Mesh(float(m["t0"]), float(m["t_end"]), int(m["n_steps"]))
-    except ValueError as exc:
-        raise ConfigError(f"config field 'mesh': {exc}") from exc
-
-
 def _solver_config(config: dict) -> integrators.SolverConfig:
     corr_spec = config.get("corrector", {"mode": "single_step"})
     iterate = corr_spec["mode"] == "iterate"   # single_step ignores tol and max_iter
@@ -276,7 +268,10 @@ def _set_up(config: dict):
     this order, so every command reports the same first error."""
     preset = _resolve_model(config)
     decomp = _decompose(preset.dae.pencil, config)
-    mesh = _mesh(config)
+    if "mesh" not in config:
+        _fail("mesh", "required for this command")
+    m = config["mesh"]  # load_config has held it to Mesh's own rule
+    mesh = integrators.Mesh(float(m["t0"]), float(m["t_end"]), int(m["n_steps"]))
     solver_config = _solver_config(config)
     return preset, decomp, mesh, solver_config, _initial_state(config, preset, decomp, mesh)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import MAX_STEPS
+from . import _check_mesh
 from .dae_model import SemilinearDAE, jacobian
 from .integrators import Mesh, SolverConfig, SolveStatus, Trajectory, _in_child, _row_norms, solve
 from .pencil import SpectralDecomposition, _count, _positive_finite, _Record
@@ -103,7 +103,8 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
     refinements above it, so the level in between is never read and never
     solved; a forked child solves the finest level while the caller solves the
     others in ascending order.  With an external reference every level is solved and fitted;
-    one that fails :meth:`Mesh.stride_in` or did not complete is refused before any solve.
+    one that fails :meth:`Mesh.stride_in` or did not complete is refused before any solve,
+    as is a finest level that breaks the mesh rule (``pencildae._check_mesh``).
 
     Raises
     ------
@@ -116,10 +117,7 @@ def empirical_order(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh_base
         largest base-node norm, so the fit would chase roundoff.
     """
     refinements = _count("refinements", refinements, low=3)
-    # n 2**R steps must make a Mesh; for R past MAX_STEPS' bits any n >= 1 is over, so the
-    # shift is capped there and 2**R is never formed
-    if int(mesh_base.n_steps) << min(refinements, MAX_STEPS.bit_length()) > MAX_STEPS:
-        raise ValueError(f"refinements must keep n_steps * 2**refinements at most {MAX_STEPS}")
+    _check_mesh(mesh_base.t0, mesh_base.t_end, mesh_base.n_steps, refinements)
     config = config or SolverConfig()
     if reference is not None:
         ref_nodes = slice(None, None, mesh_base.stride_in(reference.mesh))  # the base nodes

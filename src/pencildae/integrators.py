@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import MAX_STEPS
+from . import _check_mesh
 from .dae_model import (_MODEL_ERRORS, _STEP_ERRORS, InconsistentInitialStateError,
                         SemilinearDAE, X2Newton, _initial_failure, jacobian_function)
 from .pencil import SpectralDecomposition, _count, _positive_finite, _Record
@@ -40,8 +40,8 @@ __all__ = [
 
 
 class Mesh(_Record):
-    """Uniform mesh t_i = t0 + i*h, i = 0..n_steps, h = (t_end - t0)/n_steps,
-    1 <= n_steps <= ``pencildae.MAX_STEPS``.
+    """Uniform mesh t_i = t0 + i*h, i = 0..n_steps, h = (t_end - t0)/n_steps, whose
+    node times resolve h (``pencildae._check_mesh``).
 
     Nodes are always formed as t0 + i*h (never by accumulation) so that
     refined meshes share their coarse nodes exactly.
@@ -52,11 +52,7 @@ class Mesh(_Record):
     n_steps: int
 
     def __post_init__(self):
-        _count("n_steps", self.n_steps, high=MAX_STEPS + 1)
-        if not self.t_end > self.t0:
-            raise ValueError("t_end must exceed t0")
-        if not np.isfinite(self.h):
-            raise ValueError("the step (t_end - t0)/n_steps must be finite")
+        _check_mesh(self.t0, self.t_end, _count("n_steps", self.n_steps))
 
     @property
     def h(self) -> float:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -908,13 +909,12 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
      4, "corrector failure: solve <inline> stopped at t=0.25, max norm 2.5e+149"),
     # (t_end - t0) overflows to inf
     ("solve", {"model": "sec5_cubic", "mesh": {"t0": -1e308, "t_end": 1e308, "n_steps": 4}},
-     1, "config error: config field 'mesh': the step (t_end - t0)/n_steps must be finite"),
-    # a mesh no machine can allocate, and one whose node times numpy cannot
-    # hold in one array (2**59 steps and up)
-    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**17)},
-     1, "config error: Unable to allocate"),
+     1, "config error: config field 'mesh': the step must be finite and at least "
+        "1e6 ulp(max(|t0|, |t_end|)) = 1.99584e+298"),
+    # a count past the library's largest, and a mesh finer than its node times
+    # resolve (at most 4503599627 steps on [0, 1])
     ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10**19)},
-     1, "config error: config field 'mesh/n_steps': must be <= 576460752303423487"),
+     1, "config error: config field 'mesh/n_steps': must be <= 9223372036854775806"),
     # more residue nodes than the cap: refused, not looped over for ever
     ("projectors", {"model": "sec5_cubic", "projector_node_count": 10**18},
      1, "config error: config field 'projector_node_count': must be <= 65536"),
@@ -927,8 +927,9 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
                          "f_const": [0, 1], "f_matrix": [[0, 0], [0, 1]]},
                "mesh": MESH, "initial_state": {"z0": [1, 0]}},
      1, "initial-state error: restricted Newton step singular or non-finite at t=0"),
-    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=2**59)},
-     1, "config error: config field 'mesh/n_steps': must be <= 576460752303423487"),
+    ("solve", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=4503599628)},
+     1, "config error: config field 'mesh': the step must be finite and at least "
+        "1e6 ulp(max(|t0|, |t_end|)) = 2.22045e-10"),
     # a count the library refuses (sys.maxsize and up) is refused by the walk
     ("validate", {"model": "sec5_cubic", "study": {"refinements": 2**63}},
      1, "config error: config field 'study/refinements': must be <= 9223372036854775806"),
@@ -939,17 +940,17 @@ MESH = {"t0": 0.0, "t_end": 1.0, "n_steps": 4}
      1, "config error: inline model: 1 + ||A||_2 + ||B||_2 overflows"),
     ("projectors", {"model": {"a": [[1e308, 0], [0, 0]], "b": [[1e308, 0], [0, 1e308]]}},
      1, "config error: inline model: 1 + ||A||_2 + ||B||_2 overflows"),
-    # a ladder whose finest mesh has more steps than the largest mesh, refused
-    # before 2**refinements is formed; 10 * 2**56 is the smallest such
+    # a ladder whose finest level Mesh refuses, refused before 2**refinements is
+    # formed; on [0, 1], 10 * 2**29 and 4 * 2**31 steps are the smallest such
     ("converge", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10),
                   "study": {"refinements": 10**18}},
-     1, "config error: config field 'study/refinements': mesh/n_steps * 2**refinements "
-        "must be <= 576460752303423487"),
+     1, "config error: config field 'study/refinements': the step of the finest level must "
+        "be finite and at least 1e6 ulp(max(|t0|, |t_end|)) = 2.22045e-10"),
     ("converge", {"model": "sec5_cubic", "mesh": dict(MESH, n_steps=10),
-                  "study": {"refinements": 56}},
-     1, "config error: config field 'study/refinements': mesh/n_steps * 2**refinements "),
-    ("validate", {"model": "sec5_cubic", "study": {"refinements": 59}},  # no mesh: 1 step
-     1, "config error: config field 'study/refinements': mesh/n_steps * 2**refinements "),
+                  "study": {"refinements": 29}},
+     1, "config error: config field 'study/refinements': the step of the finest level "),
+    ("validate", {"model": "sec5_cubic", "mesh": MESH, "study": {"refinements": 31}},
+     1, "config error: config field 'study/refinements': the step of the finest level "),
     # an x0 above the blow-up threshold is refused, not reported as a blow-up at t0
     *[(command, {"model": {"a": [[1, 0], [0, 1]], "b": [[1, 0.3], [0, 2]]}, "mesh": MESH,
                  "initial_state": {"x0": [2e6, 0]}, "study": {"refinements": 3}},
@@ -963,15 +964,52 @@ def test_failure_ends_in_one_stderr_line(tmp_path, command, config, code, prefix
     assert_contract(got, err, tmp_path)
 
 
-@pytest.mark.parametrize("study, mesh", [({"refinements": 55}, {"n_steps": 10}),
-                                         ({"refinements": 58.0}, {})])
+@pytest.mark.parametrize("study, mesh", [({"refinements": 28}, {"n_steps": 10}),
+                                         ({"refinements": 30.0}, {}),
+                                         ({"refinements": 10**18}, None)])
 def test_the_largest_refinements_accepted(tmp_path, capsys, study, mesh):
-    # 10 * 2**55 and 1 * 2**58 (no mesh: 1 step) are at most 2**63 // 16 = 2**59 - 1
+    # 10 * 2**28 and 4 * 2**30 steps are at most 4503599627, the most on [0, 1]; a study
+    # without a mesh has no interval to refine (converge then needs the mesh)
     cfg = {"model": "sec5_cubic", "study": study}
-    if mesh:
+    if mesh is not None:
         cfg["mesh"] = dict(MESH, **mesh)
     assert cli.main(["validate", write_config(tmp_path, cfg)]) == 0
     assert capsys.readouterr() == ("config OK\n", "")
+
+
+@pytest.mark.parametrize("config, line", [
+    ({"mesh": {"t0": 1.0, "t_end": 0.0, "n_steps": 4}}, "'mesh': t_end must exceed t0"),
+    ({"mesh": {"t0": -1e308, "t_end": 1e308, "n_steps": 4}},
+     "'mesh': the step must be finite and at least 1e6 ulp(max(|t0|, |t_end|)) = 1.99584e+298"),
+    # h = 1e-3 where floats are 0.125 apart: the 1001 nodes would take 9 distinct times
+    ({"mesh": {"t0": 1e15, "t_end": 1e15 + 1, "n_steps": 1000}},
+     "'mesh': the step must be finite and at least 1e6 ulp(max(|t0|, |t_end|)) = 125000"),
+    # one step of 2.5e5 resolves there, the finest of a 3-refinement ladder does not
+    ({"mesh": {"t0": 1e15, "t_end": 1e15 + 2.5e5, "n_steps": 1}, "study": {"refinements": 3}},
+     "'study/refinements': the step of the finest level must be finite and at least "
+     "1e6 ulp(max(|t0|, |t_end|)) = 125000"),
+])
+def test_validate_refuses_each_mesh_that_a_run_refuses(tmp_path, config, line):
+    # the walk holds a mesh and a study's finest level to Mesh's own rule, so validate,
+    # solve and converge end alike, before any layer is loaded
+    cfg = {"model": "toy_index1", "initial_state": {"z0": [1.0, 0.0]}, **config}
+    runs = {command: run_cli(command, cfg, tmp_path) for command in ("validate", "solve",
+                                                                      "converge")}
+    assert runs == dict.fromkeys(runs, (1, f"config error: config field {line}\n"))
+
+
+def test_a_mesh_too_large_to_allocate_is_config_error(tmp_path):
+    # the rule admits 6e9 steps on [0, 0.75]; their nodes take ~134 GiB, beyond the
+    # 4 GiB of address space the command is given here, so the first array fails
+    path = write_config(tmp_path, {"model": "sec5_cubic",
+                                   "mesh": {"t0": 0.0, "t_end": 0.75, "n_steps": 6 * 10**9}})
+    limit = 4 * 2**30
+    fresh = fresh_python(["-m", "pencildae.cli", "solve", path, "--out-dir", str(tmp_path)],
+                         stderr=subprocess.PIPE, text=True, preexec_fn=lambda:
+                         resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert fresh.returncode == 1
+    assert fresh.stderr.startswith("config error: Unable to allocate"), fresh.stderr
+    assert fresh.stderr.count("\n") == 1
 
 
 def test_unwritable_output_is_config_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import trajectory_from_states
-from pencildae import (MAX_STEPS, DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
+from pencildae import (DegenerateFitError, LadderSolveError, MatrixPencil, Mesh,
                        Method, SemilinearDAE, SolveOutcome, SolverConfig, SolveStatus,
                        Trajectory, consistent_initialize, diagnostics, empirical_order,
                        get_preset, integrators, method1_solve, projectors_algebraic, solve,
@@ -249,13 +249,14 @@ class TestEmpiricalOrder:
                 empirical_order(dae, decomp, Mesh(0.0, 1.0, 10), np.array([1.0]),
                                 refinements=refinements)
 
+    # on [0, 1] the mesh rule admits at most 4503599627 steps (h >= 1e6 ulp(1) = 1e6 2**-52)
     @pytest.mark.parametrize("n_steps, refinements, refused", [
         (10, 10**18, True),
-        (10, 56, True),     # 10 * 2**56 > MAX_STEPS: the smallest refused, as by the CLI
-        (10, 55, False),    # 10 * 2**55 <= MAX_STEPS: the largest accepted
-        (2**56, 3, True),
-        (2**56 - 1, 3, False),
-        (MAX_STEPS, 3, True),  # the largest Mesh has no finer level
+        (10, 29, True),     # 10 * 2**29 steps: the smallest refused, as by the CLI
+        (10, 28, False),    # 10 * 2**28: the largest accepted
+        (562949954, 3, True),
+        (562949953, 3, False),
+        (4503599627, 3, True),  # the largest Mesh on [0, 1] has no finer level
     ])
     def test_refinements_past_the_largest_mesh(self, scalar_decay, monkeypatch, ladder_steps,
                                                n_steps, refinements, refused):
@@ -263,8 +264,8 @@ class TestEmpiricalOrder:
         # first solve, which is stopped here (it would need far too much memory)
         dae, decomp = scalar_decay
         monkeypatch.setattr(integrators, "X2Newton", lambda decomp: pytest.fail("solved"))
-        expected = (pytest.raises(ValueError, match="^refinements must keep n_steps") if refused
-                    else pytest.raises(pytest.fail.Exception, match="^solved$"))
+        expected = (pytest.raises(ValueError, match="^the step of the finest level must be ")
+                    if refused else pytest.raises(pytest.fail.Exception, match="^solved$"))
         with expected:
             empirical_order(dae, decomp, Mesh(0.0, 1.0, n_steps), np.array([1.0]),
                             refinements=refinements)

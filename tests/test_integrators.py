@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencildae import (InconsistentInitialStateError, MatrixPencil, Mesh, Method,
                        SemilinearDAE, SolveOutcome, SolverConfig, VoltageWaveform,
@@ -58,6 +60,36 @@ class TestMesh:
     def test_refined_shares_coarse_nodes(self):
         coarse, fine = Mesh(0.0, 2.0, 10), Mesh(0.0, 2.0, 10).refined(4)
         np.testing.assert_array_equal(coarse.times(), fine.times()[::4])
+
+    # t0 = 0 or +-m 10**e up to 1e15; h = 10**q float spacings at t0 (at 1e-9 for t0 = 0)
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(t0=st.one_of(st.just(0.0), st.builds(lambda m, e, sign: sign * m * 10.0 ** e,
+                                                st.floats(1.0, 9.99), st.integers(-3, 14),
+                                                st.sampled_from([-1.0, 1.0]))),
+           n_steps=st.integers(1, 10**6), q=st.floats(5.5, 12.0))
+    def test_accepted_node_times_resolve_the_step(self, t0, n_steps, q):
+        # the rule's promise: t0 + i*h rounds (twice) within 1.5 ulp(M) of its exact value,
+        # M = max(|t0|, |t_end|), so consecutive nodes are h apart to 3 ulp(M) <= 3e-6 h
+        t_end = t0 + n_steps * 10.0 ** q * math.ulp(t0 or 1e-9)
+        spacing = math.ulp(max(abs(t0), abs(t_end)))
+        if not (t_end - t0) / n_steps >= 1e6 * spacing:
+            with pytest.raises(ValueError, match="^the step must be finite and at least 1e6 "):
+                Mesh(t0, t_end, n_steps)
+            return
+        mesh = Mesh(t0, t_end, n_steps)
+        steps = np.diff(mesh.times())
+        assert steps.min() > 0.0                # distinct and increasing
+        assert np.abs(steps - mesh.h).max() <= 3.0 * spacing <= 3e-6 * mesh.h
+
+    @pytest.mark.parametrize("t0, t_end, n_steps", [
+        (1e15, 1e15 + 1.0, 1000),     # h = 1e-3 where floats are 0.125 apart: 9 distinct times
+        (1e6, 1e6 + 1.0, 100 * 2**20),  # steps 9.43e-9 to 9.55e-9 around h = 9.54e-9
+        (2.0**23, 2.0**23 + 1.0, 1000),  # at h = 1e-3 the rule admits |t| < 2**23 only
+    ])
+    def test_unresolved_node_times_are_refused(self, t0, t_end, n_steps):
+        with pytest.raises(ValueError, match="^the step must be finite and at least 1e6 ulp"):
+            Mesh(t0, t_end, n_steps)
+        assert Mesh(2.0**23 - 2.0, 2.0**23 - 1.0, 1000).h == 1e-3
 
 
 class TestSolverConfig:

@@ -139,18 +139,29 @@ def test_each_input_rule_is_written_once():
     assert found == []
 
 
-def test_the_largest_mesh_is_said_once():
-    # pencildae.MAX_STEPS is the one largest-mesh rule of Mesh, empirical_order and
-    # the CLI; sys.maxsize elsewhere, but in the generic count defaults of
-    # pencil._count and cli._number, is a second one
-    exempt_names = {"__init__.py": {"MAX_STEPS"}, "pencil.py": {"_count"}, "cli.py": {"_number"}}
-    found = []
+def test_the_mesh_rule_is_written_once():
+    # pencildae._check_mesh is the one mesh rule, and Mesh, empirical_order (for its
+    # finest level) and the CLI walk each call it. A float spacing, an order of t0 and
+    # t_end, or a largest step count anywhere else (sys.maxsize but in the generic count
+    # defaults of pencil._count and cli._number) is a second rule
+    exempt_names = {"__init__.py": {"_check_mesh"}, "pencil.py": {"_count"},
+                    "cli.py": {"_number"}}
+    callers = {"__post_init__", "empirical_order", "load_config"}
+    found, calling = [], []
     for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        exempt = exempt_lines(path, ast.parse(source), exempt_names)
-        found += [f"{path.name}:{lineno}" for lineno, line in enumerate(source.splitlines(), 1)
-                  if "sys.maxsize" in line and lineno not in exempt]
+        tree = ast.parse(source)
+        exempt = exempt_lines(path, tree, exempt_names)
+        for lineno, line in enumerate(source.splitlines(), 1):
+            for rule in ("sys.maxsize", "MAX_STEPS", "ulp(", "spacing(", "nextafter(",
+                         "t_end > ", "must exceed"):
+                if rule in line and lineno not in exempt:
+                    found.append(f"{path.name}:{lineno}: {rule}")
+        calling += [node.name for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name in callers
+                    and "_check_mesh(" in ast.unparse(node)]
     assert found == []
+    assert sorted(calling) == sorted(callers)
 
 
 def test_each_vector_norm_is_taken_by_one_rule():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pencildae
-from pencildae import (MAX_STEPS, CircuitParams, ComponentOrder, MatrixPencil, Mesh, Method,
+from pencildae import (CircuitParams, ComponentOrder, MatrixPencil, Mesh, Method,
                        ModelPreset, Nonlinearity, OrderEstimate, PencilIndex, SemilinearDAE,
                        SolveOutcome, SolverConfig, SolveStatus, SpectralDecomposition,
                        StabilityReport, Trajectory, ValidationReport, VoltageWaveform)
@@ -104,10 +104,14 @@ def test_wrong_arguments_are_type_errors(cls):
      "1 + ||A||_2 + ||B||_2 overflows"),
     *[(CircuitParams, {name: value}, f"{name} must be positive and finite")
       for name in ("l_ind", "c_cap", "r_res", "g_cond") for value in (0.0, math.inf)],
-    *[(Mesh, {"n_steps": value}, f"n_steps must be an integer in [1, {MAX_STEPS + 1})")
-      for value in (0, 2.0, MAX_STEPS + 1)],
+    *[(Mesh, {"n_steps": value}, f"n_steps must be an integer in [1, {sys.maxsize})")
+      for value in (0, 2.0, sys.maxsize)],
     (Mesh, {"t_end": 0.0}, "t_end must exceed t0"),
-    (Mesh, {"t0": -1e308, "t_end": 1e308}, "the step (t_end - t0)/n_steps must be finite"),
+    (Mesh, {"t0": -1e308, "t_end": 1e308},
+     "the step must be finite and at least 1e6 ulp(max(|t0|, |t_end|)) = 1.99584e+298"),
+    # 1/4503599628 < 1e6 ulp(1) = 1e6 2**-52 < 1/4503599627, the largest mesh on [0, 1]
+    (Mesh, {"n_steps": 4503599628},
+     "the step must be finite and at least 1e6 ulp(max(|t0|, |t_end|)) = 2.22045e-10"),
     (SolverConfig, {"tol": 0.0}, "tol must be positive and finite"),
     (SolverConfig, {"tol": math.nan}, "tol must be positive and finite"),
     (SolverConfig, {"max_iter": 0}, f"max_iter must be an integer in [1, {sys.maxsize})"),
