@@ -37,8 +37,12 @@ def _check_mesh(t0, t_end, n_steps: int, refinements: int = 0) -> None:
     <= 3e-6 h, and a mesh has < 2**54/1e6 ~ 1.8e10 steps, so 2**refinements is never formed."""
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    least = 1e6 * math.ulp(max(abs(t0), abs(t_end)))
-    if not least <= (t_end - t0) / (int(n_steps) << min(refinements, 64)) < math.inf:
+    try:  # an int beyond the float range has no ulp, and its step no float
+        least = 1e6 * math.ulp(max(abs(t0), abs(t_end)))
+        h = (t_end - t0) / (int(n_steps) << min(refinements, 64))
+    except OverflowError:
+        least = h = math.inf
+    if not least <= h < math.inf:
         raise ValueError(f"the step {'of the finest level ' if refinements else ''}must be "
                          f"finite and at least 1e6 ulp(max(|t0|, |t_end|)) = {least:.6g}")
 

@@ -11,7 +11,7 @@ Trajectories are CSV, 17-significant-digit floats and LF line ends; the rest is 
 Every run ends in one row of ``_EXITS``: exit 0 writes nothing to stderr,
 any other exit exactly one line and no traceback.  Exit 1: a config error (the
 contract, a command-line usage error, an inline pencil whose norm overflows, a
-mesh too large to allocate), an initial state that is not consistent, above the
+study level too large to allocate), an initial state that is not consistent, above the
 blow-up threshold, or from which none is found (``InconsistentInitialStateError``),
 or a study whose errors underflow the measurable floor; 2: a pencil that is not
 regular, has index > 1, or whose projectors fail; 3: blow-up of a finite state; 4:
@@ -39,7 +39,8 @@ from . import MAX_NODE_COUNT, _check_mesh
 
 __all__ = ["main", "run", "load_config"]
 
-# name: module or "module:attribute", a global bound here on first use (PEP 562)
+# name: module or "module:attribute", a global bound here on first use (PEP 562);
+# no command calls ``solve``, which stays for the benchmark's tracer (ROADMAP item 12)
 _LAZY = {"np": "numpy", "pencil": ".pencil", "dae_model": ".dae_model",
          "model_library": ".model_library", "integrators": ".integrators",
          "diagnostics": ".diagnostics", "solve": ".integrators:solve"}
@@ -74,7 +75,7 @@ _EXITS = {
     "completed": (EXIT_OK, None),
     _key(ConfigError): (EXIT_CONFIG, "config error: {0}"),
     _key(OSError): (EXIT_CONFIG, "config error: {0}"),  # an output path that cannot be written
-    _key(MemoryError): (EXIT_CONFIG, "config error: {0}"),  # a mesh too large to allocate
+    _key(MemoryError): (EXIT_CONFIG, "config error: {0}"),  # a study level too large to hold
     "pencildae.dae_model.InconsistentInitialStateError": (EXIT_CONFIG, "initial-state error: {0}"),
     "pencildae.diagnostics.DegenerateFitError": (EXIT_CONFIG, "study error: {0}"),
     "pencildae.pencil.PencilError": (EXIT_PENCIL, "pencil error: " + _NAMED),
@@ -288,35 +289,13 @@ def _output_paths(config: dict, out_dir: str | None):
     return csv_path, json_path
 
 
-def _csv_rows(traj, rows: slice) -> bytes:
-    """The CSV rows of the nodes ``rows``, ASCII: one %-format per block, not per row."""
-    z, u, times = traj.z_history[rows], traj.u_rows(rows), traj.mesh.times(rows)
-    norms = integrators._row_norms
-    block = np.column_stack((times, z + u, norms(z), norms(u), traj.residuals[rows]))
+def _csv_rows(mesh, basis, first, z, c, residuals, status=None) -> bytes:
+    """The CSV rows of a block of ``integrators._run``, ASCII: one %-format per block."""
+    u, norms = integrators._lift(basis, c), integrators._row_norms
+    times = mesh.times(slice(first, first + len(z)))
+    block = np.column_stack((times, z + u, norms(z), norms(u), residuals))
     row = ",".join(["%.17g"] * block.shape[1]) + "\n"
     return (row * len(block) % tuple(block.ravel().tolist())).encode()
-
-
-def _csv_writer(path: Path):
-    """The trajectory CSV, as a generator primed by ``next``: each ``send((traj, rows))``
-    of a closed block (``solve``'s ``on_block``) writes the block before it and forks a
-    child to format ``rows`` while the solve goes on; ``send((traj, None))`` writes the
-    rest.  So one child is alive at a time and one block's bytes are held; ``close()``
-    kills a child not yet joined.  The file is opened at the first ``send``."""
-    traj, rows = yield
-    done, rest = 0, None                          # rows handed to a child; the rest's bytes
-    with open(path, "wb") as fh:  # ASCII: its bytes are its UTF-8 with LF line ends
-        fh.write(("t," + ",".join(f"x{i + 1}" for i in range(traj.z_history.shape[1]))
-                  + ",z_norm,u_norm,constraint_residual\n").encode())
-        while rows is not None:  # partial: a fallback runs after traj and rows are rebound
-            with integrators._in_child(functools.partial(_csv_rows, traj, rows)) as text:
-                done = rows.stop
-                traj, rows = yield
-                if rows is None:  # formatted while the last child may still run
-                    rest = _csv_rows(traj, slice(done, len(traj)))
-                fh.write(text())
-        fh.write(_csv_rows(traj, slice(done, len(traj))) if rest is None else rest)
-    yield
 
 
 def _finite_or_none(node):
@@ -344,30 +323,42 @@ def _say(quiet: bool, message: str) -> None:
 def cmd_solve(config: dict, out_dir: str | None, quiet: bool):
     preset, decomp, mesh, solver_config, x0 = _set_up(config)
     csv_path, json_path = _output_paths(config, out_dir)
-
-    with contextlib.closing(_csv_writer(csv_path)) as csv:
-        next(csv)
-        start = time.perf_counter()
-        traj = solve(preset.dae, decomp, mesh, x0, solver_config,  # a wrapper on cli.solve runs
-                     on_block=lambda traj, rows: csv.send((traj, rows)))
+    csv_rows = functools.partial(_csv_rows, mesh, decomp.x2_basis)
+    start = time.perf_counter()
+    blocks = integrators._run(preset.dae, decomp, mesh, x0, solver_config)
+    block, max_norm, rest = next(blocks), -math.inf, None  # an initial-state error: no file
+    with open(csv_path, "wb") as fh:  # ASCII: its bytes are its UTF-8 with LF line ends
+        fh.write(("t," + ",".join(f"x{i + 1}" for i in range(decomp.n))
+                  + ",z_norm,u_norm,constraint_residual\n").encode())
+        while True:  # the max norm (of finite states) and the last state, block by block
+            first, z, c, _, status = block
+            states = z + integrators._lift(decomp.x2_basis, c)
+            max_norm = max(max_norm, float(integrators._row_norms(states).max()))
+            if status is not None:
+                break
+            # a child formats each block but the last while the steps go on: one at a time
+            with integrators._in_child(functools.partial(csv_rows, *block)) as text:
+                block = next(blocks)
+                rest = csv_rows(*block) if block[-1] is not None else None  # as the child runs
+                fh.write(text())
         wall = time.perf_counter() - start
-        max_norm = traj.max_norm                  # while the last child may still run
-        csv.send((traj, None))
+        fh.write(csv_rows(*block) if rest is None else rest)
+    nodes = first + len(z)
     summary = {
         "model": preset.preset_id,
         "method": solver_config.method.value,
-        "status": traj.status.to_json(),
+        "status": status.to_json(),
         "max_norm": max_norm,
-        "final_state": [float(v) for v in traj.final_state],
-        "final_time": traj.final_time,
-        "n_nodes": len(traj),
+        "final_state": [float(v) for v in states[-1]],
+        "final_time": float(mesh.times(slice(nodes - 1, nodes))[0]),
+        "n_nodes": nodes,
         "wall_time": wall,
     }
     _write_json(json_path, summary)
-    _say(quiet, f"solve {preset.preset_id}: {traj.status.outcome.value}, "
+    _say(quiet, f"solve {preset.preset_id}: {status.outcome.value}, "
                 f"max norm {max_norm:.6g}, wrote {csv_path} and {json_path}")
-    return traj.status.outcome.value, (f"solve {preset.preset_id} stopped at "
-                                       f"t={traj.final_time:.6g}, max norm {max_norm:.6g}")
+    return status.outcome.value, (f"solve {preset.preset_id} stopped at "
+                                  f"t={summary['final_time']:.6g}, max norm {max_norm:.6g}")
 
 
 def cmd_converge(config: dict, out_dir: str | None, quiet: bool):
@@ -449,7 +440,7 @@ def cmd_validate(config: dict, out_dir: str | None, quiet: bool):
 # name: (command, help string, the _LAZY names it runs), read by the parser and dispatch
 _COMMANDS = {
     "solve": (cmd_solve, "integrate a model and emit trajectory CSV + summary JSON",
-              ("np", "pencil", "dae_model", "model_library", "integrators", "solve")),
+              ("np", "pencil", "dae_model", "model_library", "integrators")),
     "converge": (cmd_converge, "run a mesh-refinement convergence study", tuple(_LAZY)),
     "projectors": (cmd_projectors, "emit projectors, validation report and residue agreement",
                    ("np", "pencil")),

@@ -12,9 +12,9 @@ component u and differ in the update of the differential component z:
 A single solve is strictly sequential; distinct solves share the immutable
 problem objects and may run concurrently: ``_in_child`` runs one of them in a
 forked child (on Linux, with one Python thread; else, or on failure, in process).
-A solve steps through its mesh in blocks of ``_BLOCK`` nodes and hands each block
-that closes before the run's end to its ``on_block`` hook, so a caller can work on
-the finished rows (the CLI has a child format them) while the steps go on.
+The step loop ``_run`` yields the run in blocks of ``_BLOCK`` nodes, each with arrays
+of its own: ``solve`` copies them into one ``Trajectory``, and the CLI formats each
+block (in a child) and keeps none, while the steps go on.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class Trajectory:
 
     def u_rows(self, rows=slice(None)) -> np.ndarray:
         """u_i = N c_i of the nodes ``rows`` (a slice or an index array)."""
-        return np.matmul(self.x2_basis, self.coords[rows, :, None])[:, :, 0]
+        return _lift(self.x2_basis, self.coords[rows])
 
     def state_rows(self, rows=slice(None)) -> np.ndarray:
         """x_i = z_i + N c_i of the nodes ``rows``, rounded alike for any rows."""
@@ -156,13 +156,10 @@ class Trajectory:
     def max_norm(self) -> float:
         return float(max(_row_norms(self.state_rows(rows)).max() for rows in _blocks(len(self))))
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.state_rows([-1])[0]
 
-    @property
-    def final_time(self) -> float:
-        return float(self.mesh.times(slice(len(self) - 1, len(self)))[0])
+def _lift(basis: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """u_i = N c_i of each row c_i of ``coords``, rounded alike for any rows."""
+    return np.matmul(basis, coords[:, :, None])[:, :, 0]
 
 
 _BLOCK = 4096  # nodes per block of a run: of its steps, residuals, norms and CSV rows
@@ -242,22 +239,18 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
-          config: SolverConfig, *, on_block=None) -> Trajectory:
-    """Integrate from ``x0`` on ``mesh`` by the scheme of ``config.method``.
+def _run(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
+         config: SolverConfig):
+    """The step loop: yields each block of at most ``_BLOCK`` nodes when it closes, as
+    ``(first, z, c, residuals, status)``: its first node's index, arrays of this block
+    alone (c is (nodes, k)), and the run's status in its last block, else None.
 
     The norm of each new node, ``math.hypot`` of its entries (it neither overflows nor
     underflows), is tested against ``config.blow_up_threshold`` (a finite node above it
     is the last kept, a non-finite one fails its step), and f is evaluated once at each
-    node kept: the last node's residual is inf where f fails there.
-
-    The steps run in blocks of ``_BLOCK`` nodes, and a block's residuals are formed
-    when it closes.  ``on_block(traj, rows)``, if given, is then called with each
-    block that closes while the run goes on: every row of ``traj`` (over the run's
-    arrays, its ``status`` not yet known) before ``rows.stop`` is final, and the rows
-    after the last block handed on are final once ``solve`` returns.  What the hook
-    raises propagates unchanged.  An ``x0`` that is not finite, lies off the constraint
-    or exceeds ``config.blow_up_threshold`` raises InconsistentInitialStateError.
+    node kept: the last node's residual is inf where f fails there.  An ``x0`` that is
+    not finite, lies off the constraint or exceeds ``config.blow_up_threshold`` raises
+    InconsistentInitialStateError before the first block.
     """
     leapfrog = config.method is Method.METHOD2
     n = dae.n
@@ -274,7 +267,6 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     f = dae.f
     jac = jacobian_function(dae)
     n_steps = mesh.n_steps
-    nodes = n_steps + 1
     thr, tol, max_iter = config.blow_up_threshold, config.tol, config.max_iter
     # the Euler z-step (method 1, method-2 starter) is (I - h Ginv B) z + h Ginv Q1 f,
     # the leapfrog step z_prev + 2h Ginv Q1 f - 2h Ginv B z
@@ -285,19 +277,12 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     leap_drive, leap_decay = (2.0 * drive_mat).dot, ((2.0 * h) * ginv_b).dot
     newton = X2Newton(decomp)
     correct = newton.correct
-
-    z_hist = np.empty((nodes, n))
-    coords = np.empty(nodes if newton.scalar else (nodes, newton.k))
-    f_block = np.empty((min(_BLOCK, nodes), n))   # f(t_i, x_i) of the open block's z-steps
-    status = SolveStatus(SolveOutcome.COMPLETED)  # provisional: the hook sees it
-    traj = Trajectory(z_hist, coords.reshape(nodes, newton.k), decomp.x2_basis,
-                      np.full(nodes, np.inf), status, mesh)
+    f_block = np.empty((min(_BLOCK, n_steps + 1), n))  # f(t_i, x_i) of the open block's z-steps
 
     z = decomp.p1 @ x0
     c = newton.basis.T @ (decomp.p2 @ x0)
     u = newton.lift(c)                            # N c of the newest node
     x = z + u
-    z_hist[0], coords[0] = z, c
 
     # the split initial point must lie on the constraint manifold
     try:
@@ -315,16 +300,20 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
             f"initial state norm {norm0:.6g} exceeds blow_up_threshold {thr:.6g}")
 
     last = n_steps                                # the last node kept
-    z_prev = None
-    for rows in _blocks(nodes):
-        start = rows.start
+    z_prev = status = None
+    for rows in _blocks(n_steps + 1):
+        start, size = rows.start, rows.stop - rows.start
+        z_block = np.empty((size, n))
+        c_block = np.empty(size if newton.scalar else (size, newton.k))
         node_t = mesh.times(slice(start, rows.stop + 1)).tolist()  # + the node after the block
+        known = 0                                 # the block's leading nodes with f stored
         # a singular k > 1 Newton matrix sets the invalid flag (its NaN step fails the step)
         with np.errstate(invalid="ignore"):
             try:
                 for j, i in enumerate(range(start, min(rows.stop, last + 1))):
+                    z_block[j], c_block[j] = z, c
                     fi = f_block[j] = f(node_t[j], x) if fc is None else fc
-                    known = i + 1                 # leading nodes with their f stored
+                    known = j + 1
                     if i == last:
                         break
                     if leapfrog and i:
@@ -333,7 +322,6 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                         z_next = euler(z) + drive(fi)
                     c, u, x, fc = correct(f, jac, node_t[j + 1], z_next, c, u, tol, max_iter)
                     z_prev, z = z, z_next
-                    z_hist[i + 1], coords[i + 1] = z, c
                     if not math.hypot(*x.tolist()) <= thr:
                         if not np.isfinite(x).all():  # fails the step that made it
                             raise FloatingPointError("non-finite node")
@@ -343,17 +331,31 @@ def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                 if i < last:  # the step to node i + 1 failed; node i is kept
                     status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
                     last = i
-        traj.residuals[start:known] = _node_residuals(  # this block, closed once
-            b_mat, q2, traj.state_rows(slice(start, known)), f_block[:known - start])
+        kept = min(rows.stop, last + 1) - start   # truncated at the offending node, never padded
+        z_block, c_block = z_block[:kept], c_block.reshape(size, newton.k)[:kept]
+        residuals = np.full(kept, np.inf)         # this block's, formed once
+        residuals[:known] = _node_residuals(b_mat, q2, z_block[:known] + _lift(
+            decomp.x2_basis, c_block[:known]), f_block[:known])
         if last < rows.stop:  # the run ended in this block
-            break
-        if on_block is not None:
-            on_block(traj, rows)
+            yield start, z_block, c_block, residuals, status or SolveStatus(SolveOutcome.COMPLETED)
+            return
+        yield start, z_block, c_block, residuals, None
 
-    z_kept, c_kept, res_kept = traj.z_history, traj.coords, traj.residuals
-    if last < n_steps:  # truncated at the offending node, never padded
-        z_kept, c_kept, res_kept = (a[:last + 1].copy() for a in (z_kept, c_kept, res_kept))
-    return Trajectory(z_kept, c_kept, decomp.x2_basis, res_kept, status, mesh)
+
+def solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
+          config: SolverConfig) -> Trajectory:
+    """Integrate from ``x0`` on ``mesh`` by the scheme of ``config.method``: ``_run``'s
+    blocks (its rules and errors hold), copied into the run's arrays, which the first
+    block allocates (a run too large to hold raises MemoryError there)."""
+    for first, *block, status in _run(dae, decomp, mesh, x0, config):
+        if not first:  # z, c and the residuals of the whole run
+            run = [np.empty((mesh.n_steps + 1, *part.shape[1:])) for part in block]
+        kept = first + len(block[0])
+        for whole, part in zip(run, block):
+            whole[first:kept] = part
+    # a truncated run is copied: its arrays end at the offending node, never padded
+    z, c, residuals = (whole if kept == len(whole) else whole[:kept].copy() for whole in run)
+    return Trajectory(z, c, decomp.x2_basis, residuals, status, mesh)
 
 
 def method1_solve(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh,

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -430,45 +431,31 @@ def children_of(pid: int) -> list:
 
 
 def solve_in_process(tmp_path, monkeypatch, **config):
-    """Run ``solve`` in process; check its CSV against ``per_value_csv`` of the trajectory
-    it solved and that no child is left.  Returns the exit code, the trajectory and, for
-    each formatter child, how many children the command had right after forking it."""
-    trajs, alive = [], []
-    real_solve = cli.solve
-
-    def solve(*args, **kwargs):
-        trajs.append(real_solve(*args, **kwargs))
-        return trajs[-1]
+    """Run the ``solve`` command in process; check its CSV against ``per_value_csv`` of a
+    library ``solve`` of the same config and that no child is left.  Returns the exit
+    code, that trajectory and, for each formatter child, how many children the command
+    had right after forking it."""
+    alive = []
 
     @contextlib.contextmanager
     def in_child(work):
         with cli_in_child(work) as result:
             alive.append(len(children_of(os.getpid())))
             yield result
-    monkeypatch.setattr(cli, "solve", solve)
     monkeypatch.setattr(integrators, "_in_child", in_child)
-    code = cli.main(["solve", write_config(tmp_path, base_solve_config(tmp_path, **config)),
-                     "--quiet"])
-    traj, = trajs
-    per_value_csv(tmp_path / "old.csv", traj)
-    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    path = write_config(tmp_path, base_solve_config(tmp_path, **config))
+    code = cli.main(["solve", path, "--quiet"])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    with np.errstate(all="ignore"):   # as main runs a command
+        preset, decomp, mesh, solver_config, x0 = cli._set_up(cli.load_config(path))
+        traj = integrators.solve(preset.dae, decomp, mesh, x0, solver_config)
+    per_value_csv(tmp_path / "old.csv", traj)
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     return code, traj, alive
 
 
 class TestTrajectoryCsv:
-    def assert_same_bytes(self, tmp_path, traj):
-        # a finished trajectory, written in process as the one block after the solve;
-        # the writer runs with the layers that main binds for solve
-        for name in cli._COMMANDS["solve"][2]:
-            getattr(cli, name)
-        with contextlib.closing(cli._csv_writer(tmp_path / "new.csv")) as csv:
-            next(csv)
-            csv.send((traj, None))
-        per_value_csv(tmp_path / "old.csv", traj)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_extreme_values(self, tmp_path):
         from pencildae import Mesh, SolveOutcome, SolveStatus, Trajectory
@@ -492,15 +479,18 @@ class TestTrajectoryCsv:
         norms = np.column_stack((_row_norms(traj.z_history), _row_norms(traj.u_history)))
         assert np.isnan(norms[3, 0]) and norms[4, 1] == np.inf and norms[5, 0] == 0.0
         assert 0.0 < norms[2, 1] < 1e-307 and np.isfinite(norms[1]).all()
-        self.assert_same_bytes(tmp_path, traj)
+        # the rows of one block at node 0, formatted with the layers main binds for solve
+        for name in cli._COMMANDS["solve"][2]:
+            getattr(cli, name)
+        rows = cli._csv_rows(traj.mesh, traj.x2_basis, 0, traj.z_history, traj.coords,
+                             traj.residuals)
+        per_value_csv(tmp_path / "old.csv", traj)
+        assert rows == (tmp_path / "old.csv").read_bytes().split(b"\n", 1)[1]
 
-    def test_truncated_blow_up_run(self, tmp_path):
-        from pencildae import Mesh, get_preset, method1_solve, projectors_algebraic
-        preset = get_preset("sec6_blowup")
-        traj = method1_solve(preset.dae, projectors_algebraic(preset.dae.pencil),
-                             Mesh(0.0, 2.0, 2000), preset.x0)
-        assert not traj.status.completed and len(traj) < 2001
-        self.assert_same_bytes(tmp_path, traj)
+    def test_truncated_blow_up_run(self, tmp_path, monkeypatch):
+        code, traj, alive = solve_in_process(tmp_path, monkeypatch, model="sec6_blowup",
+                                             mesh={"t0": 0.0, "t_end": 2.0, "n_steps": 2000})
+        assert code == 3 and not traj.status.completed and len(traj) < 2001 and alive == []
 
     @pytest.mark.parametrize("n_steps", [4095, 4096, 8192, 50000])
     def test_block_boundaries(self, tmp_path, monkeypatch, n_steps):
@@ -539,29 +529,41 @@ class TestTrajectoryCsv:
                                                              capfd, failure):
         parent, csv_rows = os.getpid(), cli._csv_rows
 
-        def rows_or_no_value(traj, rows):
+        def rows_or_no_value(*block):
             if os.getpid() != parent:
                 if failure == "raises":
                     raise MemoryError
                 os.kill(os.getpid(), signal.SIGKILL)
-            return csv_rows(traj, rows)
+            return csv_rows(*block)
         monkeypatch.setattr(cli, "_csv_rows", rows_or_no_value)
         code, _, alive = solve_in_process(tmp_path, monkeypatch,
                                           mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 9000})
         assert code == 0 and alive == [1, 1]
         assert capfd.readouterr() == ("", "")   # no child printed a traceback
 
-    def test_single_row(self, tmp_path):
+    def test_single_row(self, tmp_path, monkeypatch):
         # a singular first correction keeps the initial node only
-        from pencildae import (Mesh, MatrixPencil, SemilinearDAE, method1_solve,
-                               projectors_algebraic)
-        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
-        dae = SemilinearDAE(pencil=pencil, f=lambda t, x: np.array([0.0, x[1]]),
-                            jac_f=lambda t, x: np.array([[0.0, 0.0], [0.0, 1.0]]))
-        traj = method1_solve(dae, projectors_algebraic(pencil), Mesh(0.0, 1.0, 10),
-                             np.array([-1.0 / 3.0, 0.0]))
-        assert len(traj) == 1
-        self.assert_same_bytes(tmp_path, traj)
+        code, traj, alive = solve_in_process(
+            tmp_path, monkeypatch, initial_state={"x0": [-1.0 / 3.0, 0.0]},
+            model={"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]], "f_matrix": [[0, 0], [0, 1]]},
+            mesh={"t0": 0.0, "t_end": 1.0, "n_steps": 10})
+        assert code == 4 and len(traj) == 1 and alive == []
+
+    def test_the_command_holds_no_whole_run(self, tmp_path):
+        # its memory does not grow with the interval: an in-process solve peaks alike
+        # (tracemalloc, numpy's arrays included) at 10 000 and at 100 000 steps
+        def peak(n_steps):
+            path = write_config(tmp_path, base_solve_config(
+                tmp_path, mesh={"t0": 0.0, "t_end": 50.0, "n_steps": n_steps}))
+            tracemalloc.start()
+            try:
+                assert cli.main(["solve", path, "--quiet"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(10)   # the layers load outside the traced runs
+        small, large = peak(10_000), peak(100_000)
+        assert abs(large - small) <= 2**19, (small, large)
 
 
 class TestBoundary:
@@ -998,13 +1000,14 @@ def test_validate_refuses_each_mesh_that_a_run_refuses(tmp_path, config, line):
     assert runs == dict.fromkeys(runs, (1, f"config error: config field {line}\n"))
 
 
-def test_a_mesh_too_large_to_allocate_is_config_error(tmp_path):
-    # the rule admits 6e9 steps on [0, 0.75]; their nodes take ~134 GiB, beyond the
-    # 4 GiB of address space the command is given here, so the first array fails
-    path = write_config(tmp_path, {"model": "sec5_cubic",
-                                   "mesh": {"t0": 0.0, "t_end": 0.75, "n_steps": 6 * 10**9}})
+def test_a_study_level_too_large_to_allocate_is_config_error(tmp_path):
+    # the rule admits 5e8 steps on [0, 0.75], refined 3 times; the base level's run arrays
+    # take ~19 GiB, beyond the 4 GiB of address space the command is given here, so they
+    # fail when its first block closes (a CLI solve holds no whole run: see the interrupt tests)
+    path = write_config(tmp_path, {"model": "sec5_cubic", "study": {"refinements": 3},
+                                   "mesh": {"t0": 0.0, "t_end": 0.75, "n_steps": 5 * 10**8}})
     limit = 4 * 2**30
-    fresh = fresh_python(["-m", "pencildae.cli", "solve", path, "--out-dir", str(tmp_path)],
+    fresh = fresh_python(["-m", "pencildae.cli", "converge", path, "--out-dir", str(tmp_path)],
                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda:
                          resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert fresh.returncode == 1
@@ -1287,19 +1290,25 @@ def test_no_exit_path_leaves_a_child(tmp_path, command, config, code, line):
     assert processes_of(path) == []
 
 
-def interrupt_once_forked(tmp_path, command, config):
-    """Run ``command`` in a fresh process, send it one SIGINT once a forked child of
+def interrupt_once_forked(tmp_path, command, config, ready=None, address_space=None):
+    """Run ``command`` in a fresh process (with at most ``address_space`` bytes of it, if
+    given), send it one SIGINT once ``ready()`` holds, by default once a forked child of
     it runs, and return its exit code and stderr."""
     path = write_config(tmp_path, config)
+    ready = ready or (lambda: len(processes_of(path)) >= 2)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def preexec():  # SIGINT handled even where the suite runs with it ignored
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     proc = subprocess.Popen([sys.executable, "-m", "pencildae.cli", command, path,
                              "--out-dir", str(tmp_path), "--quiet"], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                            # handled even where the suite runs with SIGINT ignored
-                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+                            preexec_fn=preexec)
     try:
         deadline = time.monotonic() + 60
-        while len(processes_of(path)) < 2:
+        while not ready():
             assert time.monotonic() < deadline and proc.poll() is None
             time.sleep(0.005)
         proc.send_signal(signal.SIGINT)
@@ -1324,3 +1333,18 @@ def test_an_interrupted_solve_leaves_no_child(tmp_path):
     # SIGINT to the command alone, once a child formats a block of its CSV
     config = {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 1.0, "n_steps": 200000}}
     assert interrupt_once_forked(tmp_path, "solve", config) == (130, "interrupted\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_a_solve_too_large_to_hold_runs_until_interrupted(tmp_path):
+    # the rule admits 6e9 steps on [0, 0.75]; their nodes would take ~134 GiB, beyond the
+    # 4 GiB of address space the command is given here, yet it holds two blocks at a time
+    # and writes their rows until one SIGINT ends it
+    config = {"model": "sec5_cubic", "mesh": {"t0": 0.0, "t_end": 0.75, "n_steps": 6 * 10**9}}
+    csv = tmp_path / "trajectory.csv"
+    written = lambda: csv.exists() and csv.stat().st_size > 2**20   # noqa: E731 (2 blocks)
+    assert interrupt_once_forked(tmp_path, "solve", config, ready=written,
+                                 address_space=4 * 2**30) == (130, "interrupted\n")
+    lines = csv.read_bytes().split(b"\n")
+    assert lines[0] == b"t,x1,x2,x3,z_norm,u_norm,constraint_residual"
+    assert len(lines) > 2 * _BLOCK and lines[1].startswith(b"0,")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -707,44 +708,35 @@ def blocks_problem(name):
 
 
 class TestBlocks:
-    """The step loop's blocks of ``_BLOCK`` nodes and the ``on_block`` hook."""
+    """The step loop's blocks of ``_BLOCK`` nodes, as ``integrators._run`` yields them."""
 
     OUTCOMES = {"method1": "completed", "method2-iterate": "completed", "blow-up": "blow_up",
                 "corrector-failure": "corrector_failed", "non-finite-node": "corrector_failed"}
 
-    @staticmethod
-    def rows_before(traj, stop):
-        return [a[:stop].tobytes() for a in (traj.times, traj.z_history, traj.coords,
-                                             traj.residuals)]
-
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
     @pytest.mark.parametrize("name", sorted(OUTCOMES))
-    def test_block_size_changes_no_output(self, monkeypatch, name, block):
+    def test_blocks_own_their_arrays_and_make_up_the_run(self, monkeypatch, name, block):
         with np.errstate(over="ignore", invalid="ignore"):
-            want = solve(*blocks_problem(name))
+            want = solve(*blocks_problem(name))   # in blocks of 4096
             monkeypatch.setattr(integrators, "_BLOCK", block)
-            seen = []
-            got = solve(*blocks_problem(name), on_block=lambda traj, rows: seen.append(
-                (rows, self.rows_before(traj, rows.stop))))
-        assert got.status.to_json() == want.status.to_json()
-        assert got.status.outcome.value == self.OUTCOMES[name]
-        assert self.rows_before(got, None) == self.rows_before(want, None)
-        # each block that closed before the run's end, in order, with its rows final
-        assert [rows for rows, _ in seen] == [slice(i * block, (i + 1) * block)
-                                              for i in range(len(seen))]
-        assert 0 <= len(got) - len(seen) * block <= block
-        for rows, before in seen:
-            assert before == self.rows_before(got, rows.stop)
+            blocks = list(integrators._run(*blocks_problem(name)))
+        assert want.status.outcome.value == self.OUTCOMES[name]
+        # contiguous from node 0, full but the last, the status in the last alone
+        firsts = [first for first, *_ in blocks]
+        assert firsts == list(range(0, block * len(blocks), block))
+        assert [len(z) for _, z, *_ in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert [status for *_, status in blocks[:-1]] == [None] * (len(blocks) - 1)
+        assert blocks[-1][-1].to_json() == want.status.to_json()
+        # no two blocks share memory
+        for (i, *one), (j, *other) in itertools.combinations(blocks, 2):
+            assert not any(np.shares_memory(a, b) for a in one[:3] for b in other[:3]), (i, j)
+        # their arrays, concatenated, are the run's bit for bit
+        for part, whole in zip(zip(*(b[1:4] for b in blocks)),
+                               (want.z_history, want.coords, want.residuals)):
+            assert np.concatenate(part).shape == whole.shape
+            assert np.concatenate(part).tobytes() == whole.tobytes()
 
-    def test_an_error_of_the_hook_propagates_unchanged(self, sec5_preset, sec5_decomp):
-        # raised outside the step's except: not a corrector failure
-        def hook(traj, rows):
-            raise ValueError("I/O operation on closed file.")
-        with pytest.raises(ValueError, match=r"^I/O operation on closed file\.$"):
-            solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 9000), sec5_preset.x0,
-                  SolverConfig(), on_block=hook)
-
-    def test_no_hook_forks_nothing(self, monkeypatch, sec5_preset, sec5_decomp):
+    def test_a_library_solve_forks_nothing(self, monkeypatch, sec5_preset, sec5_decomp):
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         traj = solve(sec5_preset.dae, sec5_decomp, Mesh(0.0, 1.0, 9000), sec5_preset.x0,

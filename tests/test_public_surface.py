@@ -189,7 +189,7 @@ def test_each_vector_norm_is_taken_by_one_rule():
 
 
 def test_each_outcome_is_built_in_one_place():
-    # integrators.solve decides how a run ends: the provisional completed status,
+    # integrators._run decides how a run ends: the completed status of its last block,
     # the blow-up in the step and the corrector failure in the step's one except
     built = {outcome.name: [] for outcome in SolveOutcome}
     for path in sorted(Path(pencildae.__file__).parent.glob("*.py")):

@@ -112,6 +112,10 @@ def test_wrong_arguments_are_type_errors(cls):
     # 1/4503599628 < 1e6 ulp(1) = 1e6 2**-52 < 1/4503599627, the largest mesh on [0, 1]
     (Mesh, {"n_steps": 4503599628},
      "the step must be finite and at least 1e6 ulp(max(|t0|, |t_end|)) = 2.22045e-10"),
+    # ints beyond the float range have no ulp and no float step: refused by the rule alike
+    *[(Mesh, {"t0": t0, "t_end": t_end, "n_steps": 1},
+       "the step must be finite and at least 1e6 ulp(max(|t0|, |t_end|)) = inf")
+      for t0, t_end in ((10**400, 10**400 + 1), (0, 10**400))],
     (SolverConfig, {"tol": 0.0}, "tol must be positive and finite"),
     (SolverConfig, {"tol": math.nan}, "tol must be positive and finite"),
     (SolverConfig, {"max_iter": 0}, f"max_iter must be an integer in [1, {sys.maxsize})"),

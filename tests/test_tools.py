@@ -1,7 +1,10 @@
-"""tools/compare_outputs.py: the output diff of two source trees."""
+"""tools/compare_outputs.py, the output diff of two source trees, and tools/peak_rss.py."""
 
 import importlib.util
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +31,14 @@ def test_the_first_difference_is_named_by_line():
     assert compare_outputs.first_difference(b"a\nb\nc\n", b"a\nB\nc\n") \
         == "line 2 of 3 vs 3: b'b' vs b'B'"
     assert compare_outputs.first_difference(b"a\n", b"a\nb\n") == "line 2 of 1 vs 2: None vs b'b'"
+
+
+def test_peak_rss_reads_the_peak_in_a_child_of_a_process_without_numpy():
+    # the tool's own process stays small, so the child's ru_maxrss is the command's
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import peak_rss; "
+            "peak_rss.main([sys.argv[2], '10']); print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "tools"), str(ROOT)],
+                         capture_output=True, text=True, check=True).stdout
+    line, imported = out.splitlines()
+    assert re.fullmatch(r"10 steps: exit 0, peak \d+\.\d MB", line) and imported == "False"
+    assert 5 < float(line.split()[-2]) < 1000
