@@ -55,6 +55,12 @@ _MODEL_ERRORS = (ArithmeticError, ValueError)
 _STEP_ERRORS = (SingularNewtonMatrixError, NoConvergenceError) + _MODEL_ERRORS
 
 
+# the messages of a missed tol (the residual, the corrections made) and of a step that
+# is singular or not finite (t), in X2Newton.correct and in integrators' plain step
+_STALLED = "restricted Newton stalled at residual {:.3e} after {} corrections"
+_SINGULAR = "restricted Newton step singular or non-finite at t={}"
+
+
 def _initial_failure(exc: Exception) -> InconsistentInitialStateError:
     """One of ``_STEP_ERRORS`` met at the initial point, as the error to raise from it."""
     return InconsistentInitialStateError(
@@ -161,9 +167,7 @@ class X2Newton:
                 if last <= tol:
                     return c, u, x, fx
                 if updates >= max_iter:
-                    raise NoConvergenceError(
-                        f"restricted Newton stalled at residual {last:.3e} "
-                        f"after {updates} corrections", last_residual=last)
+                    raise NoConvergenceError(_STALLED.format(last, updates), last_residual=last)
             newton = self._eye - coeff(jac(t, x).dot(basis))
             if scalar:  # a finite pivot and a finite quotient
                 step = r / newton if newton and math.isfinite(newton) else math.nan
@@ -172,8 +176,7 @@ class X2Newton:
                 step = _solve1(newton, r)
                 finite = all(map(math.isfinite, step.tolist()))
             if not finite:
-                raise SingularNewtonMatrixError(
-                    f"restricted Newton step singular or non-finite at t={t}")
+                raise SingularNewtonMatrixError(_SINGULAR.format(t))
             c = c - step
             u = lift(c)
             if tol is None:

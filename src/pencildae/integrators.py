@@ -14,13 +14,15 @@ problem objects and may run concurrently: ``_in_child`` runs one of them in a
 forked child (on Linux, with one Python thread; else, or on failure, in process).
 The step loop ``_run`` yields the run in blocks of ``_BLOCK`` nodes, each with arrays
 of its own: ``solve`` copies them into one ``Trajectory``, and the CLI formats each
-block (in a child) and keeps none, while the steps go on.
+block (in a child) and keeps none, while the steps go on.  Its step is chosen by the
+problem's shape: on Python floats for k <= 1 and n <= 3, else numpy's.
 """
 
 from __future__ import annotations
 
 import _thread
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,8 +31,9 @@ from enum import Enum
 import numpy as np
 
 from . import _check_mesh
-from .dae_model import (_MODEL_ERRORS, _STEP_ERRORS, InconsistentInitialStateError,
-                        SemilinearDAE, X2Newton, _initial_failure, jacobian_function)
+from .dae_model import (_MODEL_ERRORS, _SINGULAR, _STALLED, _STEP_ERRORS,
+                        InconsistentInitialStateError, NoConvergenceError, SemilinearDAE,
+                        SingularNewtonMatrixError, X2Newton, _initial_failure, jacobian_function)
 from .pencil import SpectralDecomposition, _count, _positive_finite, _Record
 
 __all__ = [
@@ -174,7 +177,7 @@ def _in_child(work):
     """``with _in_child(work) as result:`` runs ``work()`` in a forked child during the block;
     ``result()`` returns the value the child pickled, else (no fork: off Linux or a second
     Python thread; or no value) runs ``work()`` here, so errors surface as without a child."""
-    pid = None
+    pid = out = None
     if sys.platform == "linux" and not _thread._count():  # fork copies no other thread
         import os, pickle, signal, tempfile, warnings  # noqa: E401
         with contextlib.suppress(OSError), warnings.catch_warnings():
@@ -182,6 +185,8 @@ def _in_child(work):
             out = tempfile.TemporaryFile()  # unlinked
             pid = os.fork()
     if pid is None:
+        if out is not None:  # made, but the fork failed
+            out.close()
         yield work
         return
     if not pid:  # the child exits 0 once its value is written, 1 on any failure
@@ -239,6 +244,83 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
+# the step on Python floats is taken for k <= 1 up to this n: on inline affine k = 1
+# models its prototype cost 0.62 of numpy's step at n = 2, 0.86 at n = 3, 0.97 at
+# n = 4, 1.11 at n = 5 and 1.82 at n = 8 (its terms grow as n^2, numpy's dispatch not)
+_PLAIN_MAX_N = 3
+
+# _run's step on Python floats, as _plain_step fills it in for a shape: the z-step,
+# then no correction (k = 0) or X2Newton.correct's, written out for k = 1
+_PLAIN_STEP = """\
+def make(E, D, L, K, W, N, f, jac, tol, max_iter):
+    [{E}], [{D}], [{L}], [{K}], [{W}], [{N}] = E, D, L, K, W, N
+    def step(t, fi, z, z_prev, c, u, leap):
+        [{f}], [{z}], [{u}] = fi.tolist(), z, u
+        if leap:
+            [{p}] = z_prev
+            {leapfrog}
+        else:
+            {euler}
+"""
+_PLAIN_TAILS = """\
+        return [{y}], c, u, array([{x}]), None
+    return step
+""", """\
+        updates = 0
+        while True:
+            x = array([{x}])
+            fx = f(t, x)
+            [{f}] = fx.tolist()
+            r = c - {Wf}
+            if tol is not None:
+                last = abs(r)
+                if last <= tol:
+                    return [{y}], c, [{u}], x, fx
+                if updates >= max_iter:
+                    raise NoConvergenceError(STALLED.format(last, updates), last_residual=last)
+            [{J}] = jac(t, x).tolist()
+            newton = 1.0 - ({WJN})
+            delta = r / newton if newton and isfinite(newton) else nan
+            if not isfinite(delta):
+                raise SingularNewtonMatrixError(SINGULAR.format(t))
+            c = c - delta
+            {lift}
+            if tol is None:
+                return [{y}], c, [{u}], array([{x}]), None
+            updates += 1
+    return step
+"""
+
+
+@functools.cache
+def _plain_step(n: int, k: int):
+    """``make`` of ``_PLAIN_STEP`` for n entries and k <= 1, compiled once per shape: it
+    binds the flat Euler, drive, leapfrog drive and decay matrices, W and N as closure
+    values, and its step keeps every term, so a non-finite value fails the step as the
+    numpy step's does; z and u are lists of floats, c a float, x a new ndarray."""
+    def each(form, sep=", "):  # form.format(i=i) for each entry i
+        return sep.join(form.format(i=i) for i in range(n))
+
+    def dot(row, v):  # a matrix row (or a vector) times the vector v
+        return "(" + " + ".join(f"{row}{j} * {v}{j}" for j in range(n)) + ")"
+    line = "\n            "
+    fields = {m: ", ".join(f"{m}{i}_{j}" for i in range(n) for j in range(n)) for m in "EDLK"}
+    fields.update({v: each(v + "{i}") for v in "fzupy"}, x=each("y{i} + u{i}"),
+                  W=each("W{i}") * k, N=each("N{i}") * k, Wf=dot("W", "f"),  # none for k = 0
+                  J=", ".join(f"[{each(f'j{i}_{{i}}')}]" for i in range(n)),
+                  WJN=" + ".join(f"W{i} * {dot(f'j{i}_', 'N')}" for i in range(n)),
+                  lift=each("u{i} = N{i} * c", line),
+                  leapfrog=line.join(f"y{i} = p{i} + {dot(f'L{i}_', 'f')} - {dot(f'K{i}_', 'z')}"
+                                     for i in range(n)),
+                  euler=line.join(f"y{i} = {dot(f'E{i}_', 'z')} + {dot(f'D{i}_', 'f')}"
+                                  for i in range(n)))
+    scope = {"array": np.array, "isfinite": math.isfinite, "nan": math.nan,
+             "NoConvergenceError": NoConvergenceError, "STALLED": _STALLED,
+             "SingularNewtonMatrixError": SingularNewtonMatrixError, "SINGULAR": _SINGULAR}
+    exec((_PLAIN_STEP + _PLAIN_TAILS[k]).format(**fields), scope)
+    return scope["make"]
+
+
 def _run(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
          config: SolverConfig):
     """The step loop: yields each block of at most ``_BLOCK`` nodes when it closes, as
@@ -273,10 +355,8 @@ def _run(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     h = mesh.h
     ginv_b = decomp.g_inv @ b_mat
     drive_mat = h * (decomp.g_inv @ decomp.q1)
-    euler, drive = (np.eye(n) - h * ginv_b).dot, drive_mat.dot
-    leap_drive, leap_decay = (2.0 * drive_mat).dot, ((2.0 * h) * ginv_b).dot
+    mats = np.eye(n) - h * ginv_b, drive_mat, 2.0 * drive_mat, (2.0 * h) * ginv_b
     newton = X2Newton(decomp)
-    correct = newton.correct
     f_block = np.empty((min(_BLOCK, n_steps + 1), n))  # f(t_i, x_i) of the open block's z-steps
 
     z = decomp.p1 @ x0
@@ -299,6 +379,20 @@ def _run(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
         raise InconsistentInitialStateError(
             f"initial state norm {norm0:.6g} exceeds blow_up_threshold {thr:.6g}")
 
+    # the step, chosen by the shape (n, k) alone: ``(z, c, u, x, fx)`` of the next node,
+    # as X2Newton.correct returns them, from f at this node
+    if newton.k <= 1 and n <= _PLAIN_MAX_N:  # on Python floats, from the node's floats
+        step = _plain_step(n, newton.k)(*(m.ravel().tolist() for m in (
+            *mats, newton.coeff, newton.basis)), f, jac, tol, max_iter)
+        z, c, u = z.tolist(), c.tolist(), u.tolist()
+    else:
+        euler, drive, leap_drive, leap_decay = (m.dot for m in mats)
+        correct = newton.correct
+
+        def step(t, fi, z, z_prev, c, u, leap):
+            z_next = z_prev + leap_drive(fi) - leap_decay(z) if leap else euler(z) + drive(fi)
+            return (z_next, *correct(f, jac, t, z_next, c, u, tol, max_iter))
+
     last = n_steps                                # the last node kept
     z_prev = status = None
     for rows in _blocks(n_steps + 1):
@@ -316,11 +410,8 @@ def _run(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
                     known = j + 1
                     if i == last:
                         break
-                    if leapfrog and i:
-                        z_next = z_prev + leap_drive(fi) - leap_decay(z)
-                    else:
-                        z_next = euler(z) + drive(fi)
-                    c, u, x, fc = correct(f, jac, node_t[j + 1], z_next, c, u, tol, max_iter)
+                    z_next, c, u, x, fc = step(node_t[j + 1], fi, z, z_prev, c, u,
+                                               leapfrog and i)
                     z_prev, z = z, z_next
                     if not math.hypot(*x.tolist()) <= thr:
                         if not np.isfinite(x).all():  # fails the step that made it

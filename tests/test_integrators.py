@@ -3,6 +3,7 @@ import math
 import os
 import re
 import signal
+import tempfile
 import threading
 import time
 import warnings
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencildae import (InconsistentInitialStateError, MatrixPencil, Mesh, Method,
-                       SemilinearDAE, SolveOutcome, SolverConfig, VoltageWaveform,
-                       consistent_initialize, get_preset, jacobian, method1_solve,
-                       method2_solve, projectors_algebraic, solve)
+from pencildae import (PRESET_IDS, InconsistentInitialStateError, MatrixPencil, Mesh,
+                       Method, NoConvergenceError, SemilinearDAE, SingularNewtonMatrixError,
+                       SolveOutcome, SolverConfig, VoltageWaveform, consistent_initialize,
+                       get_preset, jacobian, method1_solve, method2_solve,
+                       projectors_algebraic, solve)
 from pencildae import integrators
 from pencildae.dae_model import X2Newton
 from pencildae.integrators import _in_child, _row_norms
@@ -536,6 +538,10 @@ def affine_cubic_problem(seed=7, n=8, k=3):
     return dae, decomp, z0 + consistent_initialize(dae, decomp, 0.0, z0)
 
 
+SHAPES = {"n1_k1": dict(n=1, k=1), "n3_k1": dict(n=3, k=1), "n4_k1": dict(n=4, k=1),
+          "n8_k3": dict(n=8, k=3)}
+
+
 def assert_matches_reference(traj, ref, outcome, detail=None):
     """Every row of the kernel's trajectory agrees with the oracle's to 1e-12."""
     times, states, zs, us, residuals, ref_outcome, ref_detail = ref
@@ -559,10 +565,12 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("corrector", ["single", "iterate"])
     @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
-    @pytest.mark.parametrize("problem", ["linear_index0", "sec5_cubic", "n8_k3"])
+    # n1_k1 and n3_k1 take the step on Python floats, n4_k1 and n8_k3 the numpy step
+    @pytest.mark.parametrize("problem", ["linear_index0", "sec5_cubic", "n1_k1", "n3_k1",
+                                         "n4_k1", "n8_k3"])
     def test_matches_reference(self, problem, method, corrector):
-        if problem == "n8_k3":
-            dae, decomp, x0 = affine_cubic_problem()
+        if problem in SHAPES:
+            dae, decomp, x0 = affine_cubic_problem(**SHAPES[problem])
         else:
             preset = get_preset(problem)
             dae, decomp = preset.dae, projectors_algebraic(preset.dae.pencil)
@@ -811,20 +819,6 @@ class TestEvaluationCounts:
         assert traj.status.completed
         assert counts == {"f": 2 * n_steps + 1, "jac": n_steps}
 
-    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
-    def test_iterate_reuses_the_converged_f(self, method):
-        # affine f: one correction, then the converged test, whose f the next
-        # z-step and the final residual reuse: 2 f per step plus f(t0, x0)
-        dae, decomp = affine_problem(np.random.default_rng(3), n=8, k=3)
-        z0 = decomp.p1 @ np.linspace(-1.0, 1.0, 8)
-        x0 = z0 + consistent_initialize(dae, decomp, 0.0, z0)
-        dae, counts = self.counted(dae)
-        n_steps = 200
-        traj = solve(dae, decomp, Mesh(0.0, 1.0, n_steps), x0,
-                     SolverConfig(method=method, tol=1e-10))
-        assert traj.status.completed
-        assert counts == {"f": 2 * n_steps + 1, "jac": n_steps}
-
     def test_method1_index0(self):
         preset = get_preset("linear_index0")
         dae, counts = self.counted(preset.dae)
@@ -832,6 +826,109 @@ class TestEvaluationCounts:
                              preset.x0)
         assert traj.status.completed
         assert counts == {"f": 301, "jac": 0}
+
+    @pytest.mark.parametrize("tol", [None, 1e-10], ids=["single", "iterate"])
+    @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
+    @pytest.mark.parametrize("n, k", [(3, 1), (8, 3)], ids=["plain-step", "numpy-step"])
+    def test_each_step_takes_2_f_and_1_jacobian(self, n, k, method, tol):
+        # affine f: with a tol, one correction, then the converged test, whose f the
+        # next z-step and the final residual reuse: 2 f per step plus f(t0, x0), as
+        # with one correction a step
+        dae, decomp = affine_problem(np.random.default_rng(3), n=n, k=k)
+        z0 = decomp.p1 @ np.linspace(-1.0, 1.0, n)
+        x0 = z0 + consistent_initialize(dae, decomp, 0.0, z0)
+        dae, counts = self.counted(dae)
+        n_steps = 200
+        traj = solve(dae, decomp, Mesh(0.0, 1.0, n_steps), x0,
+                     SolverConfig(method=method, tol=tol))
+        assert traj.status.completed
+        assert counts == {"f": 2 * n_steps + 1, "jac": n_steps}
+
+
+class TestStepChoice:
+    """The step is chosen by the problem's shape alone: on Python floats for k <= 1 and
+    n <= 3, else numpy's z-step and ``X2Newton.correct``."""
+
+    @staticmethod
+    def corrections(monkeypatch, dae, decomp, x0, n_steps=20):
+        calls, correct = [], X2Newton.correct
+        monkeypatch.setattr(X2Newton, "correct",
+                            lambda *args, **kwargs: calls.append(1) or correct(*args, **kwargs))
+        traj = solve(dae, decomp, Mesh(0.0, 0.02, n_steps), x0, SolverConfig())
+        assert traj.status.completed
+        return len(calls)
+
+    @pytest.mark.parametrize("preset_id", PRESET_IDS)
+    def test_every_preset_takes_the_plain_step(self, monkeypatch, preset_id):
+        preset = get_preset(preset_id)
+        decomp = projectors_algebraic(preset.dae.pencil)
+        assert decomp.x2_basis.shape[1] <= 1 and preset.dae.n <= integrators._PLAIN_MAX_N
+        assert self.corrections(monkeypatch, preset.dae, decomp, preset.x0) == 0
+
+    @pytest.mark.parametrize("problem", ["n4_k1", "n8_k3"])
+    def test_larger_shapes_take_the_numpy_step(self, monkeypatch, problem):
+        dae, decomp, x0 = affine_cubic_problem(**SHAPES[problem])
+        assert self.corrections(monkeypatch, dae, decomp, x0) == 20
+
+
+class TestPlainStep:
+    """The plain step's correction against ``X2Newton.correct`` at one point: with the
+    identity for its Euler matrix and no drive its z-step keeps z, so both correct
+    the same (t, z, c)."""
+
+    @staticmethod
+    def outcomes(dae, decomp, t, z, c, tol=None, max_iter=50):
+        newton, n = X2Newton(decomp), dae.n
+        u = newton.lift(c)
+        step = integrators._plain_step(n, 1)(
+            np.eye(n).ravel().tolist(), *[[0.0] * (n * n)] * 3, newton.coeff.tolist(),
+            newton.basis.tolist(), dae.f, dae.jac_f, tol, max_iter)
+        seen = []
+        for call in (lambda: newton.correct(dae.f, dae.jac_f, t, z, c, u, tol, max_iter),
+                     lambda: step(t, np.zeros(n), z.tolist(), None, c, u.tolist(), False)[1:]):
+            try:
+                seen.append(call())
+            except Exception as exc:
+                seen.append((type(exc), str(exc), getattr(exc, "last_residual", None)))
+        return seen
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_the_results_are_the_correction(self, tol):
+        dae, decomp, x0 = affine_cubic_problem(n=3, k=1)
+        z = decomp.p1 @ (x0 + 0.1)
+        (c, u, x, fx), (c_p, u_p, x_p, fx_p) = self.outcomes(dae, decomp, 0.3, z, 0.2, tol)
+        assert type(c_p) is float and type(u_p) is list and type(x_p) is np.ndarray
+        assert abs(c_p - c) <= 1e-15
+        np.testing.assert_allclose(np.array([u_p, x_p]), np.array([u, x]), rtol=0, atol=1e-15)
+        if tol is None:
+            assert fx is None and fx_p is None
+        else:
+            np.testing.assert_allclose(fx_p, fx, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("df2dx2, c, tol, max_iter, error", [
+        (np.nan, 0.25, None, 50, SingularNewtonMatrixError),     # a non-finite Jacobian
+        (1.0, 0.25, None, 50, SingularNewtonMatrixError),        # a zero pivot
+        (1.0 - 2.0 ** -52, 1e300, None, 50, SingularNewtonMatrixError),  # an infinite step
+        (-6.5, 0.25, 1e-12, 3, NoConvergenceError),              # tol missed 3 times
+        ("raise", 0.25, None, 50, OverflowError),                # what f raised
+    ], ids=["nan-jacobian", "zero-pivot", "infinite-step", "missed-tol", "f-raises"])
+    def test_the_failures_are_the_correction(self, df2dx2, c, tol, max_iter, error):
+        # the constraint x2 = 0.25 x2 + 0.3 x1 + 0.1, with the given df2/dx2
+        def f(t, x):
+            if df2dx2 == "raise":
+                raise OverflowError("(34, 'Numerical result out of range')")
+            return np.array([0.0, 0.3 * x[0] + 0.25 * x[1] + 0.1])
+
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        dae = SemilinearDAE(pencil=pencil, f=f,
+                            jac_f=lambda t, x: np.array([[0.0, 0.0], [0.3, df2dx2]]))
+        z = np.array([1.0, 0.0])
+        with np.errstate(all="ignore"):
+            numpy_seen, plain_seen = self.outcomes(dae, projectors_algebraic(pencil), 0.5, z,
+                                                   c, tol, max_iter)
+        assert numpy_seen[0] is plain_seen[0] is error
+        assert numpy_seen[1] == plain_seen[1]   # the message
+        assert plain_seen[2] == pytest.approx(numpy_seen[2], rel=1e-12)   # last_residual
 
 
 class TestInChild:
@@ -905,6 +1002,19 @@ class TestInChild:
             signal.signal(signal.SIGALRM, previous)
         self.assert_no_child_left()
         assert time.monotonic() - start < 30
+
+    def test_a_failed_fork_closes_the_temp_file(self, monkeypatch):
+        made, temporary_file = [], tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda: made.append(temporary_file()) or made[-1])
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        with _in_child(os.getpid) as result:
+            assert result() == os.getpid()   # the work, run in process
+        assert len(made) == 1 and made[0].closed
 
     def test_no_child_with_a_second_thread(self):
         release = threading.Event()
