@@ -250,7 +250,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 _PLAIN_MAX_N = 3
 
 # _run's step on Python floats, as _plain_step fills it in for a shape: the z-step,
-# then no correction (k = 0) or X2Newton.correct's, written out for k = 1
+# then X2Newton.correct's correction written out for k = 1 (for k = 0 its loop never runs)
 _PLAIN_STEP = """\
 def make(E, D, L, K, W, N, f, jac, tol, max_iter):
     [{E}], [{D}], [{L}], [{K}], [{W}], [{N}] = E, D, L, K, W, N
@@ -261,13 +261,8 @@ def make(E, D, L, K, W, N, f, jac, tol, max_iter):
             {leapfrog}
         else:
             {euler}
-"""
-_PLAIN_TAILS = """\
-        return [{y}], c, u, array([{x}]), None
-    return step
-""", """\
         updates = 0
-        while True:
+        while {k}:
             x = array([{x}])
             fx = f(t, x)
             [{f}] = fx.tolist()
@@ -286,8 +281,9 @@ _PLAIN_TAILS = """\
             c = c - delta
             {lift}
             if tol is None:
-                return [{y}], c, [{u}], array([{x}]), None
+                break
             updates += 1
+        return [{y}], c, [{u}], array([{x}]), None
     return step
 """
 
@@ -301,23 +297,24 @@ def _plain_step(n: int, k: int):
     def each(form, sep=", "):  # form.format(i=i) for each entry i
         return sep.join(form.format(i=i) for i in range(n))
 
-    def dot(row, v):  # a matrix row (or a vector) times the vector v
-        return "(" + " + ".join(f"{row}{j} * {v}{j}" for j in range(n)) + ")"
+    def row(v):  # the names v0, ..., of a vector or (v holding {i}) of a matrix row
+        return ", ".join(f"{v}{j}" for j in range(n))
+
+    def dot(v, w):  # the vector (or matrix row) v times the vector w
+        return "(" + " + ".join(f"{v}{j} * {w}{j}" for j in range(n)) + ")"
     line = "\n            "
-    fields = {m: ", ".join(f"{m}{i}_{j}" for i in range(n) for j in range(n)) for m in "EDLK"}
-    fields.update({v: each(v + "{i}") for v in "fzupy"}, x=each("y{i} + u{i}"),
-                  W=each("W{i}") * k, N=each("N{i}") * k, Wf=dot("W", "f"),  # none for k = 0
-                  J=", ".join(f"[{each(f'j{i}_{{i}}')}]" for i in range(n)),
-                  WJN=" + ".join(f"W{i} * {dot(f'j{i}_', 'N')}" for i in range(n)),
+    fields = {v: row(v) for v in "fzupy"} | {m: each(row(m + "{i}_")) for m in "EDLK"}
+    fields.update(k=k, W=row("W") * k, N=row("N") * k,  # none for k = 0
+                  x=each("y{i} + u{i}"), Wf=dot("W", "f"), J=each("[" + row("j{i}_") + "]"),
+                  WJN=each("W{i} * " + dot("j{i}_", "N"), " + "),
                   lift=each("u{i} = N{i} * c", line),
-                  leapfrog=line.join(f"y{i} = p{i} + {dot(f'L{i}_', 'f')} - {dot(f'K{i}_', 'z')}"
-                                     for i in range(n)),
-                  euler=line.join(f"y{i} = {dot(f'E{i}_', 'z')} + {dot(f'D{i}_', 'f')}"
-                                  for i in range(n)))
+                  leapfrog=each("y{i} = p{i} + " + dot("L{i}_", "f") + " - " + dot("K{i}_", "z"),
+                                line),
+                  euler=each("y{i} = " + dot("E{i}_", "z") + " + " + dot("D{i}_", "f"), line))
     scope = {"array": np.array, "isfinite": math.isfinite, "nan": math.nan,
              "NoConvergenceError": NoConvergenceError, "STALLED": _STALLED,
              "SingularNewtonMatrixError": SingularNewtonMatrixError, "SINGULAR": _SINGULAR}
-    exec((_PLAIN_STEP + _PLAIN_TAILS[k]).format(**fields), scope)
+    exec(_PLAIN_STEP.format(**fields), scope)
     return scope["make"]
 
 
