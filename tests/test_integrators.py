@@ -819,14 +819,6 @@ class TestEvaluationCounts:
         assert traj.status.completed
         assert counts == {"f": 2 * n_steps + 1, "jac": n_steps}
 
-    def test_method1_index0(self):
-        preset = get_preset("linear_index0")
-        dae, counts = self.counted(preset.dae)
-        traj = method1_solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 300),
-                             preset.x0)
-        assert traj.status.completed
-        assert counts == {"f": 301, "jac": 0}
-
     @pytest.mark.parametrize("tol", [None, 1e-10], ids=["single", "iterate"])
     @pytest.mark.parametrize("method", [Method.METHOD1, Method.METHOD2])
     @pytest.mark.parametrize("n, k", [(3, 1), (8, 3)], ids=["plain-step", "numpy-step"])
@@ -843,6 +835,14 @@ class TestEvaluationCounts:
                      SolverConfig(method=method, tol=tol))
         assert traj.status.completed
         assert counts == {"f": 2 * n_steps + 1, "jac": n_steps}
+
+    def test_method1_index0(self):
+        preset = get_preset("linear_index0")
+        dae, counts = self.counted(preset.dae)
+        traj = method1_solve(dae, projectors_algebraic(dae.pencil), Mesh(0.0, 1.0, 300),
+                             preset.x0)
+        assert traj.status.completed
+        assert counts == {"f": 301, "jac": 0}
 
 
 class TestStepChoice:
