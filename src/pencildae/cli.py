@@ -54,6 +54,13 @@ def __getattr__(name: str):
     return globals().setdefault(name, getattr(value, attribute) if attribute else value)
 
 
+def _bind(*names: str) -> None:
+    """Bind the ``_LAZY`` globals ``names``: a helper that reads them calls this first,
+    so it runs when called before ``main`` has bound them."""
+    for name in names:
+        __getattr__(name)
+
+
 class ConfigError(Exception):
     pass
 
@@ -202,6 +209,7 @@ def load_config(path: str) -> dict:
 def _inline_model(model_spec: dict):
     """``(pencil, f, jac)`` of an inline model, its shapes checked: f(t, x) is
     f_const + f_matrix @ x, affine for config-file safety."""
+    _bind("np", "pencil")
     try:  # a ragged matrix fails in asarray, a non-square one in MatrixPencil
         pen = pencil.MatrixPencil(a=np.asarray(model_spec["a"], dtype=float),
                                   b=np.asarray(model_spec["b"], dtype=float))
@@ -222,10 +230,11 @@ def _inline_model(model_spec: dict):
 
 
 def _resolve_model(config: dict) -> model_library.ModelPreset:
+    _bind("np", "dae_model", "model_library")
     model_spec = config["model"]
     if isinstance(model_spec, str):
         try:
-            return __getattr__("model_library").get_preset(model_spec)  # projectors loads it here
+            return model_library.get_preset(model_spec)
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from exc
     pen, f, jac = _inline_model(model_spec)
@@ -235,11 +244,13 @@ def _resolve_model(config: dict) -> model_library.ModelPreset:
 
 
 def _decompose(pen: pencil.MatrixPencil, config: dict):
+    _bind("pencil")
     pencil.regularity_probe(pen, sample_count=32, seed=int(config.get("seed", 0)))
     return pencil.projectors_algebraic(pen)
 
 
 def _initial_state(config: dict, preset, decomp, mesh: integrators.Mesh) -> np.ndarray:
+    _bind("np", "dae_model")
     choice = config.get("initial_state", "preset_default")
     if choice == "preset_default":
         if preset.preset_id == "<inline>":
@@ -256,6 +267,7 @@ def _initial_state(config: dict, preset, decomp, mesh: integrators.Mesh) -> np.n
 
 
 def _solver_config(config: dict) -> integrators.SolverConfig:
+    _bind("integrators")
     corr_spec = config.get("corrector", {"mode": "single_step"})
     iterate = corr_spec["mode"] == "iterate"   # single_step ignores tol and max_iter
     return integrators.SolverConfig(method=integrators.Method(config.get("method", "method1")),
@@ -267,6 +279,7 @@ def _solver_config(config: dict) -> integrators.SolverConfig:
 def _set_up(config: dict):
     """(preset, decomposition, mesh, solver config, x0) of a run, validated in
     this order, so every command reports the same first error."""
+    _bind("integrators")
     preset = _resolve_model(config)
     decomp = _decompose(preset.dae.pencil, config)
     if "mesh" not in config:

@@ -86,6 +86,20 @@ class SemilinearDAE:
         return self.pencil.n
 
 
+def _on_floats(pencil: MatrixPencil, f, jac) -> SemilinearDAE:
+    """The model of ``pencil`` whose f and Jacobian are written on Python floats:
+    ``f(t, x1, ..., xn)`` returns the n entries of f, ``jac(t, x1, ..., xn)`` the n * n
+    of df/dx in row-major order.  Its ``f`` and ``jac_f`` are their ndarray forms, made of
+    the same floats, and keep them as ``_floats`` for the small-system step."""
+    n, xs = pencil.n, "".join(f"x{i}, " for i in range(pencil.n))
+    forms = {"f": f, "jac": jac, "array": np.array}  # x unpacked into names: f(t, *x) costs more
+    exec(f"def f_array(t, x):\n    {xs}= x.tolist()\n    return array(f(t, {xs}))\n"
+         f"def jac_array(t, x):\n    {xs}= x.tolist()\n"
+         f"    return array(jac(t, {xs})).reshape({n}, {n})\n", forms)
+    forms["f_array"]._floats, forms["jac_array"]._floats = f, jac
+    return SemilinearDAE(pencil, forms["f_array"], forms["jac_array"])
+
+
 # the forward difference steps x_j by this times max(1, |x_j|), sqrt(eps) relative to a
 # typical size 1 (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization, 5.4)
 _FD_STEP = 2.0 ** -26

@@ -14,8 +14,9 @@ problem objects and may run concurrently: ``_in_child`` runs one of them in a
 forked child (on Linux, with one Python thread; else, or on failure, in process).
 The step loop ``_run`` yields the run in blocks of ``_BLOCK`` nodes, each with arrays
 of its own: ``solve`` copies them into one ``Trajectory``, and the CLI formats each
-block (in a child) and keeps none, while the steps go on.  Its step is chosen by the
-problem's shape: on Python floats for k <= 1 and n <= 3, else numpy's.
+block (in a child) and keeps none, while the steps go on.  Its node loop is chosen by
+the problem's shape: on Python floats for k <= 1 and n <= 3, which calls the model on
+floats where it is written so (every preset), else numpy's.
 """
 
 from __future__ import annotations
@@ -249,72 +250,128 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 # n = 4, 1.11 at n = 5 and 1.82 at n = 8 (its terms grow as n^2, numpy's dispatch not)
 _PLAIN_MAX_N = 3
 
-# _run's step on Python floats, as _plain_step fills it in for a shape: the z-step,
-# then X2Newton.correct's correction written out for k = 1 (for k = 0 its loop never runs)
-_PLAIN_STEP = """\
-def make(E, D, L, K, W, N, f, jac, tol, max_iter):
-    [{E}], [{D}], [{L}], [{K}], [{W}], [{N}] = E, D, L, K, W, N
-    def step(t, fi, z, z_prev, c, u, leap):
-        [{f}], [{z}], [{u}] = fi.tolist(), z, u
-        if leap:
-            [{p}] = z_prev
-            {leapfrog}
-        else:
-            {euler}
-        updates = 0
-        while {k}:
-            x = array([{x}])
-            fx = f(t, x)
-            [{f}] = fx.tolist()
-            r = c - {Wf}
-            if tol is not None:
-                last = abs(r)
-                if last <= tol:
-                    return [{y}], c, [{u}], x, fx
-                if updates >= max_iter:
-                    raise NoConvergenceError(STALLED.format(last, updates), last_residual=last)
-            [{J}] = jac(t, x).tolist()
-            newton = 1.0 - ({WJN})
-            delta = r / newton if newton and isfinite(newton) else nan
-            if not isfinite(delta):
-                raise SingularNewtonMatrixError(SINGULAR.format(t))
-            c = c - delta
-            {lift}
-            if tol is None:
-                break
-            updates += 1
-        return [{y}], c, [{u}], array([{x}]), None
-    return step
+# _run's node loop, as _node_loop fills it in for a form: ``nodes`` stores each node of a
+# block (z, c and f there), makes the next by the form's step and tests it, and returns
+# the state after the block, its nodes with f stored, the last node kept and the status;
+# the rules of how a run ends are these lines alone
+_NODE_LOOP = """\
+def make(f, jac, tol, max_iter, thr, leapfrog, consts):
+    {consts} = consts
+    def nodes(times, first, stop, last, status, state, zs, cs, fs):
+        {state} = state
+        i, known = first, 0
+        try:
+            for j, i in enumerate(range(first, min(stop, last + 1))):
+{store}
+                known = j + 1
+                if i == last:
+                    break
+                t = times[j + 1]
+{step}
+                if not hypot({x}) <= thr:
+                    if not all(map(isfinite, ({x},))):  # fails the step that made it
+                        raise FloatingPointError("non-finite node")
+                    status = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=t)
+                    last = i + 1  # a finite node blew up: the last kept
+        except STEP_ERRORS:  # at the last node only f can fail: its residual stays inf
+            if i < last:  # the step to node i + 1 failed; node i is kept
+                status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
+                last = i
+        return ({state}), known, last, status
+    return nodes
 """
+
+# the numpy form: ndarray nodes stored in the block's arrays, the numpy z-step and
+# X2Newton.correct
+_NUMPY_FORM = dict(consts="euler, drive, leap_drive, leap_decay, correct",
+                   state="z, p, c, u, x, fc", x="*x.tolist()", store="""\
+                zs[j], cs[j] = z, c
+                fi = fs[j] = f(times[j], x) if fc is None else fc""", step="""\
+                y = p + leap_drive(fi) - leap_decay(z) if leapfrog and i else euler(z) + drive(fi)
+                c, u, x, fc = correct(f, jac, t, y, c, u, tol, max_iter)
+                p, z = z, y""")
+
+# the plain forms: a node's entries are floats, kept from step to step and appended to
+# flat lists; the z-step and X2Newton.correct's correction are written out for k <= 1
+# (for k = 0 its loop never runs), so a non-finite value fails the step as there
+_PLAIN_FORM = dict(store="""\
+                zs += ({z},)
+                cs.append(c)
+                [{f}] = fc if fc is not None else {f_at}
+                fs += ({f},)""", step="""\
+                if leapfrog and i:
+                    {leapfrog}
+                else:
+                    {euler}
+                fc, updates = None, 0
+                while {k}:
+                    {x_of_y}
+                    [{f}] = fx = {f_call}
+                    r = c - {Wf}
+                    if tol is not None:
+                        res = abs(r)
+                        if res <= tol:
+                            fc = fx
+                            break
+                        if updates >= max_iter:
+                            raise NoConvergenceError(STALLED.format(res, updates),
+                                                     last_residual=res)
+                    [{J}] = {jac_call}
+                    newton = 1.0 - ({WJN})
+                    delta = r / newton if newton and isfinite(newton) else nan
+                    if not isfinite(delta):
+                        raise SingularNewtonMatrixError(SINGULAR.format(t))
+                    c = c - delta
+                    {lift}
+                    if tol is None:
+                        break
+                    updates += 1
+                {p} = {z}
+                {z} = {y}
+                {x_of_z}""")
 
 
 @functools.cache
-def _plain_step(n: int, k: int):
-    """``make`` of ``_PLAIN_STEP`` for n entries and k <= 1, compiled once per shape: it
-    binds the flat Euler, drive, leapfrog drive and decay matrices, W and N as closure
-    values, and its step keeps every term, so a non-finite value fails the step as the
-    numpy step's does; z and u are lists of floats, c a float, x a new ndarray."""
-    def each(form, sep=", "):  # form.format(i=i) for each entry i
-        return sep.join(form.format(i=i) for i in range(n))
+def _node_loop(form: str, n: int = 0, k: int = 0):
+    """``make`` of ``_NODE_LOOP`` for a form, compiled once per form and shape: "numpy",
+    or for n entries and k <= 1 "floats", which calls the model's f and Jacobian on the
+    node's floats (``dae_model._on_floats``), or "ndarray", which calls them on an array
+    of them.  Its step keeps every term of numpy's, with the flat Euler, drive, leapfrog
+    drive and decay matrices, W and N bound as closure values."""
+    fields = _NUMPY_FORM
+    if form != "numpy":
+        def each(text, sep=", "):  # text.format(i=i) for each entry i
+            return sep.join(text.format(i=i) for i in range(n))
 
-    def row(v):  # the names v0, ..., of a vector or (v holding {i}) of a matrix row
-        return ", ".join(f"{v}{j}" for j in range(n))
+        def row(v):  # the names v0, ..., of a vector or (v holding {i}) of a matrix row
+            return ", ".join(f"{v}{j}" for j in range(n))
 
-    def dot(v, w):  # the vector (or matrix row) v times the vector w
-        return "(" + " + ".join(f"{v}{j} * {w}{j}" for j in range(n)) + ")"
-    line = "\n            "
-    fields = {v: row(v) for v in "fzupy"} | {m: each(row(m + "{i}_")) for m in "EDLK"}
-    fields.update(k=k, W=row("W") * k, N=row("N") * k,  # none for k = 0
-                  x=each("y{i} + u{i}"), Wf=dot("W", "f"), J=each("[" + row("j{i}_") + "]"),
-                  WJN=each("W{i} * " + dot("j{i}_", "N"), " + "),
-                  lift=each("u{i} = N{i} * c", line),
-                  leapfrog=each("y{i} = p{i} + " + dot("L{i}_", "f") + " - " + dot("K{i}_", "z"),
-                                line),
-                  euler=each("y{i} = " + dot("E{i}_", "z") + " + " + dot("D{i}_", "f"), line))
-    scope = {"array": np.array, "isfinite": math.isfinite, "nan": math.nan,
-             "NoConvergenceError": NoConvergenceError, "STALLED": _STALLED,
-             "SingularNewtonMatrixError": SingularNewtonMatrixError, "SINGULAR": _SINGULAR}
-    exec(_PLAIN_STEP.format(**fields), scope)
+        def dot(v, w):  # the vector (or matrix row) v times the vector w
+            return "(" + " + ".join(f"{v}{j} * {w}{j}" for j in range(n)) + ")"
+        line = "\n                    "
+        x = row("x")
+        on_array = form == "ndarray"  # the model is called on an array, its result read back
+        arg, tail = ("xa", ".tolist()") if on_array else (x, "")
+        plain = {v: row(v) for v in "fzpy"} | dict(
+            k=k, x=x, Wf=dot("W", "f"), WJN=each("W{i} * " + dot("j{i}_", "N"), " + "),
+            J=each("[" + row("j{i}_") + "]" if on_array else row("j{i}_")),
+            f_at=f"f(times[j], {f'array(({x},))' if on_array else x}){tail}",
+            f_call=f"f(t, {arg}){tail}", jac_call=f"jac(t, {arg}){tail}",
+            # the correction's f and Jacobian share one array
+            x_of_y=each("x{i} = y{i} + u{i}", line) + (f"{line}xa = array(({x},))" * on_array),
+            x_of_z=each("x{i} = z{i} + u{i}", line[:-4]),
+            lift=each("u{i} = N{i} * c", line),
+            leapfrog=each("y{i} = p{i} + " + dot("L{i}_", "f") + " - " + dot("K{i}_", "z"), line),
+            euler=each("y{i} = " + dot("E{i}_", "z") + " + " + dot("D{i}_", "f"), line))
+        fields = {name: text.format(**plain) for name, text in _PLAIN_FORM.items()} | dict(
+            x=x, consts=", ".join(f"[{m}]" for m in (*(each(row(m + "{i}_")) for m in "EDLK"),
+                                                      row("W") * k, row("N") * k)),
+            state=", ".join((row("z"), row("p"), "c", row("u"), x, "fc")))
+    scope = {"array": np.array, "hypot": math.hypot, "isfinite": math.isfinite,
+             "nan": math.nan, "NoConvergenceError": NoConvergenceError, "STALLED": _STALLED,
+             "SingularNewtonMatrixError": SingularNewtonMatrixError, "SINGULAR": _SINGULAR,
+             "SolveStatus": SolveStatus, "SolveOutcome": SolveOutcome, "STEP_ERRORS": _STEP_ERRORS}
+    exec(_NODE_LOOP.format(**fields), scope)
     return scope["make"]
 
 
@@ -354,7 +411,7 @@ def _run(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
     drive_mat = h * (decomp.g_inv @ decomp.q1)
     mats = np.eye(n) - h * ginv_b, drive_mat, 2.0 * drive_mat, (2.0 * h) * ginv_b
     newton = X2Newton(decomp)
-    f_block = np.empty((min(_BLOCK, n_steps + 1), n))  # f(t_i, x_i) of the open block's z-steps
+    f_block = np.empty((min(_BLOCK, n_steps + 1), n))  # f at x0; at the block's nodes (numpy)
 
     z = decomp.p1 @ x0
     c = newton.basis.T @ (decomp.p2 @ x0)
@@ -376,54 +433,36 @@ def _run(dae: SemilinearDAE, decomp: SpectralDecomposition, mesh: Mesh, x0,
         raise InconsistentInitialStateError(
             f"initial state norm {norm0:.6g} exceeds blow_up_threshold {thr:.6g}")
 
-    # the step, chosen by the shape (n, k) alone: ``(z, c, u, x, fx)`` of the next node,
-    # as X2Newton.correct returns them, from f at this node
-    if newton.k <= 1 and n <= _PLAIN_MAX_N:  # on Python floats, from the node's floats
-        step = _plain_step(n, newton.k)(*(m.ravel().tolist() for m in (
-            *mats, newton.coeff, newton.basis)), f, jac, tol, max_iter)
-        z, c, u = z.tolist(), c.tolist(), u.tolist()
+    # the node loop, chosen by the shape (n, k) and the model: on Python floats for k <= 1
+    # and n <= 3, calling f and the Jacobian on floats where the model has them, else numpy's
+    if newton.k <= 1 and n <= _PLAIN_MAX_N:
+        floats = getattr(f, "_floats", None), getattr(jac, "_floats", None)
+        form, shape = "ndarray" if None in floats else "floats", (n, newton.k)
+        f, jac = (f, jac) if None in floats else floats
+        consts = [m.ravel().tolist() for m in (*mats, newton.coeff, newton.basis)]
+        state = (*z.tolist(), *z.tolist(), c.tolist(), *u.tolist(), *x.tolist(),
+                 f_block[0].tolist())
     else:
-        euler, drive, leap_drive, leap_decay = (m.dot for m in mats)
-        correct = newton.correct
+        form, shape, consts = "numpy", (), (*(m.dot for m in mats), newton.correct)
+        state = z, None, c, u, x, fc
+    nodes = _node_loop(form, *shape)(f, jac, tol, max_iter, thr, leapfrog, consts)
 
-        def step(t, fi, z, z_prev, c, u, leap):
-            z_next = z_prev + leap_drive(fi) - leap_decay(z) if leap else euler(z) + drive(fi)
-            return (z_next, *correct(f, jac, t, z_next, c, u, tol, max_iter))
-
-    last = n_steps                                # the last node kept
-    z_prev = status = None
+    last, status = n_steps, None                  # the last node kept
     for rows in _blocks(n_steps + 1):
         start, size = rows.start, rows.stop - rows.start
-        z_block = np.empty((size, n))
-        c_block = np.empty(size if newton.scalar else (size, newton.k))
+        zs, cs, fs = ([], [], []) if form != "numpy" else (  # flat lists, else arrays
+            np.empty((size, n)), np.empty(size if newton.scalar else (size, newton.k)), f_block)
         node_t = mesh.times(slice(start, rows.stop + 1)).tolist()  # + the node after the block
-        known = 0                                 # the block's leading nodes with f stored
         # a singular k > 1 Newton matrix sets the invalid flag (its NaN step fails the step)
         with np.errstate(invalid="ignore"):
-            try:
-                for j, i in enumerate(range(start, min(rows.stop, last + 1))):
-                    z_block[j], c_block[j] = z, c
-                    fi = f_block[j] = f(node_t[j], x) if fc is None else fc
-                    known = j + 1
-                    if i == last:
-                        break
-                    z_next, c, u, x, fc = step(node_t[j + 1], fi, z, z_prev, c, u,
-                                               leapfrog and i)
-                    z_prev, z = z, z_next
-                    if not math.hypot(*x.tolist()) <= thr:
-                        if not np.isfinite(x).all():  # fails the step that made it
-                            raise FloatingPointError("non-finite node")
-                        status = SolveStatus(SolveOutcome.BLOW_UP, blow_up_time=node_t[j + 1])
-                        last = i + 1              # a finite node blew up: the last kept
-            except _STEP_ERRORS:  # at the last node only f can fail: its residual stays inf
-                if i < last:  # the step to node i + 1 failed; node i is kept
-                    status = SolveStatus(SolveOutcome.CORRECTOR_FAILED, failed_step=i + 1)
-                    last = i
+            state, known, last, status = nodes(node_t, start, rows.stop, last, status, state,
+                                               zs, cs, fs)
         kept = min(rows.stop, last + 1) - start   # truncated at the offending node, never padded
-        z_block, c_block = z_block[:kept], c_block.reshape(size, newton.k)[:kept]
+        z_block = np.asarray(zs, dtype=float).reshape(-1, n)[:kept]
+        c_block = np.asarray(cs, dtype=float).reshape(len(cs), newton.k)[:kept]
         residuals = np.full(kept, np.inf)         # this block's, formed once
         residuals[:known] = _node_residuals(b_mat, q2, z_block[:known] + _lift(
-            decomp.x2_basis, c_block[:known]), f_block[:known])
+            decomp.x2_basis, c_block[:known]), np.asarray(fs, dtype=float).reshape(-1, n)[:known])
         if last < rows.stop:  # the run ended in this block
             yield start, z_block, c_block, residuals, status or SolveStatus(SolveOutcome.COMPLETED)
             return

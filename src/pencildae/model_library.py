@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dae_model import SemilinearDAE
+from .dae_model import SemilinearDAE, _on_floats
 from .pencil import MatrixPencil, _count, _positive_finite, _Record
 
 __all__ = [
@@ -160,7 +160,7 @@ def circuit_pencil(params: CircuitParams) -> MatrixPencil:
 def build_circuit_dae(params: CircuitParams, phi0: Nonlinearity, phi: Nonlinearity,
                       psi: Nonlinearity, h_cond: Nonlinearity,
                       e: VoltageWaveform) -> SemilinearDAE:
-    """Assemble the circuit DAE with its analytic Jacobian.
+    """Assemble the circuit DAE with its analytic Jacobian, both written on floats.
 
     The right-hand side is
     (e(t) - phi0(x1) - phi(x3), -h(x2), psi(x1 - x3) - phi(x3)).
@@ -172,24 +172,18 @@ def build_circuit_dae(params: CircuitParams, phi0: Nonlinearity, phi: Nonlineari
     psv, psd = psi.value, psi.derivative
     hcv, hcd = h_cond.value, h_cond.derivative
 
-    # plain floats: numpy scalars would double the cost of each call
-    def f(t, x):
-        x1, x2, x3 = x.tolist()
+    def f(t, x1, x2, x3):
         # phi(x3) once, called in the original order so the same error comes first
-        return np.array((e_val(t) - p0v(x1) - (phi3 := phv(x3)),
-                         -hcv(x2),
-                         psv(x1 - x3) - phi3))
+        return (e_val(t) - p0v(x1) - (phi3 := phv(x3)), -hcv(x2), psv(x1 - x3) - phi3)
 
-    # a flat tuple reshaped: numpy builds it faster than a nested one
-    def jac(t, x):
-        x1, x2, x3 = x.tolist()
+    def jac(t, x1, x2, x3):
         dpsi = psd(x1 - x3)
         dphi = phd(x3)
-        return np.array((-p0d(x1), 0.0, -dphi,
-                         0.0, -hcd(x2), 0.0,
-                         dpsi, 0.0, -dpsi - dphi)).reshape(3, 3)
+        return (-p0d(x1), 0.0, -dphi,
+                0.0, -hcd(x2), 0.0,
+                dpsi, 0.0, -dpsi - dphi)
 
-    return SemilinearDAE(pencil=pencil, f=f, jac_f=jac)
+    return _on_floats(pencil, f, jac)
 
 
 def circuit_consistency_check(params: CircuitParams, psi: Nonlinearity,
@@ -220,13 +214,13 @@ def _linear_index0_preset() -> ModelPreset:
     a = np.array([[2.0, 0.3], [0.1, 1.0]])
     b = np.array([[0.5, -0.2], [0.1, 0.4]])
 
-    def f(t, x):
-        return np.array((math.sin(t) - 0.1 * x[1], math.cos(t) + 0.05 * x[0]))
+    def f(t, x1, x2):
+        return math.sin(t) - 0.1 * x2, math.cos(t) + 0.05 * x1
 
-    def jac(t, x):
-        return np.array(((0.0, -0.1), (0.05, 0.0)))
+    def jac(t, x1, x2):
+        return 0.0, -0.1, 0.05, 0.0
 
-    dae = SemilinearDAE(pencil=MatrixPencil(a=a, b=b), f=f, jac_f=jac)
+    dae = _on_floats(MatrixPencil(a=a, b=b), f, jac)
     return ModelPreset(preset_id="linear_index0", dae=dae,
                        x0=np.array([1.0, -0.5]), smooth=True)
 
@@ -235,14 +229,13 @@ def _toy_index1_preset() -> ModelPreset:
     a = np.diag([1.0, 0.0])
     b = np.eye(2)
 
-    def f(t, x):
-        return np.array((-0.2 * x[0] + 0.5 * x[1] + math.sin(t),
-                         0.5 * math.sin(t) + 0.25 * x[1] + 0.3 * x[0]))
+    def f(t, x1, x2):
+        return -0.2 * x1 + 0.5 * x2 + math.sin(t), 0.5 * math.sin(t) + 0.25 * x2 + 0.3 * x1
 
-    def jac(t, x):
-        return np.array(((-0.2, 0.5), (0.3, 0.25)))
+    def jac(t, x1, x2):
+        return -0.2, 0.5, 0.3, 0.25
 
-    dae = SemilinearDAE(pencil=MatrixPencil(a=a, b=b), f=f, jac_f=jac)
+    dae = _on_floats(MatrixPencil(a=a, b=b), f, jac)
     # constraint: x2 = (0.5 sin t + 0.3 x1) / 0.75  =>  x2(0) = 0.4 for x1(0) = 1
     return ModelPreset(preset_id="toy_index1", dae=dae, x0=np.array([1.0, 0.4]), smooth=True)
 

@@ -677,6 +677,21 @@ def test_each_command_imports_only_the_layers_it_runs(tmp_path):
                      "converge": layers | {"pencildae.integrators", "pencildae.diagnostics"}}
 
 
+@pytest.mark.parametrize("model, initial_state", [
+    ("sec5_cubic", {"z0": [0.1, 0.2, 0.0]}),
+    ({"a": [[1, 0], [0, 0]], "b": [[-1, 1], [1, 1]], "f_const": [0.5, 0.0]}, {"x0": [1.0, 0.0]}),
+], ids=["preset", "inline"])
+def test_a_run_is_set_up_in_a_fresh_interpreter_before_main(tmp_path, model, initial_state):
+    # a tool that sets a run up as the CLI does, with no command run first: each helper
+    # binds the layers it reads
+    config = base_solve_config(tmp_path, model=model, initial_state=initial_state)
+    path = write_config(tmp_path, config)
+    code = "import sys, pencildae.cli as c; print(c._set_up(c.load_config(sys.argv[1]))[4].tolist())"
+    out = fresh_python(["-c", code, path], capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == f"{cli._set_up(cli.load_config(path))[4].tolist()}\n"
+
+
 def test_a_sigint_while_a_command_imports_its_layers_exits_130(tmp_path, monkeypatch, capsys):
     imported = []
 

@@ -18,8 +18,8 @@ from pencildae import (PRESET_IDS, InconsistentInitialStateError, MatrixPencil, 
                        SolveOutcome, SolverConfig, VoltageWaveform, consistent_initialize,
                        get_preset, jacobian, method1_solve, method2_solve,
                        projectors_algebraic, solve)
-from pencildae import integrators
-from pencildae.dae_model import X2Newton
+from pencildae import cli, integrators
+from pencildae.dae_model import X2Newton, _on_floats
 from pencildae.integrators import _in_child, _row_norms
 
 from conftest import random_index1_pencil
@@ -795,6 +795,79 @@ class TestEndPaths:
         assert runs[1:] == runs[:1] * 3
 
 
+def node_loop_forms(monkeypatch) -> list:
+    """The forms of the node loops that ``integrators._run`` takes from now on, in order."""
+    forms, node_loop = [], integrators._node_loop
+    monkeypatch.setattr(integrators, "_node_loop",
+                        lambda form, *shape: forms.append(form) or node_loop(form, *shape))
+    return forms
+
+
+def call_form_problem(name):
+    """(dae, decomp, mesh, x0, config) of a run whose model has a float form and that ends
+    as ``name`` says; each call makes the model anew."""
+    if name == "non-finite-node":   # TestBlocks' run on floats: node 2 is NaN
+        pencil = MatrixPencil(a=np.array([[1.0, -1.0], [0.0, 1.0]]), b=np.eye(2))
+        dae = _on_floats(pencil, lambda t, x1, x2: (1e300 * x2, -1e300 * x2),
+                         lambda t, x1, x2: (0.0, 1e300, 0.0, -1e300))
+        return (dae, projectors_algebraic(pencil), Mesh(0.0, 1.0, 4),
+                np.array([1e-150, 1e-150]), SolverConfig(blow_up_threshold=1e300))
+    if name.startswith("f-fails"):   # TestEndPaths' runs on floats: f fails at the last node
+        g, mesh, fail_node, threshold = ((3.0, Mesh(0.0, 4.0, 32), 18, 60.0)
+                                         if name == "f-fails-at-the-blow-up"
+                                         else (0.5, Mesh(0.0, 1.0, 8), 8, 1e6))
+        calls, fail_t = {}, mesh.times()[fail_node]
+
+        def f(t, x1, x2):
+            calls[t] = calls.get(t, 0) + 1
+            if t == fail_t and calls[t] == 2:
+                raise ZeroDivisionError("float division by zero")
+            return g * x1, 0.5 * x1
+
+        pencil = MatrixPencil(a=np.diag([1.0, 0.0]), b=np.eye(2))
+        return (_on_floats(pencil, f, lambda t, x1, x2: (g, 0.0, 0.5, 0.0)),
+                projectors_algebraic(pencil), mesh, np.array([1.0, 0.5]),
+                SolverConfig(blow_up_threshold=threshold))
+    if name in TestBlocks.OUTCOMES:
+        return blocks_problem(name)
+    preset_id, method, corrector = name.split()   # "<preset> <method> <corrector>"
+    preset = get_preset(preset_id)
+    tol, max_iter = TestKernelEquivalence.CORRECTORS[corrector]
+    return (preset.dae, projectors_algebraic(preset.dae.pencil), Mesh(0.0, 1.0, 40), preset.x0,
+            SolverConfig(method=Method(method), tol=tol, max_iter=max_iter))
+
+
+class TestCallForms:
+    """A model with a float form (``dae_model._on_floats``) against the same model on the
+    ndarray boundary, its f and Jacobian wrapped in plain callables as the benchmark's
+    tracer wraps them: the same blocks and statuses, bit for bit."""
+
+    OUTCOMES = {**TestBlocks.OUTCOMES, "f-fails-at-the-end": "completed",
+                "f-fails-at-the-blow-up": "blow_up",
+                **{f"{preset_id} {method} {corrector}": "completed"
+                   for preset_id in ("sec5_cubic", "linear_index0", "toy_index1")
+                   for method in ("method1", "method2") for corrector in ("single", "iterate")}}
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 4096])
+    @pytest.mark.parametrize("name", sorted(OUTCOMES))
+    def test_both_forms_give_the_same_blocks(self, monkeypatch, name, block):
+        forms = node_loop_forms(monkeypatch)
+        monkeypatch.setattr(integrators, "_BLOCK", block)
+        runs = []
+        for wrapped in (False, True):
+            dae, *problem = call_form_problem(name)
+            if wrapped:
+                dae = SemilinearDAE(dae.pencil, lambda t, x, f=dae.f: f(t, x),
+                                    lambda t, x, jac=dae.jac_f: jac(t, x))
+            with np.errstate(over="ignore", invalid="ignore"):
+                runs.append([(first, z.tobytes(), c.tobytes(), residuals.tobytes(),
+                              status and status.to_json())
+                             for first, z, c, residuals, status in integrators._run(dae, *problem)])
+        assert forms == ["floats", "ndarray"]
+        assert runs[0][-1][-1]["outcome"] == self.OUTCOMES[name]
+        assert runs[1] == runs[0]
+
+
 class TestEvaluationCounts:
     @staticmethod
     def counted(dae):
@@ -846,46 +919,68 @@ class TestEvaluationCounts:
 
 
 class TestStepChoice:
-    """The step is chosen by the problem's shape alone: on Python floats for k <= 1 and
-    n <= 3, else numpy's z-step and ``X2Newton.correct``."""
+    """The step is chosen by the problem's shape: on Python floats for k <= 1 and n <= 3,
+    else numpy's z-step and ``X2Newton.correct``; the float step calls the model on floats
+    where it has a float form, else on ndarrays."""
 
     @staticmethod
     def corrections(monkeypatch, dae, decomp, x0, n_steps=20):
+        """(calls of X2Newton.correct, forms of the node loop taken) of a run."""
         calls, correct = [], X2Newton.correct
         monkeypatch.setattr(X2Newton, "correct",
                             lambda *args, **kwargs: calls.append(1) or correct(*args, **kwargs))
+        forms = node_loop_forms(monkeypatch)
         traj = solve(dae, decomp, Mesh(0.0, 0.02, n_steps), x0, SolverConfig())
         assert traj.status.completed
-        return len(calls)
+        return len(calls), forms
 
     @pytest.mark.parametrize("preset_id", PRESET_IDS)
     def test_every_preset_takes_the_plain_step(self, monkeypatch, preset_id):
         preset = get_preset(preset_id)
         decomp = projectors_algebraic(preset.dae.pencil)
         assert decomp.x2_basis.shape[1] <= 1 and preset.dae.n <= integrators._PLAIN_MAX_N
-        assert self.corrections(monkeypatch, preset.dae, decomp, preset.x0) == 0
+        assert self.corrections(monkeypatch, preset.dae, decomp, preset.x0) == (0, ["floats"])
+
+    @pytest.mark.parametrize("problem", ["cli-inline", "n1_k1", "n3_k1"])
+    def test_a_small_model_on_ndarrays_takes_the_plain_step(self, monkeypatch, problem):
+        if problem == "cli-inline":   # a config's inline model, n = 2 and k = 1
+            pencil, f, jac = cli._inline_model({"a": [[1, 0], [0, 0]], "b": [[-1, 1], [1, 1]],
+                                                "f_const": [0.5, 0.0]})
+            dae, decomp, x0 = (SemilinearDAE(pencil, f, jac), projectors_algebraic(pencil),
+                               np.array([1.0, -1.0]))
+        else:
+            dae, decomp, x0 = affine_cubic_problem(**SHAPES[problem])
+        assert self.corrections(monkeypatch, dae, decomp, x0) == (0, ["ndarray"])
 
     @pytest.mark.parametrize("problem", ["n4_k1", "n8_k3"])
     def test_larger_shapes_take_the_numpy_step(self, monkeypatch, problem):
         dae, decomp, x0 = affine_cubic_problem(**SHAPES[problem])
-        assert self.corrections(monkeypatch, dae, decomp, x0) == 20
+        assert self.corrections(monkeypatch, dae, decomp, x0) == (20, ["numpy"])
 
 
 class TestPlainStep:
-    """The plain step's correction against ``X2Newton.correct`` at one point: with the
-    identity for its Euler matrix and no drive its z-step keeps z, so both correct
-    the same (t, z, c)."""
+    """The plain node loop's correction against ``X2Newton.correct`` at one point: with the
+    identity for its Euler matrix and no drive its z-step keeps z, so both correct the
+    same (t, z, c).  The loop is compiled to catch no error, so each raises its own."""
 
     @staticmethod
-    def outcomes(dae, decomp, t, z, c, tol=None, max_iter=50):
+    def outcomes(monkeypatch, dae, decomp, t, z, c, tol=None, max_iter=50):
         newton, n = X2Newton(decomp), dae.n
         u = newton.lift(c)
-        step = integrators._plain_step(n, 1)(
-            np.eye(n).ravel().tolist(), *[[0.0] * (n * n)] * 3, newton.coeff.tolist(),
-            newton.basis.tolist(), dae.f, dae.jac_f, tol, max_iter)
+        monkeypatch.setattr(integrators, "_STEP_ERRORS", ())
+        nodes = integrators._node_loop.__wrapped__("ndarray", n, 1)(
+            dae.f, dae.jac_f, tol, max_iter, math.inf, False,
+            [np.eye(n).ravel().tolist(), *[[0.0] * (n * n)] * 3, newton.coeff.tolist(),
+             newton.basis.tolist()])
+
+        def one_step():  # (c, u, x, fx) of node 1, made from node 0 at time t
+            state = nodes([0.0, t], 0, 2, 1, None, (*z.tolist(), *z.tolist(), c,
+                                                     *u.tolist(), *(z + u).tolist(), [0.0] * n),
+                          [], [], [])[0]
+            return state[2 * n], list(state[2 * n + 1:3 * n + 1]), state[3 * n + 1:-1], state[-1]
         seen = []
         for call in (lambda: newton.correct(dae.f, dae.jac_f, t, z, c, u, tol, max_iter),
-                     lambda: step(t, np.zeros(n), z.tolist(), None, c, u.tolist(), False)[1:]):
+                     one_step):
             try:
                 seen.append(call())
             except Exception as exc:
@@ -893,11 +988,12 @@ class TestPlainStep:
         return seen
 
     @pytest.mark.parametrize("tol", [None, 1e-12])
-    def test_the_results_are_the_correction(self, tol):
+    def test_the_results_are_the_correction(self, monkeypatch, tol):
         dae, decomp, x0 = affine_cubic_problem(n=3, k=1)
         z = decomp.p1 @ (x0 + 0.1)
-        (c, u, x, fx), (c_p, u_p, x_p, fx_p) = self.outcomes(dae, decomp, 0.3, z, 0.2, tol)
-        assert type(c_p) is float and type(u_p) is list and type(x_p) is np.ndarray
+        (c, u, x, fx), (c_p, u_p, x_p, fx_p) = self.outcomes(monkeypatch, dae, decomp, 0.3, z,
+                                                             0.2, tol)
+        assert type(c_p) is float and {type(v) for v in (*u_p, *x_p)} == {float}
         assert abs(c_p - c) <= 1e-15
         np.testing.assert_allclose(np.array([u_p, x_p]), np.array([u, x]), rtol=0, atol=1e-15)
         if tol is None:
@@ -912,7 +1008,7 @@ class TestPlainStep:
         (-6.5, 0.25, 1e-12, 3, NoConvergenceError),              # tol missed 3 times
         ("raise", 0.25, None, 50, OverflowError),                # what f raised
     ], ids=["nan-jacobian", "zero-pivot", "infinite-step", "missed-tol", "f-raises"])
-    def test_the_failures_are_the_correction(self, df2dx2, c, tol, max_iter, error):
+    def test_the_failures_are_the_correction(self, monkeypatch, df2dx2, c, tol, max_iter, error):
         # the constraint x2 = 0.25 x2 + 0.3 x1 + 0.1, with the given df2/dx2
         def f(t, x):
             if df2dx2 == "raise":
@@ -924,8 +1020,8 @@ class TestPlainStep:
                             jac_f=lambda t, x: np.array([[0.0, 0.0], [0.3, df2dx2]]))
         z = np.array([1.0, 0.0])
         with np.errstate(all="ignore"):
-            numpy_seen, plain_seen = self.outcomes(dae, projectors_algebraic(pencil), 0.5, z,
-                                                   c, tol, max_iter)
+            numpy_seen, plain_seen = self.outcomes(monkeypatch, dae, projectors_algebraic(pencil),
+                                                   0.5, z, c, tol, max_iter)
         assert numpy_seen[0] is plain_seen[0] is error
         assert numpy_seen[1] == plain_seen[1]   # the message
         assert plain_seen[2] == pytest.approx(numpy_seen[2], rel=1e-12)   # last_residual

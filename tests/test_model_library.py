@@ -234,6 +234,40 @@ class TestPresets:
         _, norm = constraint_residual(preset.dae, decomp, 0.0, preset.x0)
         assert norm <= 1e-10 * (1.0 + np.linalg.norm(preset.x0))
 
+    # the errors each preset's math raises at the points below: a cube overflows near
+    # 1e103, and math.sin of an infinite drive time or state entry is a domain error
+    MATH_ERRORS = dict.fromkeys(("sec5_cubic", "sec5_r4_g01", "sec6_sine_powerdecay",
+                                 "sec6_blowup"), {OverflowError, ValueError}) | dict.fromkeys(
+        ("sec6_polynomial", "sec6_triangular", "sec6_sawtooth"), {OverflowError}) | dict.fromkeys(
+        ("linear_index0", "toy_index1"), {ValueError})
+
+    @pytest.mark.parametrize("preset_id", PRESET_IDS)
+    def test_the_ndarray_model_is_its_float_model_bit_for_bit(self, preset_id):
+        # f and jac_f are the ndarray form of the preset's math on floats: the same values,
+        # or the same exception type and message where the math fails
+        dae = get_preset(preset_id).dae
+        n, rng = dae.n, np.random.default_rng(17)
+        points = [*zip(rng.uniform(-10.0, 110.0, 64).tolist(), rng.uniform(-4.0, 4.0, (64, n))),
+                  (0.5, np.full(n, 1e103)), (math.inf, np.full(n, 0.5)),
+                  (0.5, np.array([0.5] * (n - 1) + [math.inf]))]
+        raised = set()
+        for t, x in points:
+            for ndarray_form, float_form, shape in ((dae.f, dae.f._floats, (n,)),
+                                                    (dae.jac_f, dae.jac_f._floats, (n, n))):
+                seen = []
+                for call in (lambda: ndarray_form(t, x),
+                             lambda: np.array(float_form(t, *x.tolist())).reshape(shape)):
+                    try:
+                        value = call()
+                        seen.append((value.shape, value.dtype, value.tobytes()))
+                    except (ArithmeticError, ValueError) as exc:
+                        seen.append((type(exc), str(exc)))
+                        raised.add(type(exc))
+                assert seen[0] == seen[1], (t, x)
+                assert seen[0][:2] in ((shape, np.float64), (OverflowError, "(34, 'Numerical "
+                                       "result out of range')"), (ValueError, "math domain error"))
+        assert raised == self.MATH_ERRORS[preset_id]
+
     def test_preset_ids_keep_their_order(self):
         # the order of the unknown-preset message and of parametrized tests
         assert PRESET_IDS == ("sec5_cubic", "sec5_r4_g01", "sec6_sine_powerdecay",

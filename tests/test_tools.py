@@ -69,15 +69,16 @@ def test_step_cost_times_each_run_in_each_tree(capsys):
     assert step_cost.main(["--rounds", "1", str(ROOT), str(ROOT)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["µs/step,", "best", "of", "1", "tree", "1", "tree", "2", "2/1"]
-    names = ["circuit_solve circuit", "cli_short solve_toy_index1",
-             "cli_short solve_linear_index0", "affine_ladder ladder finest"]
-    for name, line in zip(names, lines[1:5]):
+    names = ["circuit_solve circuit", "circuit_solve circuit ndarray model",
+             "cli_short solve_toy_index1", "cli_short solve_linear_index0",
+             "affine_ladder ladder finest"]
+    for name, line in zip(names, lines[1:6], strict=True):
         assert line.startswith(name)
         first, second, ratio = map(float, line[len(name):].split())
         assert 0 < first < 1000 and 0 < second < 1000
         # the ratio of the unrounded costs, so within the rounding of the three figures
         rounding = 5e-4 + 1.01 * (second / first) * (0.005 / first + 0.005 / second)
         assert ratio == pytest.approx(second / first, abs=rounding)
-    assert lines[5:] == [f"tree {i}: {ROOT}" for i in (1, 2)]
+    assert lines[6:] == [f"tree {i}: {ROOT}" for i in (1, 2)]
     assert step_cost.main(["--rounds", "0", str(ROOT)]) == 2
     assert step_cost.main([]) == 2

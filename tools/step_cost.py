@@ -4,10 +4,12 @@
 
 Each tree is a checkout of this repository (its ``src/`` is put on PYTHONPATH).  The
 configs come from ``perfbench/workloads.make_workload`` of the checkout this script sits
-in, seed 3: the ``circuit_solve`` solve, the two ``cli_short`` solves and the
-``affine_ladder`` study's finest level (its mesh refined ``2**refinements`` times).  A
-round starts one fresh interpreter per tree, in turn, which sets each run up as the CLI
-does (``cli._set_up``) and times one pass over ``_run``'s blocks.  After K rounds
+in, seed 3: the ``circuit_solve`` solve, once more with the preset's f and Jacobian
+wrapped as plain callables (the ndarray boundary that a user's model and the benchmark's
+tracer take), the two ``cli_short`` solves and the ``affine_ladder`` study's finest level
+(its mesh refined ``2**refinements`` times).  A round starts one fresh interpreter per
+tree, in turn, which sets each run up as the CLI does (``cli._set_up``) and times one pass
+over ``_run``'s blocks.  After K rounds
 (default 5) it prints the best µs/step of each config in each tree, and each tree's
 ratio to the first.
 """
@@ -27,21 +29,23 @@ from workloads import make_workload  # noqa: E402
 
 SEED = 3
 
-# runs in the child: argv[1] is a JSON list of (name, config path, refinement factor)
+# runs in the child: argv[1] is a JSON list of (name, config path, refinement factor,
+# whether the model's f and Jacobian are wrapped)
 _CHILD = """
-import json, sys, time
+import dataclasses, json, sys, time
 import numpy as np
 from pencildae import cli, integrators
-for name in cli._LAZY:  # the layers a command loads before it runs
-    getattr(cli, name)
 costs = {}
-for name, path, factor in json.loads(sys.argv[1]):
+for name, path, factor, wrapped in json.loads(sys.argv[1]):
     preset, decomp, mesh, solver_config, x0 = cli._set_up(cli.load_config(path))
-    mesh = mesh.refined(factor)
+    dae, mesh = preset.dae, mesh.refined(factor)
+    if wrapped:
+        dae = dataclasses.replace(dae, f=lambda t, x, f=dae.f: f(t, x),
+                                  jac_f=lambda t, x, jac=dae.jac_f: jac(t, x))
     for _ in range(3):
         start = time.perf_counter()
         with np.errstate(all="ignore"):  # as the CLI runs a command
-            for _ in integrators._run(preset.dae, decomp, mesh, x0, solver_config):
+            for _ in integrators._run(dae, decomp, mesh, x0, solver_config):
                 pass
         cost = (time.perf_counter() - start) / mesh.n_steps * 1e6
         costs[name] = min(cost, costs.get(name, cost))
@@ -50,7 +54,7 @@ print(json.dumps(costs))
 
 
 def runs(config_root: Path) -> list:
-    """(name, config path, refinement factor) of each timed run, its config written."""
+    """(name, config path, refinement factor, wrapped) of each timed run, its config written."""
     specs = []
     for workload, names in (("circuit_solve", ("circuit.json",)),
                             ("cli_short", ("solve_toy_index1.json", "solve_linear_index0.json")),
@@ -61,8 +65,10 @@ def runs(config_root: Path) -> list:
             path = config_dir / name
             study = json.loads(path.read_text(encoding="utf-8")).get("study")
             factor = 2 ** study["refinements"] if study else 1
-            specs.append((f"{workload} {Path(name).stem}" + (" finest" if study else ""),
-                          str(path), factor))
+            run = f"{workload} {Path(name).stem}" + (" finest" if study else "")
+            specs.append((run, str(path), factor, False))
+            if workload == "circuit_solve":
+                specs.append((run + " ndarray model", str(path), factor, True))
     return specs
 
 
